@@ -193,17 +193,21 @@ def cmd_pairing(data, job, args):
     if data.mode == "laurent":
         kwargs = {"q": data.q}
         variables, laurent = ("z", "q"), True
+        lead = 1
     else:
         if data.n != 1:
             raise JobError("pairing supports univariate models only")
-        m = data.mu
-        kwargs = {"m": m}
+        kwargs = {"m": data.mu}
         variables, laurent = data.variables, False
+        # f = c z^(m+1) has f' = lead z^m; the A_m kernel takes lead = 1
+        (exp, c), = data.f.terms.items()
+        lead = exp[0] * c
     values = []
     for a_text, b_text in pairs:
         a = _subst_q(parse_poly(a_text, variables, laurent), data)
         b = _subst_q(parse_poly(b_text, variables, laurent), data)
         series = pairing_univariate(a, b, t_order, **kwargs)
+        series = {r: v / lead ** (r + 1) for r, v in series.items()}
         values.append({"a": a_text, "b": b_text,
                        "series": {str(k): _fmt(v)
                                   for k, v in sorted(series.items())}})
@@ -234,6 +238,9 @@ COMMANDS = {
 
 
 def run_job(job, args):
+    if not isinstance(job, dict):
+        raise JobError("a job document must be a JSON object, got %s"
+                       % type(job).__name__)
     command = args.command or job.get("command")
     if command not in COMMANDS:
         raise JobError("unknown command %r; expected one of %s"
@@ -257,9 +264,6 @@ def main(argv=None):
     parser.add_argument("--set-c", action="append", metavar="i,j=p/q",
                         help="set an opposite-filtration coordinate")
     parser.add_argument("--mask", help="comma-separated active basis indices")
-    parser.add_argument("--no-prune", action="store_true",
-                        help="disable the graded term filter (no effect on "
-                             "results; kept for diagnostics)")
     args = parser.parse_args(argv)
     try:
         if args.job == "-":

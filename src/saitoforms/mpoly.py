@@ -92,13 +92,6 @@ class MPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        n = len(self.variables)
-        return all(e == (0,) * n for e in self.terms)
-
-    def constant_value(self):
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
-
     def _check(self, other):
         if self.variables != other.variables:
             raise PolynomialError(
@@ -214,11 +207,6 @@ class MPoly:
             raise PolynomialError("zero polynomial has no leading term")
         exp = max(self.terms, key=grevlex_key)
         return exp, self.terms[exp]
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def sorted_terms(self, reverse=True):
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),

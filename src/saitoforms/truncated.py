@@ -65,12 +65,6 @@ class UnfoldRingElem:
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def min_degree(self):
-        """Smallest total degree of a term; None for zero."""
-        if not self.terms:
-            return None
-        return min(sum(e) for e in self.terms)
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = UnfoldRingElem.constant(self.nvars, self.order, other)

@@ -190,7 +190,12 @@ def build_unfolding(base, N, mask=None, overrides=None, u_names=None):
 
 
 class OscillatorData:
-    """The family A^(k)(u), k ranging over the t-powers that occur."""
+    """The family A^(k)(u), keyed by the t-powers k that occur.
+
+    By default (polynomial mode) only the window -a <= k <= a that the
+    Neumann solve reads is kept, and matrix(k) is zero outside it; built
+    with prune=False (or in Laurent mode) the family runs down to k = -N.
+    """
 
     def __init__(self, unf, filtration, matrices, a):
         self.unf = unf
@@ -216,20 +221,44 @@ def positive_bound(base, N):
 
 
 def oscillator_matrices(unf, c=None, prune=True):
-    """Compute the A^(k) family in the Phi(c) basis."""
+    """Compute the A^(k) family in the Phi(c) basis.
+
+    With prune (the default) and a polynomial base, only the t-powers
+    -a <= k <= a that primitive_form reads are computed and kept: a
+    z-term e of (F-f)^K/K! times phi_i lands at t-powers of at most
+    deg(e) + d_i - K, and a c slot lifts a row by at most the largest
+    degree gap d_i - d_j among its nonzero entries, so terms with
+    deg(e) + d_i + gap < K - a are skipped before reduction, and what
+    still lands below -a is dropped. prune=False (and Laurent mode)
+    returns every k down to -N.
+    """
     base = unf.base
     mu = base.mu
     filtration = c if isinstance(c, OppositeFiltration) else \
         OppositeFiltration(base, c)
+    a = positive_bound(base, unf.N)
+    powers = unf.exp_powers()
+    window = prune and base.mode != "laurent"
+    if window:
+        scale, ints = _integer_scale(list(base.weights) + base.degrees)
+        weights, degrees = ints[:base.n], ints[base.n:]
+        gap = max((degrees[i - 1] - degrees[j - 1] for i, j in filtration.c),
+                  default=0)
+        z_degrees = [[sum(w * x for w, x in zip(weights, e1)) for e1 in power]
+                     for power in powers]
     rows = []
     for i in range(mu):
         row = ReducedClass(mu)
         phi = base.basis[i]
-        for k, power in enumerate(unf.exp_powers()):
+        for k, power in enumerate(powers):
+            terms = power.items()
+            if window:
+                floor = (k - a) * scale - degrees[i] - gap
+                terms = [t for t, d in zip(terms, z_degrees[k]) if d >= floor]
             shifted = {}
-            for e1, celem in power.items():
+            for e1, celem in terms:
                 for e2, cb in phi.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
+                    e = tuple(x + y for x, y in zip(e1, e2))
                     term = celem * cb
                     prior = shifted.get(e)
                     shifted[e] = term if prior is None else prior + term
@@ -238,11 +267,12 @@ def oscillator_matrices(unf, c=None, prune=True):
     if not filtration.is_trivial():
         rows = filtration.rows_to_upper(rows)
         rows = [filtration.coords_to_upper(r) for r in rows]
-    a = positive_bound(base, unf.N)
     matrices = {}
     zero = unf.ring_zero()
     for i, row in enumerate(rows):
         for k, vec in row.coeffs.items():
+            if window and k < -a:
+                continue
             for j in range(mu):
                 if not _nz(vec[j]):
                     continue
@@ -260,6 +290,12 @@ def oscillator_matrices(unf, c=None, prune=True):
     return osc
 
 
+def _integer_scale(values):
+    """The least common denominator L of rational values, and [v * L]."""
+    scale = math.lcm(*(Fraction(v).denominator for v in values))
+    return scale, [int(v * scale) for v in values]
+
+
 def _check_base_point(osc):
     """At u = 0 the oscillator family must be the identity at t^0."""
     mu = osc.unf.base.mu
@@ -275,15 +311,18 @@ def _check_base_point(osc):
 
 def _check_grading(osc):
     """Every u-monomial of A^(k)_ij satisfies
-    k + sum(alpha_l deg u_l) + d_j - d_i = 0."""
+    k + sum(alpha_l deg u_l) + d_j - d_i = 0, checked in integers with
+    all degrees scaled by their least common denominator."""
     unf = osc.unf
-    degrees = unf.base.degrees
+    mu = unf.base.mu
+    scale, ints = _integer_scale(unf.base.degrees + unf.deg_u)
+    degrees, deg_u = ints[:mu], ints[mu:]
     for k, m in osc.matrices.items():
         for i, row in enumerate(m):
             for j, elem in enumerate(row):
+                want = degrees[i] - degrees[j] - k * scale
                 for exp in elem.terms:
-                    total = k + unf.u_degree(exp) + degrees[j] - degrees[i]
-                    if total != 0:
+                    if sum(d * e for d, e in zip(deg_u, exp)) != want:
                         raise GradingViolation(
                             "off-grade term u^%r in A^(%d)[%d][%d]"
                             % (exp, k, i + 1, j + 1))

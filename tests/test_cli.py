@@ -1,8 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from saitoforms.brieskorn import reduce_class
 from saitoforms.cli import SCHEMA, main
+from saitoforms.mpoly import MPoly
+from saitoforms.parsing import parse_poly
+from saitoforms.singularity import analyze
 
 
 def run_cli(capsys, tmp_path, job, extra=()):
@@ -133,3 +138,55 @@ def test_output_sorted_and_stable(capsys, tmp_path):
     assert first == second
     assert first == json.dumps(json.loads(first), indent=2,
                                sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("f, weight, pair, residue", [
+    ("z^3", "1/3", ["z", "1"], "1/3"),
+    ("5*z^4", "1/4", ["z^2", "1"], "1/20"),
+    ("1/3*z^3", "1/3", ["z", "1"], "1"),
+])
+def test_pairing_scales_with_leading_coefficient(capsys, tmp_path, f, weight,
+                                                 pair, residue):
+    # K(z^(m-1), 1) at t^0 is the classical residue of z^(m-1) dz / f',
+    # which is 1/lead for f' = lead z^m
+    job = {"schema": SCHEMA, "command": "pairing",
+           "singularity": {"variables": ["z"], "f": f, "weights": [weight]},
+           "t_order": 4, "pairs": [pair]}
+    code, doc = run_cli(capsys, tmp_path, job)
+    assert code == 0
+    assert doc["result"]["values"][0]["series"] == {"0": residue}
+
+
+@pytest.mark.parametrize("job", [[1, 2], 3, "x", None])
+@pytest.mark.parametrize("extra", [(), ("--command", "analyze")])
+def test_non_object_job_is_rejected(capsys, tmp_path, job, extra):
+    code, doc = run_cli(capsys, tmp_path, job, extra)
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "JobError"
+
+
+@pytest.mark.parametrize("f, m, lead", [
+    ("z^3", 2, 3), ("5*z^4", 3, 20), ("2/7*z^5", 4, Fraction(10, 7)),
+])
+def test_pairing_matches_lattice_reduction(capsys, tmp_path, f, m, lead):
+    # K(a, 1) = sum_k t^k K(v_k, 1) over the reduced class sum_k t^k v_k
+    # of a, and K(v, 1) is the classical residue of v: its z^(m-1)
+    # coefficient over the leading coefficient of f'
+    data = analyze(parse_poly(f, ("z",)), [Fraction(1, m + 1)])
+    powers = range(3 * (m + 1))
+    job = {"schema": SCHEMA, "command": "pairing",
+           "singularity": {"variables": ["z"], "f": f,
+                           "weights": ["1/%d" % (m + 1)]},
+           "pairs": [["z^%d" % i, "1"] for i in powers]}
+    code, doc = run_cli(capsys, tmp_path, job)
+    assert code == 0
+    for i, value in zip(powers, doc["result"]["values"]):
+        red = reduce_class(data, MPoly.monomial(("z",), (i,)))
+        want = {}
+        for k, vec in red.coeffs.items():
+            v = sum(c * b.terms.get((m - 1,), 0)
+                    for c, b in zip(vec, data.basis))
+            if v:
+                want[str(k)] = str(v / lead)
+        assert value["series"] == want

@@ -7,7 +7,7 @@ from fractions import Fraction
 from saitoforms.brieskorn import reduce_class
 from saitoforms.linalg import in_row_space, row_space_basis
 from saitoforms.mpoly import MPoly
-from saitoforms.primitive import assemble_psi, neumann_solve
+from saitoforms.primitive import assemble_psi, neumann_solve, primitive_form
 from saitoforms.residue_series import pairing_univariate_Am, pairing_univariate_p1
 from saitoforms.unfolding import build_unfolding, oscillator_matrices
 
@@ -173,6 +173,24 @@ def test_base_point_and_positive_bound(elliptic, quartic_pair):
                         want = 1 if (i == j and k == 0) else 0
                         assert const == want
             assert all(k <= osc.a for k in osc.matrices)
+
+
+def test_window_matches_full_family(elliptic, quartic_pair):
+    # the default family is the prune=False one restricted to -a..a, and
+    # the primitive form read from either is the same
+    rng = random.Random(31)
+    for data, pair in ((elliptic, (8, 1)), (quartic_pair, (9, 1))):
+        for _ in range(2):
+            mask = sorted(rng.sample(range(2, data.mu + 1), 2))
+            unf = build_unfolding(data, rng.randrange(2, 5), mask=mask)
+            for c in (None, {pair: Fraction(rng.randrange(1, 6),
+                                            rng.randrange(1, 4))}):
+                full = oscillator_matrices(unf, c=c, prune=False)
+                osc = oscillator_matrices(unf, c=c)
+                assert osc.matrices == {k: m for k, m in full.matrices.items()
+                                        if -osc.a <= k <= osc.a}
+                assert primitive_form(unf, c, osc=osc).records() == \
+                    primitive_form(unf, c, osc=full).records()
 
 
 def test_pairing_sesquisymmetry_and_degree_law():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from saitoforms.primitive import primitive_form
 from saitoforms.truncated import UnfoldRingElem
 from saitoforms.unfolding import (
     OppositeFiltration, build_unfolding, oscillator_matrices, positive_bound,
@@ -16,10 +17,11 @@ def _elem(unf, terms):
 
 
 def test_chain_point_first_order_matrix():
-    # full unfolding of z^3 at first order: A^(-1) = [[u1, u2], [0, u1]]
+    # full unfolding of z^3 at first order: A^(-1) = [[u1, u2], [0, u1]];
+    # k = -1 lies outside the window (a = 0), so ask for the full family
     data = make_a(2)
     unf = build_unfolding(data, 1)
-    osc = oscillator_matrices(unf)
+    osc = oscillator_matrices(unf, prune=False)
     m = osc.matrix(-1)
     u1 = _elem(unf, {(1, 0): 1})
     u2 = _elem(unf, {(0, 1): 1})
@@ -53,7 +55,7 @@ def test_matrices_stop_at_positive_bound(e6_cusp):
 def test_grading_of_entries(e6_cusp):
     # t^k u^alpha coefficient in A_ij requires k + deg(u^alpha) + d_j - d_i = 0
     unf = build_unfolding(e6_cusp, 4)
-    osc = oscillator_matrices(unf)
+    osc = oscillator_matrices(unf, prune=False)
     d = e6_cusp.degrees
     seen = 0
     for k, m in osc.matrices.items():
@@ -103,3 +105,44 @@ def test_filtration_conversion_roundtrip(elliptic):
     red = reduce_class(elliptic, elliptic.basis[7] ** 4)
     back = filt.coords_to_phi(filt.coords_to_upper(red))
     assert back == red
+
+
+# (A_k chain index or fixture name, N, mask, c)
+WINDOW_CASES = [
+    (2, 4, None, None), (3, 4, None, None), (4, 4, None, None),
+    (5, 4, None, None), ("e6_cusp", 4, None, None),
+    ("e12", 4, None, None),
+    ("elliptic", 3, None, {(8, 1): Fraction(1)}),
+    ("elliptic", 4, [8], {(8, 1): Fraction(1)}),
+    ("quartic_pair", 3, None, {(9, 1): Fraction(2)}),
+    ("quartic_pair", 4, [9], {(9, 1): Fraction(2)}),
+]
+
+
+def _window_data(request, name):
+    return make_a(name) if isinstance(name, int) else \
+        request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name, N, mask, c", WINDOW_CASES)
+def test_window_is_full_family_restricted(request, name, N, mask, c):
+    data = _window_data(request, name)
+    unf = build_unfolding(data, N, mask=mask)
+    full = oscillator_matrices(unf, c=c, prune=False)
+    osc = oscillator_matrices(unf, c=c)
+    a = osc.a
+    assert a == full.a
+    assert osc.matrices == {k: m for k, m in full.matrices.items()
+                            if -a <= k <= a}
+    assert primitive_form(unf, c, osc=osc).records() == \
+        primitive_form(unf, c, osc=full).records()
+
+
+def test_window_drops_dead_powers(e12):
+    unf = build_unfolding(e12, 4)
+    full = oscillator_matrices(unf, prune=False)
+    osc = oscillator_matrices(unf)
+    assert min(full.matrices) < -osc.a
+    assert all(-osc.a <= k <= osc.a for k in osc.matrices)
+    assert osc.matrix(-osc.a - 1) == [[unf.ring_zero()] * e12.mu
+                                      for _ in range(e12.mu)]
