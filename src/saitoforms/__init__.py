@@ -3,22 +3,23 @@ singularities: Milnor-basis analysis, Brieskorn-lattice reduction,
 oscillator matrices, the Neumann-series primitive form, moduli of
 opposite filtrations, and univariate higher residue pairings."""
 
-from .mpoly import MPoly, WeightSystem
+from .mpoly import MPoly, TruncationMismatch, WeightSystem
 from .singularity import (DegeneratePairing, EulerIdentityViolated,
                           NonIsolatedSingularity, P1MirrorData,
                           SingularityData, analyze, orthogonalize_basis,
                           validate)
 from .brieskorn import ReducedClass, ReductionGuardError, reduce_class
-from .truncated import UnfoldRingElem, exp_series
 from .unfolding import (GradingViolation, OppositeFiltration, UnfoldingData,
-                        build_unfolding, oscillator_matrices)
+                        UnfoldRingElem, build_unfolding, exp_series,
+                        oscillator_matrices)
 from .primitive import (PrimitiveForm, primitive_form, verify_class_equal,
                         verify_primitive)
 from .moduli import ModuliReport, dimension_D, moduli_report, y_constraints
 from .residue_series import higher_residue_Am, pairing_univariate
 
 __all__ = [
-    "MPoly", "WeightSystem", "SingularityData", "P1MirrorData",
+    "MPoly", "TruncationMismatch", "WeightSystem", "SingularityData",
+    "P1MirrorData",
     "analyze", "validate", "orthogonalize_basis",
     "EulerIdentityViolated", "NonIsolatedSingularity", "DegeneratePairing",
     "ReducedClass", "ReductionGuardError", "reduce_class",

@@ -31,7 +31,7 @@ class ReducedClass:
         if coeffs:
             for k, vec in coeffs.items():
                 vec = list(vec)
-                if any(_nonzero(c) for c in vec):
+                if any(vec):
                     self.coeffs[k] = vec
 
     def is_zero(self):
@@ -41,55 +41,35 @@ class ReducedClass:
         """self += scale * t^t_shift * other (in place)."""
         for k, vec in other.coeffs.items():
             tgt = self.coeffs.setdefault(k + t_shift,
-                                         [_zero_like(scale)] * self.mu)
+                                         [Fraction(0)] * self.mu)
             for i, c in enumerate(vec):
-                if _nonzero(c):
-                    tgt[i] = tgt[i] + scale * c
+                if c:
+                    # a fresh slot holds Fraction(0): the first product
+                    # replaces it instead of going through Fraction + ring
+                    prior = tgt[i]
+                    tgt[i] = prior + scale * c if prior else scale * c
         return self
 
     def compress(self):
-        for k in [k for k, vec in self.coeffs.items()
-                  if not any(_nonzero(c) for c in vec)]:
+        for k in [k for k, vec in self.coeffs.items() if not any(vec)]:
             del self.coeffs[k]
         return self
 
     def __eq__(self, other):
-        a = {k: vec for k, vec in self.coeffs.items()
-             if any(_nonzero(c) for c in vec)}
-        b = {k: vec for k, vec in other.coeffs.items()
-             if any(_nonzero(c) for c in vec)}
-        if set(a) != set(b):
-            return False
-        for k in a:
-            for x, y in zip(a[k], b[k]):
-                if not _equal(x, y):
-                    return False
-        return True
+        a = {k: vec for k, vec in self.coeffs.items() if any(vec)}
+        b = {k: vec for k, vec in other.coeffs.items() if any(vec)}
+        return a == b
 
     def __str__(self):
         parts = []
         for k in sorted(self.coeffs):
             vec = self.coeffs[k]
             body = ", ".join("phi%d: %s" % (i + 1, c)
-                             for i, c in enumerate(vec) if _nonzero(c))
+                             for i, c in enumerate(vec) if c)
             parts.append("t^%d [%s]" % (k, body))
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
-
-
-def _nonzero(c):
-    return bool(c) if isinstance(c, (int, Fraction)) else not c.is_zero()
-
-
-def _zero_like(sample):
-    if isinstance(sample, (int, Fraction)):
-        return Fraction(0)
-    return sample * 0
-
-
-def _equal(x, y):
-    return x == y
 
 
 def reduce_monomial(data, exp):
@@ -114,14 +94,13 @@ def reduce_class(data, h):
     return out.compress()
 
 
-def reduce_ring_poly(data, rpoly, t_shift=0):
+def reduce_ring_poly(data, rpoly):
     """Reduced class of sum(coeff_e * z^e) with unfolding-ring
-    coefficients, placed at an overall t-power shift."""
+    coefficients."""
     out = ReducedClass(data.mu)
     for exp, coeff in rpoly.items():
-        if not _nonzero(coeff):
-            continue
-        out.add_scaled(reduce_monomial(data, exp), coeff, t_shift)
+        if coeff:
+            out.add_scaled(reduce_monomial(data, exp), coeff)
     return out.compress()
 
 

@@ -17,8 +17,8 @@ from .primitive import primitive_form, verify_primitive
 from .residue_series import pairing_univariate
 from .singularity import (DegeneratePairing, EulerIdentityViolated,
                           NonIsolatedSingularity, P1MirrorData, analyze)
-from .truncated import UnfoldRingElem
-from .unfolding import GradingViolation, build_unfolding
+from .unfolding import (GradingViolation, UnfoldRingElem, build_unfolding,
+                        exp_series)
 
 SCHEMA = "saito-forms/1"
 
@@ -116,7 +116,6 @@ def _build_unfolding(data, job, args):
     if data.mode == "laurent":
         u_names = ["u0", "u1"]
         if job.get("exponentiate", True):
-            from .truncated import exp_series
             overrides = {2: lambda u: exp_series(u) - 1}
     return build_unfolding(data, int(n), mask=_mask(job, args),
                            overrides=overrides, u_names=u_names)
@@ -126,7 +125,7 @@ def _records_json(pf, data):
     records = []
     for q, j, elem in pf.records():
         terms = [{"u": _u_monomial(exp, pf.unf), "value": _fmt(c)}
-                 for exp, c in elem.sorted_terms()]
+                 for exp, c in elem.sorted_terms(reverse=False)]
         records.append({"t": q, "basis": j,
                         "basis_expr": str(data.basis[j - 1]),
                         "terms": terms})
@@ -176,9 +175,7 @@ def _parse_rep(rep_spec, data, unf):
         coeff = unf.ring_one()
         if "u" in entry:
             upoly = parse_poly(entry["u"], unf.u_names)
-            elem = UnfoldRingElem(unf.nu, unf.N,
-                                  {e: c for e, c in upoly.terms.items()})
-            coeff = elem
+            coeff = UnfoldRingElem(unf.nu, unf.N, upoly.terms)
         if "coeff" in entry:
             coeff = coeff * _rat(entry["coeff"])
         terms.append((t0, poly, coeff))

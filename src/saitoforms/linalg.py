@@ -47,25 +47,6 @@ def mat_inv(a):
     return [row[n:] for row in work]
 
 
-def solve(a, b):
-    """Solve a x = b for a single right-hand-side vector."""
-    n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(v)]
-            for row, v in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular at column %d" % col)
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[col])]
-    return [work[r][n] for r in range(n)]
-
-
 def row_space_basis(rows):
     """Row-reduce a list of vectors; returns (echelon_rows, pivot_cols)."""
     echelon = []

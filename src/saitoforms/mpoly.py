@@ -2,13 +2,23 @@
 
 Terms are stored as a dict mapping exponent tuples to nonzero Fractions.
 Negative exponents are permitted when the polynomial is flagged as Laurent.
-Monomial comparisons use graded reverse lexicographic (grevlex) order.
+A polynomial with a truncation order N lives in Q[x]/m^(N+1), m the ideal
+of the variables: terms of total degree above N are dropped at
+construction and in products, and both sides of an operation must share
+the order. Monomial comparisons use graded reverse lexicographic
+(grevlex) order.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
+from operator import add
 
 
 class PolynomialError(Exception):
+    pass
+
+
+class TruncationMismatch(PolynomialError):
     pass
 
 
@@ -19,7 +29,7 @@ def grevlex_key(exp):
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a, b):
@@ -37,13 +47,15 @@ def monomial_lcm(a, b):
 
 
 class MPoly:
-    """Polynomial (or Laurent polynomial) in named variables."""
+    """Polynomial (or Laurent polynomial) in named variables, truncated
+    above total degree `order` when one is given."""
 
-    __slots__ = ("variables", "terms", "laurent")
+    __slots__ = ("variables", "terms", "laurent", "order")
 
-    def __init__(self, variables, terms=None, laurent=False):
+    def __init__(self, variables, terms=None, laurent=False, order=None):
         self.variables = tuple(variables)
         self.laurent = laurent
+        self.order = order
         clean = {}
         n = len(self.variables)
         if terms:
@@ -55,6 +67,8 @@ class MPoly:
                 if not laurent and any(e < 0 for e in exp):
                     raise PolynomialError(
                         "negative exponent %r in non-Laurent polynomial" % (exp,))
+                if order is not None and sum(exp) > order:
+                    continue
                 c = Fraction(coeff)
                 if c:
                     c0 = clean.get(exp)
@@ -65,6 +79,16 @@ class MPoly:
                         del clean[exp]
         self.terms = clean
 
+    def _like(self, terms, laurent=None):
+        """A polynomial in the same variables and order with the given
+        (already clean) terms."""
+        out = MPoly.__new__(MPoly)
+        out.variables = self.variables
+        out.laurent = self.laurent if laurent is None else laurent
+        out.order = self.order
+        out.terms = terms
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -72,9 +96,9 @@ class MPoly:
         return cls(variables, {}, laurent)
 
     @classmethod
-    def constant(cls, variables, c, laurent=False):
+    def constant(cls, variables, c, laurent=False, order=None):
         n = len(variables)
-        return cls(variables, {(0,) * n: Fraction(c)}, laurent)
+        return cls(variables, {(0,) * n: Fraction(c)}, laurent, order)
 
     @classmethod
     def variable(cls, name, variables, laurent=False):
@@ -87,48 +111,56 @@ class MPoly:
     def monomial(cls, variables, exp, coeff=1, laurent=False):
         return cls(variables, {tuple(exp): Fraction(coeff)}, laurent)
 
+    def _scalar(self, c):
+        return MPoly.constant(self.variables, c, self.laurent, self.order)
+
     # -- predicates ---------------------------------------------------
 
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
+    def constant_term(self):
+        return self.terms.get((0,) * len(self.variables), Fraction(0))
+
     def _check(self, other):
         if self.variables != other.variables:
             raise PolynomialError(
                 "variable mismatch: %r vs %r" % (self.variables, other.variables))
+        if self.order != other.order:
+            raise TruncationMismatch(
+                "truncation order mismatch: %r vs %r"
+                % (self.order, other.order))
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MPoly.constant(self.variables, other, self.laurent)
+            other = self._scalar(other)
         self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
+        big, small = self.terms, other.terms
+        if len(small) > len(big):
+            big, small = small, big
+        terms = dict(big)
+        for exp, c in small.items():
             c0 = terms.get(exp)
             c = c + c0 if c0 is not None else c
             if c:
                 terms[exp] = c
             elif exp in terms:
                 del terms[exp]
-        out = MPoly.__new__(MPoly)
-        out.variables = self.variables
-        out.laurent = self.laurent or other.laurent
-        out.terms = terms
-        return out
+        return self._like(terms, self.laurent or other.laurent)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MPoly.__new__(MPoly)
-        out.variables = self.variables
-        out.laurent = self.laurent
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return self._like({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MPoly.constant(self.variables, other, self.laurent)
+            other = self._scalar(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -137,18 +169,22 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            if not c:
-                return MPoly.zero(self.variables, self.laurent)
-            out = MPoly.__new__(MPoly)
-            out.variables = self.variables
-            out.laurent = self.laurent
-            out.terms = {e: c * v for e, v in self.terms.items()}
-            return out
+            return self._like({e: c * v for e, v in self.terms.items()}
+                              if c else {})
         self._check(other)
+        order = self.order
+        right = list(other.terms.items())
+        if order is not None:
+            # Over-order pairs are never formed: the right terms sorted by
+            # degree are cut where the left term's room runs out.
+            right.sort(key=lambda term: sum(term[0]))
+            degrees = [sum(e) for e, _ in right]
         terms = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = monomial_mul(e1, e2)
+            part = right if order is None else \
+                right[:bisect_right(degrees, order - sum(e1))]
+            for e2, c2 in part:
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 c0 = terms.get(e)
                 c = c + c0 if c0 is not None else c
@@ -156,18 +192,14 @@ class MPoly:
                     terms[e] = c
                 elif e in terms:
                     del terms[e]
-        out = MPoly.__new__(MPoly)
-        out.variables = self.variables
-        out.laurent = self.laurent or other.laurent
-        out.terms = terms
-        return out
+        return self._like(terms, self.laurent or other.laurent)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             raise PolynomialError("negative power of a polynomial")
-        out = MPoly.constant(self.variables, 1, self.laurent)
+        out = self._scalar(1)
         base = self
         while k:
             if k & 1:
@@ -178,13 +210,23 @@ class MPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MPoly.constant(self.variables, other, self.laurent)
+            other = self._scalar(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (self.variables == other.variables
+                and self.order == other.order and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self.order,
+                     frozenset(self.terms.items())))
+
+    def truncate(self, order):
+        """Image in the smaller quotient Q[x]/m^(order+1)."""
+        if self.order is not None and order > self.order:
+            raise TruncationMismatch(
+                "cannot extend truncation order %d to %d"
+                % (self.order, order))
+        return MPoly(self.variables, self.terms, self.laurent, order)
 
     # -- calculus and structure ---------------------------------------
 
@@ -199,7 +241,7 @@ class MPoly:
             new = list(exp)
             new[i] = e - 1
             terms[tuple(new)] = c * e
-        return MPoly(self.variables, terms, self.laurent)
+        return MPoly(self.variables, terms, self.laurent, self.order)
 
     def leading(self):
         """(exponent, coefficient) of the grevlex-largest term."""

@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from .brieskorn import ReducedClass, reduce_ring_poly
 from .mpoly import MPoly
-from .truncated import UnfoldRingElem
-from .unfolding import OppositeFiltration, oscillator_matrices
+from .unfolding import OppositeFiltration, oscillator_matrices, z_product
 
 
 def assemble_psi(osc):
@@ -146,9 +145,7 @@ def _as_t_rpolys(unf, rep):
         terms = []
         for k, vec in rep.coeffs.items():
             for j, coeff in enumerate(vec):
-                elem = coeff if isinstance(coeff, UnfoldRingElem) else \
-                    UnfoldRingElem.constant(unf.nu, unf.N, coeff)
-                terms.append((k, base.basis[j], elem))
+                terms.append((k, base.basis[j], coeff))
         rep = terms
     if isinstance(rep, MPoly):
         rep = {0: rep}
@@ -175,15 +172,7 @@ def oscillating_projection(unf, rep, c=None):
     out = ReducedClass(base.mu)
     for t0, rpoly in _as_t_rpolys(unf, rep).items():
         for k, power in enumerate(unf.exp_powers()):
-            shifted = {}
-            for e1, c1 in power.items():
-                for e2, c2 in rpoly.items():
-                    prod = c1 * c2
-                    if prod.is_zero():
-                        continue
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    prior = shifted.get(e)
-                    shifted[e] = prod if prior is None else prior + prod
+            shifted = z_product(power.items(), rpoly.items())
             out.add_scaled(reduce_ring_poly(base, shifted), 1, t0 - k)
     out.compress()
     if not filtration.is_trivial():
@@ -201,22 +190,13 @@ def verify_primitive(unf, rep, c=None):
         if k < 0:
             continue
         for j in range(mu):
-            coeff = vec[j]
-            if isinstance(coeff, (int, Fraction)):
-                coeff = UnfoldRingElem.constant(unf.nu, unf.N, coeff)
             want = 1 if (k == 0 and j == 0) else 0
-            if coeff != want:
-                mismatches.append((k, j + 1, coeff - want))
-    if not projected.coeffs.get(0) or not _is_one(projected.coeffs[0][0], unf):
+            if vec[j] != want:
+                mismatches.append((k, j + 1, vec[j] - want))
+    if not projected.coeffs.get(0) or projected.coeffs[0][0] != 1:
         if not any(k == 0 and j == 1 for k, j, _ in mismatches):
             mismatches.append((0, 1, None))
     return VerifyReport(not mismatches, mismatches)
-
-
-def _is_one(coeff, unf):
-    if isinstance(coeff, (int, Fraction)):
-        return coeff == 1
-    return coeff == unf.ring_one()
 
 
 def verify_class_equal(unf, rep_a, rep_b):

@@ -7,6 +7,7 @@ an orthogonalized basis whose residue pairing matrix is exactly
 anti-diagonal.
 """
 
+import math
 from fractions import Fraction
 
 from . import linalg
@@ -142,20 +143,30 @@ class SingularityData:
 
     def coords(self, rem):
         """Coordinates of a fully reduced polynomial in the Milnor basis."""
+        sigma = self._std_coeffs(rem)
+        inv = self.basis_inv
+        return [sum(sigma[m] * inv[m][i] for m in range(self.mu) if sigma[m])
+                for i in range(self.mu)]
+
+    def _std_coeffs(self, rem):
+        """Coefficients of a fully reduced polynomial on the standard
+        monomials."""
         sigma = [Fraction(0)] * self.mu
         for exp, c in rem.terms.items():
             m = self.std_index.get(exp)
             if m is None:
                 raise ValueError("%s is not reduced" % rem)
             sigma[m] = c
-        inv = self.basis_inv
-        return [sum(sigma[m] * inv[m][i] for m in range(self.mu) if sigma[m])
-                for i in range(self.mu)]
+        return sigma
 
     def classical_residue(self, g):
-        """Grothendieck residue, normalized so the Hessian has residue mu."""
-        rem, _ = self.normal_form(g)
-        return self.coords(rem)[-1] * self.residue_scale
+        """Grothendieck residue, normalized so the Hessian has residue mu:
+        the socle (last) coordinate of the normal form of g, read from the
+        last column of basis_inv alone."""
+        sigma = self._std_coeffs(self.normal_form(g)[0])
+        inv = self.basis_inv
+        socle = sum(sigma[m] * inv[m][-1] for m in range(self.mu) if sigma[m])
+        return socle * self.residue_scale
 
     def residue_pairing_matrix(self):
         return [[self.classical_residue(a * b) for b in self.basis]
@@ -311,8 +322,9 @@ def _fix_middle_slice(data, idxs, new_basis):
 def _hyperbolic_reduce(gram):
     """Basis vectors (rows of coefficients) anti-diagonalizing a
     symmetric nondegenerate Gram matrix over Q, by splitting off
-    hyperbolic planes. Raises DegeneratePairing when no rational
-    isotropic vector exists."""
+    hyperbolic planes. Raises DegeneratePairing when a plane is
+    anisotropic over Q, or when, in three or more dimensions, no plane
+    spanned by two basis vectors holds a rational isotropic vector."""
     k = len(gram)
     basis = [[Fraction(1) if i == j else Fraction(0) for j in range(k)]
              for i in range(k)]
@@ -331,10 +343,15 @@ def _hyperbolic_reduce(gram):
                                         "isotropic line")
             return [vecs[0]]
         v = _find_isotropic(vecs, pair)
+        if v is None and m == 2:
+            raise DegeneratePairing(
+                "the middle degree slice is an anisotropic plane; "
+                "anti-diagonalization is impossible over Q")
         if v is None:
             raise DegeneratePairing(
-                "no rational isotropic vector in the middle degree slice; "
-                "anti-diagonalization is impossible over Q")
+                "searching the planes spanned by pairs of the %d remaining "
+                "basis vectors of the middle degree slice found no rational "
+                "isotropic vector" % m)
         w = next((u for u in vecs if pair(v, u)), None)
         if w is None:
             raise DegeneratePairing("middle slice pairing degenerate")
@@ -358,7 +375,9 @@ def _hyperbolic_reduce(gram):
     return recurse(basis)
 
 
-def _find_isotropic(vecs, pair, height=6):
+def _find_isotropic(vecs, pair):
+    """An isotropic vector among vecs or in the plane of two of them, or
+    None. The search is exact on each plane and complete for two vecs."""
     for v in vecs:
         if not pair(v, v):
             return v
@@ -367,10 +386,20 @@ def _find_isotropic(vecs, pair, height=6):
             a = pair(vecs[i], vecs[i])
             b = pair(vecs[j], vecs[j])
             c = pair(vecs[i], vecs[j])
-            # solve a + 2 c x + b x^2 = 0 rationally
-            for num in range(-height, height + 1):
-                for den in range(1, height + 1):
-                    x = Fraction(num, den)
-                    if a + 2 * c * x + b * x * x == 0:
-                        return [p + x * q for p, q in zip(vecs[i], vecs[j])]
+            # a + 2 c x + b x^2 = 0 (b != 0) has a rational root exactly
+            # when the discriminant c^2 - a b is a rational square.
+            root = _rational_sqrt(c * c - a * b)
+            if root is not None:
+                x = (root - c) / b
+                return [p + x * q for p, q in zip(vecs[i], vecs[j])]
     return None
+
+
+def _rational_sqrt(x):
+    """The square root of a rational if it is rational, else None."""
+    if x < 0:
+        return None
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if num * num != x.numerator or den * den != x.denominator:
+        return None
+    return Fraction(num, den)

@@ -8,14 +8,57 @@ the reduced classes e^((F-f)/t) Phi_i = sum_{j,k} A^(k)_ij t^k Phi_j.
 
 import math
 from fractions import Fraction
+from functools import cache
+from operator import add
 
 from . import linalg
 from .brieskorn import ReducedClass, reduce_ring_poly
-from .truncated import UnfoldRingElem
+from .mpoly import MPoly
 
 
 class GradingViolation(Exception):
     pass
+
+
+@cache
+def _ring_variables(nvars):
+    return tuple("u%d" % (i + 1) for i in range(nvars))
+
+
+def UnfoldRingElem(nvars, order, terms=None):
+    """Element of the truncated parameter ring Q[u_1..u_nvars]/m^(order+1):
+    an MPoly over the positional names u1..u_nvars with that order."""
+    return MPoly(_ring_variables(nvars), terms, order=order)
+
+
+def exp_series(elem):
+    """exp(elem) in the truncated ring; elem must have zero constant term."""
+    if elem.constant_term():
+        raise ValueError("exp of an element with nonzero constant term")
+    out = power = MPoly.constant(elem.variables, 1, order=elem.order)
+    for k in range(1, elem.order + 1):
+        power = power * elem * Fraction(1, k)
+        if not power:
+            break
+        out = out + power
+    return out
+
+
+def z_product(left, right):
+    """The product of two z-exponent -> coefficient maps, given as
+    (exponent, coefficient) pairs, as a dict accumulating c1 * c2 at
+    e1 + e2. Coefficients are ring elements or Fractions; zero products
+    are skipped, but sums that cancel stay as zero entries. right is
+    iterated once per left term, so it must not be a one-shot iterator."""
+    out = {}
+    for e1, c1 in left:
+        for e2, c2 in right:
+            c = c1 * c2
+            if c:
+                e = tuple(map(add, e1, e2))
+                prior = out.get(e)
+                out[e] = c if prior is None else prior + c
+    return out
 
 
 class OppositeFiltration:
@@ -67,36 +110,28 @@ class OppositeFiltration:
     def coords_to_upper(self, reduced):
         """Rewrite a reduced class from phi coordinates into Phi
         coordinates (right-multiplication by the inverse basis change)."""
+        return self._right_multiply(reduced, self.inv)
+
+    def coords_to_phi(self, reduced):
+        """Rewrite a reduced class from Phi coordinates into phi
+        coordinates (right-multiplication by the basis change)."""
+        return self._right_multiply(reduced, self.mat)
+
+    def _right_multiply(self, reduced, mat):
+        """The class times the graded matrix mat, whose (l, j) slot
+        carries t^(d_l - d_j)."""
         mu = self.base.mu
         out = ReducedClass(mu)
         for k, vec in reduced.coeffs.items():
             for l in range(mu):
-                if not _nz(vec[l]):
+                if not vec[l]:
                     continue
                 for j in range(mu):
-                    if self.inv[l][j]:
+                    if mat[l][j]:
                         tgt = out.coeffs.setdefault(
                             k + self.t_power(l, j), [0] * mu)
-                        tgt[j] = tgt[j] + vec[l] * self.inv[l][j]
+                        tgt[j] = tgt[j] + vec[l] * mat[l][j]
         return out.compress()
-
-    def coords_to_phi(self, reduced):
-        mu = self.base.mu
-        out = ReducedClass(mu)
-        for k, vec in reduced.coeffs.items():
-            for j in range(mu):
-                if not _nz(vec[j]):
-                    continue
-                for l in range(mu):
-                    if self.mat[j][l]:
-                        tgt = out.coeffs.setdefault(
-                            k + self.t_power(j, l), [0] * mu)
-                        tgt[l] = tgt[l] + vec[j] * self.mat[j][l]
-        return out.compress()
-
-
-def _nz(c):
-    return bool(c) if isinstance(c, (int, Fraction)) else not c.is_zero()
 
 
 class UnfoldingData:
@@ -108,10 +143,10 @@ class UnfoldingData:
         self.indices = indices        # 0-based basis positions with parameters
         self.u_names = u_names
         self.nu = len(indices)
-        self.coeffs = coeffs          # UnfoldRingElem per index
+        self.coeffs = coeffs          # ring element per index
         self.override = override
         self.deg_u = [1 - base.degrees[j] for j in indices]
-        self.f_diff = {}              # z-exponent -> UnfoldRingElem, F - f
+        self.f_diff = {}              # z-exponent -> ring element, F - f
         for j, coeff in zip(indices, coeffs):
             for exp, c in base.basis[j].terms.items():
                 prior = self.f_diff.get(exp)
@@ -121,10 +156,10 @@ class UnfoldingData:
         self._exp_powers = None
 
     def ring_zero(self):
-        return UnfoldRingElem.zero(self.nu, self.N)
+        return UnfoldRingElem(self.nu, self.N)
 
     def ring_one(self):
-        return UnfoldRingElem.constant(self.nu, self.N, 1)
+        return UnfoldRingElem(self.nu, self.N, {(0,) * self.nu: 1})
 
     def u_degree(self, exp):
         """Graded weight of a u-monomial (sum alpha_l deg u_l)."""
@@ -134,20 +169,11 @@ class UnfoldingData:
         """[(F-f)^k / k! as z-exp -> ring dicts, k = 0..N]."""
         if self._exp_powers is None:
             powers = [{tuple([0] * self.base.n): self.ring_one()}]
+            f_diff = self.f_diff.items()
             for k in range(1, self.N + 1):
-                prev = powers[-1]
-                nxt = {}
+                nxt = z_product(powers[-1].items(), f_diff)
                 inv_k = Fraction(1, k)
-                for e1, c1 in prev.items():
-                    for e2, c2 in self.f_diff.items():
-                        c = c1 * c2
-                        if c.is_zero():
-                            continue
-                        e = tuple(a + b for a, b in zip(e1, e2))
-                        prior = nxt.get(e)
-                        nxt[e] = c if prior is None else prior + c
-                powers.append({e: c * inv_k for e, c in nxt.items()
-                               if not c.is_zero()})
+                powers.append({e: c * inv_k for e, c in nxt.items() if c})
             self._exp_powers = powers
         return self._exp_powers
 
@@ -180,7 +206,8 @@ def build_unfolding(base, N, mask=None, overrides=None, u_names=None):
     coeffs = []
     override = False
     for pos, j in enumerate(indices):
-        var = UnfoldRingElem.variable(nu, N, pos)
+        exp = tuple(int(i == pos) for i in range(nu))
+        var = UnfoldRingElem(nu, N, {exp: 1})
         fn = (overrides or {}).get(j + 1)
         if fn is not None:
             var = fn(var)
@@ -255,13 +282,7 @@ def oscillator_matrices(unf, c=None, prune=True):
             if window:
                 floor = (k - a) * scale - degrees[i] - gap
                 terms = [t for t, d in zip(terms, z_degrees[k]) if d >= floor]
-            shifted = {}
-            for e1, celem in terms:
-                for e2, cb in phi.terms.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    term = celem * cb
-                    prior = shifted.get(e)
-                    shifted[e] = term if prior is None else prior + term
+            shifted = z_product(terms, phi.terms.items())
             row.add_scaled(reduce_ring_poly(base, shifted), 1, -k)
         rows.append(row.compress())
     if not filtration.is_trivial():
@@ -274,15 +295,14 @@ def oscillator_matrices(unf, c=None, prune=True):
             if window and k < -a:
                 continue
             for j in range(mu):
-                if not _nz(vec[j]):
+                if not vec[j]:
                     continue
                 if k > a:
                     raise GradingViolation(
                         "t^%d term beyond the bound a=%d at A[%d][%d]"
                         % (k, a, i + 1, j + 1))
                 m = matrices.setdefault(k, [[zero] * mu for _ in range(mu)])
-                m[i][j] = vec[j] if isinstance(vec[j], UnfoldRingElem) \
-                    else UnfoldRingElem.constant(unf.nu, unf.N, vec[j])
+                m[i][j] = vec[j]
     osc = OscillatorData(unf, filtration, matrices, a)
     _check_base_point(osc)
     if not unf.override:

@@ -4,6 +4,7 @@ arithmetic, zero tolerance) and each check carries a wall-clock budget."""
 import time
 from fractions import Fraction
 
+from saitoforms import UnfoldRingElem, exp_series
 from saitoforms.brieskorn import ReducedClass, reduce_class, reduce_monomial
 from saitoforms.moduli import FREE, dimension_D, y_constraints
 from saitoforms.mpoly import MPoly
@@ -14,7 +15,6 @@ from saitoforms.residue_series import (
     higher_residue_Am, pairing_univariate_p1, pairing_univariate_Am,
 )
 from saitoforms.singularity import P1MirrorData, analyze
-from saitoforms.truncated import UnfoldRingElem, exp_series
 from saitoforms.unfolding import build_unfolding
 
 from conftest import (

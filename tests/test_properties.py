@@ -223,7 +223,7 @@ def test_pairing_sesquisymmetry_and_degree_law():
     assert checked >= 100
 
 
-def test_residue_matrix_zoo_anti_diagonal(e12, e13, elliptic):
+def _residue_zoo(e12, e13, elliptic):
     from saitoforms.singularity import analyze
     zoo = [make_a(k) for k in range(2, 9)]
     v = ("x", "y")
@@ -232,9 +232,34 @@ def test_residue_matrix_zoo_anti_diagonal(e12, e13, elliptic):
     zoo.append(analyze(x ** 3 + y ** 4, [Fraction(1, 3), Fraction(1, 4)]))
     zoo.append(analyze(x ** 3 + y ** 5, [Fraction(1, 3), Fraction(1, 5)]))
     zoo.extend([e12, e13, elliptic])
-    for data in zoo:
+    return zoo
+
+
+def test_residue_matrix_zoo_anti_diagonal(e12, e13, elliptic):
+    for data in _residue_zoo(e12, e13, elliptic):
         mat = data.residue_pairing_matrix()
         mu = data.mu
         for i in range(mu):
             for j in range(mu):
                 assert (mat[i][j] != 0) == (i + j == mu - 1)
+
+
+def test_classical_residue_is_socle_coordinate(e12, e13, elliptic):
+    # classical_residue reads only the socle column of basis_inv; the
+    # oracle is the last of all mu coordinates of the normal form.
+    rng = random.Random(5)
+    for data in _residue_zoo(e12, e13, elliptic):
+        basis = data.basis
+        samples = [a * b for a in basis for b in basis]
+        for _ in range(10):
+            g = MPoly.zero(data.variables)
+            for _ in range(4):
+                exp = tuple(rng.randrange(6) for _ in data.variables)
+                g = g + MPoly.monomial(data.variables, exp,
+                                       Fraction(rng.randrange(-5, 6),
+                                                rng.randrange(1, 4)))
+            samples.append(g)
+        for g in samples:
+            rem = data.normal_form(g)[0]
+            assert data.classical_residue(g) == \
+                data.coords(rem)[-1] * data.residue_scale

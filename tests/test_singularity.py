@@ -5,7 +5,7 @@ import pytest
 from saitoforms.mpoly import MPoly
 from saitoforms.singularity import (
     DegeneratePairing, EulerIdentityViolated, NonIsolatedSingularity,
-    P1MirrorData, analyze, hessian_det, validate,
+    P1MirrorData, _hyperbolic_reduce, analyze, hessian_det, validate,
 )
 
 
@@ -76,6 +76,38 @@ def test_d4_middle_slice_has_no_rational_split():
     x, y = _xy()
     with pytest.raises(DegeneratePairing):
         analyze(x ** 3 + x * y ** 2, [Fraction(1, 3), Fraction(1, 3)])
+
+
+def _diag(*entries):
+    k = len(entries)
+    return [[Fraction(entries[a]) if a == b else Fraction(0)
+             for b in range(k)] for a in range(k)]
+
+
+@pytest.mark.parametrize("d", [-49, -4, Fraction(-9, 25)])
+def test_hyperbolic_reduce_square_discriminant(d):
+    # (7, 1) is isotropic for diag(1, -49), far outside a small search grid
+    gram = _diag(1, d)
+    vectors = _hyperbolic_reduce(gram)
+    paired = [[sum(u[a] * gram[a][b] * v[b] for a in range(2)
+                   for b in range(2)) for v in vectors] for u in vectors]
+    assert paired[0][0] == 0 and paired[1][1] == 0
+    assert paired[0][1] != 0 and paired[1][0] != 0
+
+
+@pytest.mark.parametrize("d", [1, -2])
+def test_hyperbolic_reduce_anisotropic_plane(d):
+    with pytest.raises(DegeneratePairing, match="anisotropic"):
+        _hyperbolic_reduce(_diag(1, d))
+
+
+def test_hyperbolic_reduce_names_the_failed_search():
+    # x^2 + y^2 - 2 z^2 vanishes at (1, 1, 1), but no coordinate plane
+    # holds an isotropic vector: the error names the search, and does not
+    # claim that no split exists.
+    with pytest.raises(DegeneratePairing, match="pairs") as err:
+        _hyperbolic_reduce(_diag(1, 1, -2))
+    assert "impossible" not in str(err.value)
 
 
 def test_normal_form_coords_roundtrip(e6_cusp):

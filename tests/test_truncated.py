@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from saitoforms.truncated import TruncationMismatch, UnfoldRingElem, exp_series
+from saitoforms import MPoly, TruncationMismatch, UnfoldRingElem, exp_series
 
 
 def rand_elem(rng, nvars, order, nterms=5):
@@ -33,6 +33,18 @@ def test_ring_axioms_random():
 def test_mul_truncates_high_degree():
     u = UnfoldRingElem(1, 3, {(2,): Fraction(1)})
     assert (u * u).terms == {}
+
+
+def test_truncated_product_matches_plain_product():
+    # the truncated product never forms over-order pairs; the reference
+    # multiplies without an order and truncates afterwards
+    rng = random.Random(4)
+    for nvars, order in ((1, 6), (2, 4), (3, 3)):
+        for _ in range(30):
+            a = rand_elem(rng, nvars, order, nterms=8)
+            b = rand_elem(rng, nvars, order, nterms=8)
+            plain = MPoly(a.variables, a.terms) * MPoly(b.variables, b.terms)
+            assert a * b == plain.truncate(order)
 
 
 def test_order_mismatch_rejected():

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from saitoforms import UnfoldRingElem
 from saitoforms.primitive import primitive_form
-from saitoforms.truncated import UnfoldRingElem
 from saitoforms.unfolding import (
     OppositeFiltration, build_unfolding, oscillator_matrices, positive_bound,
 )
