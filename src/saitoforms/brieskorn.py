@@ -37,11 +37,14 @@ class ReducedClass:
     def is_zero(self):
         return not self.coeffs
 
-    def add_scaled(self, other, scale=1, t_shift=0):
-        """self += scale * t^t_shift * other (in place)."""
+    def add_scaled(self, other, scale=1, t_shift=0, floor=None):
+        """self += scale * t^t_shift * other (in place), leaving out the
+        t-powers below floor when one is given."""
         for k, vec in other.coeffs.items():
-            tgt = self.coeffs.setdefault(k + t_shift,
-                                         [Fraction(0)] * self.mu)
+            k += t_shift
+            if floor is not None and k < floor:
+                continue
+            tgt = self.coeffs.setdefault(k, [Fraction(0)] * self.mu)
             for i, c in enumerate(vec):
                 if c:
                     # a fresh slot holds Fraction(0): the first product
@@ -91,16 +94,6 @@ def reduce_class(data, h):
     out = ReducedClass(data.mu)
     for exp, c in h.terms.items():
         out.add_scaled(reduce_monomial(data, exp), c)
-    return out.compress()
-
-
-def reduce_ring_poly(data, rpoly):
-    """Reduced class of sum(coeff_e * z^e) with unfolding-ring
-    coefficients."""
-    out = ReducedClass(data.mu)
-    for exp, coeff in rpoly.items():
-        if coeff:
-            out.add_scaled(reduce_monomial(data, exp), coeff)
     return out.compress()
 
 

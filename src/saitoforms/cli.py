@@ -35,6 +35,14 @@ def _rat(x):
     raise JobError("expected an exact rational (int or 'p/q'), got %r" % (x,))
 
 
+def _int(x, what, nonnegative=False):
+    if isinstance(x, bool) or not isinstance(x, int) or \
+            (nonnegative and x < 0):
+        raise JobError("%s must be a%s integer, got %r"
+                       % (what, " nonnegative" if nonnegative else "n", x))
+    return x
+
+
 def _fmt(x):
     return str(Fraction(x))
 
@@ -55,7 +63,11 @@ def _load_singularity(job):
 
 def _parse_c(job, args):
     c = {}
-    for key, value in (job.get("c") or {}).items():
+    spec = job.get("c") or {}
+    if not isinstance(spec, dict):
+        raise JobError("'c' must be an object of \"i,j\": p/q entries, "
+                       "got %r" % (spec,))
+    for key, value in spec.items():
         i, j = (int(p) for p in key.split(","))
         c[(i, j)] = _rat(value)
     for entry in args.set_c or []:
@@ -71,7 +83,13 @@ def _parse_c(job, args):
 def _mask(job, args):
     if args.mask:
         return [int(p) for p in args.mask.split(",")]
-    return job.get("mask")
+    mask = job.get("mask")
+    if mask is None:
+        return None
+    if not isinstance(mask, list):
+        raise JobError("'mask' must be a list of basis indices, got %r"
+                       % (mask,))
+    return [_int(i, "a 'mask' index") for i in mask]
 
 
 def _basis_strings(data):
@@ -111,13 +129,14 @@ def _build_unfolding(data, job, args):
     n = args.order if args.order is not None else job.get("N")
     if n is None:
         raise JobError("truncation order required ('N' in job or --order)")
+    _int(n, "the truncation order N", nonnegative=True)
     overrides = None
     u_names = None
     if data.mode == "laurent":
         u_names = ["u0", "u1"]
         if job.get("exponentiate", True):
             overrides = {2: lambda u: exp_series(u) - 1}
-    return build_unfolding(data, int(n), mask=_mask(job, args),
+    return build_unfolding(data, n, mask=_mask(job, args),
                            overrides=overrides, u_names=u_names)
 
 
@@ -168,9 +187,13 @@ def cmd_verify(data, job, args):
 
 def _parse_rep(rep_spec, data, unf):
     laurent = data.mode == "laurent"
+    if not isinstance(rep_spec, list) or \
+            not all(isinstance(entry, dict) for entry in rep_spec):
+        raise JobError("'rep' must be a list of term objects, got %r"
+                       % (rep_spec,))
     terms = []
     for entry in rep_spec:
-        t0 = int(entry.get("t", 0))
+        t0 = _int(entry.get("t", 0), "a 'rep' term's t")
         poly = parse_poly(entry.get("z", "1"), data.variables, laurent)
         coeff = unf.ring_one()
         if "u" in entry:
@@ -183,10 +206,14 @@ def _parse_rep(rep_spec, data, unf):
 
 
 def cmd_pairing(data, job, args):
-    t_order = int(job.get("t_order", 8))
+    t_order = _int(job.get("t_order", 8), "'t_order'", nonnegative=True)
     pairs = job.get("pairs")
-    if not pairs:
-        raise JobError("pairing needs 'pairs': [[expr, expr], ...]")
+    if not pairs or not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(text, str) for text in pair)
+            for pair in pairs):
+        raise JobError("pairing needs 'pairs': [[expr, expr], ...], got %r"
+                       % (pairs,))
     if data.mode == "laurent":
         kwargs = {"q": data.q}
         variables, laurent = ("z", "q"), True

@@ -16,7 +16,6 @@ def divide(h, divisors):
     Returns (quotients, remainder) with no remainder term divisible by
     any divisor leading monomial. Grevlex order throughout.
     """
-    variables = h.variables
     lead = [g.leading() for g in divisors]
     quotients = [dict() for _ in divisors]
     remainder = {}
@@ -41,8 +40,8 @@ def divide(h, divisors):
         else:
             remainder[exp] = coeff
             del work[exp]
-    qs = [MPoly(variables, q) for q in quotients]
-    return qs, MPoly(variables, remainder)
+    # the dicts already hold nonzero Fractions: skip the validating MPoly()
+    return [h._like(q) for q in quotients], h._like(remainder)
 
 
 def s_poly(f, g):

@@ -170,6 +170,8 @@ class _Parser:
 
 
 def parse_poly(text, variables, laurent=False):
+    if not isinstance(text, str):
+        raise ParseError("expected a polynomial string, got %r" % (text,), 0)
     return _Parser(text, variables, laurent).parse()
 
 

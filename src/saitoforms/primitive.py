@@ -12,11 +12,10 @@ the unique class whose oscillating projection to nonnegative t-powers
 is the constant class 1.
 """
 
-from fractions import Fraction
-
-from .brieskorn import ReducedClass, reduce_ring_poly
+from .brieskorn import ReducedClass, reduce_monomial
 from .mpoly import MPoly
-from .unfolding import OppositeFiltration, oscillator_matrices, z_product
+from .unfolding import (OppositeFiltration, oscillating_projection,
+                        oscillator_matrices)
 
 
 def assemble_psi(osc):
@@ -86,25 +85,6 @@ class PrimitiveForm:
                     out.append((q, j + 1, elem))
         return out
 
-    def reduced_class_upper(self):
-        mu = self.unf.base.mu
-        out = ReducedClass(mu)
-        for q, vec in enumerate(self.blocks):
-            tgt = out.coeffs.setdefault(q, [Fraction(0)] * mu)
-            for j, elem in enumerate(vec):
-                tgt[j] = tgt[j] + elem
-        return out.compress()
-
-    def reduced_class_phi(self):
-        """The same class written over the plain Milnor basis."""
-        return self.filtration.coords_to_phi(self.reduced_class_upper())
-
-    def coefficient(self, t_power, j):
-        """Ring coefficient of t^t_power Phi_j (1-based j)."""
-        if 0 <= t_power <= self.a:
-            return self.blocks[t_power][j - 1]
-        return self.unf.ring_zero()
-
 
 def primitive_form(unf, c=None, osc=None):
     if osc is None:
@@ -132,70 +112,36 @@ class VerifyReport:
 
 
 def _as_t_rpolys(unf, rep):
-    """Normalize a candidate class to {t_power: {z_exp: ring_elem}}.
+    """A candidate class as a list of (t_power, {z_exp: ring_elem})
+    terms, one per product term (terms are not merged by t_power).
 
-    Accepts a PrimitiveForm, a ReducedClass over the Milnor basis, an
-    MPoly with Fraction coefficients, a {t: MPoly} dict, or a list of
-    (t_power, MPoly, ring_elem) product terms.
+    Accepts a PrimitiveForm, an MPoly with Fraction coefficients, or a
+    list of (t_power, MPoly, ring_elem) product terms.
     """
-    base = unf.base
     if isinstance(rep, PrimitiveForm):
-        rep = rep.reduced_class_phi()
-    if isinstance(rep, ReducedClass):
-        terms = []
-        for k, vec in rep.coeffs.items():
-            for j, coeff in enumerate(vec):
-                terms.append((k, base.basis[j], coeff))
-        rep = terms
+        return [(q + t0, {e: elem * c for e, c in h.items()})
+                for q, j, elem in rep.records()
+                for t0, h in rep.filtration.upper(j - 1)]
     if isinstance(rep, MPoly):
-        rep = {0: rep}
-    if isinstance(rep, dict):
-        terms = []
-        for k, poly in rep.items():
-            terms.append((k, poly, unf.ring_one()))
-        rep = terms
-    out = {}
-    for k, poly, elem in rep:
-        tgt = out.setdefault(k, {})
-        for exp, c in poly.terms.items():
-            term = elem * c
-            prior = tgt.get(exp)
-            tgt[exp] = term if prior is None else prior + term
-    return out
-
-
-def oscillating_projection(unf, rep, c=None):
-    """Reduced class of e^((F-f)/t) * rep in Phi(c) coordinates."""
-    base = unf.base
-    filtration = c if isinstance(c, OppositeFiltration) else \
-        OppositeFiltration(base, c)
-    out = ReducedClass(base.mu)
-    for t0, rpoly in _as_t_rpolys(unf, rep).items():
-        for k, power in enumerate(unf.exp_powers()):
-            shifted = z_product(power.items(), rpoly.items())
-            out.add_scaled(reduce_ring_poly(base, shifted), 1, t0 - k)
-    out.compress()
-    if not filtration.is_trivial():
-        out = filtration.coords_to_upper(out)
-    return out
+        rep = [(0, rep, unf.ring_one())]
+    return [(t0, {e: elem * c for e, c in poly.terms.items()})
+            for t0, poly, elem in rep]
 
 
 def verify_primitive(unf, rep, c=None):
     """Check the defining property: the nonnegative-t part of
     e^((F-f)/t) * rep equals the constant class Phi_1."""
-    projected = oscillating_projection(unf, rep, c=c)
-    mu = unf.base.mu
+    filtration = c if isinstance(c, OppositeFiltration) else \
+        OppositeFiltration(unf.base, c)
+    projected, = oscillating_projection(unf, [_as_t_rpolys(unf, rep)],
+                                        filtration, floor=0)
     mismatches = []
-    for k, vec in projected.coeffs.items():
-        if k < 0:
-            continue
-        for j in range(mu):
+    zero = [unf.ring_zero()] * unf.base.mu
+    for k in sorted(set(projected.coeffs) | {0}):
+        for j, value in enumerate(projected.coeffs.get(k, zero)):
             want = 1 if (k == 0 and j == 0) else 0
-            if vec[j] != want:
-                mismatches.append((k, j + 1, vec[j] - want))
-    if not projected.coeffs.get(0) or projected.coeffs[0][0] != 1:
-        if not any(k == 0 and j == 1 for k, j, _ in mismatches):
-            mismatches.append((0, 1, None))
+            if value != want:
+                mismatches.append((k, j + 1, value - want))
     return VerifyReport(not mismatches, mismatches)
 
 
@@ -203,8 +149,9 @@ def verify_class_equal(unf, rep_a, rep_b):
     """Equality of two candidate classes in the Brieskorn lattice over
     the truncated parameter ring (compares canonical reductions)."""
     diff = ReducedClass(unf.base.mu)
-    for t0, rpoly in _as_t_rpolys(unf, rep_a).items():
-        diff.add_scaled(reduce_ring_poly(unf.base, rpoly), 1, t0)
-    for t0, rpoly in _as_t_rpolys(unf, rep_b).items():
-        diff.add_scaled(reduce_ring_poly(unf.base, rpoly), -1, t0)
+    for rep, sign in ((rep_a, 1), (rep_b, -1)):
+        for t0, h in _as_t_rpolys(unf, rep):
+            for exp, coeff in h.items():
+                diff.add_scaled(reduce_monomial(unf.base, exp),
+                                sign * coeff, t0)
     return diff.compress().is_zero()

@@ -12,7 +12,7 @@ from functools import cache
 from operator import add
 
 from . import linalg
-from .brieskorn import ReducedClass, reduce_ring_poly
+from .brieskorn import ReducedClass, reduce_monomial
 from .mpoly import MPoly
 
 
@@ -71,6 +71,9 @@ class OppositeFiltration:
         self.c = {}
         mat = linalg.identity(mu)
         for (i, j), value in (c or {}).items():
+            if not (1 <= i <= mu and 1 <= j <= mu):
+                raise ValueError("c slot (%d, %d) out of range 1..%d"
+                                 % (i, j, mu))
             value = Fraction(value)
             if not value:
                 continue
@@ -82,6 +85,9 @@ class OppositeFiltration:
             mat[i - 1][j - 1] = value
         self.mat = mat
         self.inv = linalg.mat_inv(mat)
+        # the largest t-power that coords_to_upper adds
+        self.lift = max(self.t_power(l, j) for l in range(mu)
+                        for j in range(mu) if self.inv[l][j])
 
     def is_trivial(self):
         return not self.c
@@ -94,32 +100,21 @@ class OppositeFiltration:
                                    "phi_%d" % (i + 1, j + 1))
         return int(r)
 
-    def rows_to_upper(self, rows):
-        """Given reduced rows for phi_i, return reduced rows for Phi_i."""
-        mu = self.base.mu
+    def upper(self, i):
+        """Phi_i (0-based i) as (t_power, {z_exp: coefficient}) terms over
+        the Milnor basis."""
         out = []
-        for i in range(mu):
-            row = ReducedClass(mu)
-            for j in range(mu):
-                if self.mat[i][j]:
-                    row.add_scaled(rows[j], self.mat[i][j],
-                                   self.t_power(i, j))
-            out.append(row.compress())
+        for j, value in enumerate(self.mat[i]):
+            if value:
+                out.append((self.t_power(i, j),
+                            {e: value * c
+                             for e, c in self.base.basis[j].terms.items()}))
         return out
 
     def coords_to_upper(self, reduced):
         """Rewrite a reduced class from phi coordinates into Phi
-        coordinates (right-multiplication by the inverse basis change)."""
-        return self._right_multiply(reduced, self.inv)
-
-    def coords_to_phi(self, reduced):
-        """Rewrite a reduced class from Phi coordinates into phi
-        coordinates (right-multiplication by the basis change)."""
-        return self._right_multiply(reduced, self.mat)
-
-    def _right_multiply(self, reduced, mat):
-        """The class times the graded matrix mat, whose (l, j) slot
-        carries t^(d_l - d_j)."""
+        coordinates: right-multiplication by the inverse basis change,
+        whose (l, j) slot carries t^(d_l - d_j)."""
         mu = self.base.mu
         out = ReducedClass(mu)
         for k, vec in reduced.coeffs.items():
@@ -127,10 +122,10 @@ class OppositeFiltration:
                 if not vec[l]:
                     continue
                 for j in range(mu):
-                    if mat[l][j]:
+                    if self.inv[l][j]:
                         tgt = out.coeffs.setdefault(
                             k + self.t_power(l, j), [0] * mu)
-                        tgt[j] = tgt[j] + vec[l] * mat[l][j]
+                        tgt[j] = tgt[j] + vec[l] * self.inv[l][j]
         return out.compress()
 
 
@@ -219,9 +214,9 @@ def build_unfolding(base, N, mask=None, overrides=None, u_names=None):
 class OscillatorData:
     """The family A^(k)(u), keyed by the t-powers k that occur.
 
-    By default (polynomial mode) only the window -a <= k <= a that the
-    Neumann solve reads is kept, and matrix(k) is zero outside it; built
-    with prune=False (or in Laurent mode) the family runs down to k = -N.
+    By default only the window -a <= k <= a that the Neumann solve reads
+    is kept, in polynomial and Laurent mode alike, and matrix(k) is zero
+    outside it; built with prune=False the family runs down to k = -N.
     """
 
     def __init__(self, unf, filtration, matrices, a):
@@ -248,52 +243,25 @@ def positive_bound(base, N):
 
 
 def oscillator_matrices(unf, c=None, prune=True):
-    """Compute the A^(k) family in the Phi(c) basis.
+    """Compute the A^(k) family in the Phi(c) basis: row i is the
+    oscillating projection of Phi_i.
 
-    With prune (the default) and a polynomial base, only the t-powers
-    -a <= k <= a that primitive_form reads are computed and kept: a
-    z-term e of (F-f)^K/K! times phi_i lands at t-powers of at most
-    deg(e) + d_i - K, and a c slot lifts a row by at most the largest
-    degree gap d_i - d_j among its nonzero entries, so terms with
-    deg(e) + d_i + gap < K - a are skipped before reduction, and what
-    still lands below -a is dropped. prune=False (and Laurent mode)
-    returns every k down to -N.
+    With prune (the default) only the t-powers -a <= k <= a that
+    primitive_form reads are computed and kept (see
+    oscillating_projection); prune=False returns every k down to -N.
     """
     base = unf.base
     mu = base.mu
     filtration = c if isinstance(c, OppositeFiltration) else \
         OppositeFiltration(base, c)
     a = positive_bound(base, unf.N)
-    powers = unf.exp_powers()
-    window = prune and base.mode != "laurent"
-    if window:
-        scale, ints = _integer_scale(list(base.weights) + base.degrees)
-        weights, degrees = ints[:base.n], ints[base.n:]
-        gap = max((degrees[i - 1] - degrees[j - 1] for i, j in filtration.c),
-                  default=0)
-        z_degrees = [[sum(w * x for w, x in zip(weights, e1)) for e1 in power]
-                     for power in powers]
-    rows = []
-    for i in range(mu):
-        row = ReducedClass(mu)
-        phi = base.basis[i]
-        for k, power in enumerate(powers):
-            terms = power.items()
-            if window:
-                floor = (k - a) * scale - degrees[i] - gap
-                terms = [t for t, d in zip(terms, z_degrees[k]) if d >= floor]
-            shifted = z_product(terms, phi.terms.items())
-            row.add_scaled(reduce_ring_poly(base, shifted), 1, -k)
-        rows.append(row.compress())
-    if not filtration.is_trivial():
-        rows = filtration.rows_to_upper(rows)
-        rows = [filtration.coords_to_upper(r) for r in rows]
+    rows = oscillating_projection(
+        unf, [filtration.upper(i) for i in range(mu)], filtration,
+        floor=-a if prune else None)
     matrices = {}
     zero = unf.ring_zero()
     for i, row in enumerate(rows):
         for k, vec in row.coeffs.items():
-            if window and k < -a:
-                continue
             for j in range(mu):
                 if not vec[j]:
                     continue
@@ -308,6 +276,59 @@ def oscillator_matrices(unf, c=None, prune=True):
     if not unf.override:
         _check_grading(osc)
     return osc
+
+
+def oscillating_projection(unf, classes, filtration, floor=None):
+    """Reduced classes of e^((F-f)/t) * h in Phi(c) coordinates, one per
+    class h, each given as (t0, {z_exp: coefficient}) terms meaning
+    sum t^t0 * coefficient * z^z_exp.
+
+    With a floor only the t-powers k >= floor are computed and kept.
+    Reducing z^m gives t-powers of at most deg(m) in either basis, since
+    basis degrees are >= 0, so in polynomial mode a z-term e of
+    (F-f)^K/K! is skipped when deg(e) + maxdeg(h) + t0 - K < floor. In
+    both modes coords_to_upper lifts a t-power by at most
+    filtration.lift, so reduced t-powers below floor - lift are skipped
+    before any ring multiplication, and what still lands below floor is
+    dropped.
+    """
+    base = unf.base
+    powers = unf.exp_powers()
+    graded = floor is not None and not unf.laurent
+    if graded:
+        scale, weights = _integer_scale(base.weights)
+        z_degrees = [[_dot(weights, e) for e in power] for power in powers]
+    skip = None if floor is None else floor - filtration.lift
+    out = []
+    for terms in classes:
+        acc = ReducedClass(base.mu)
+        for t0, h in terms:
+            if not h:
+                continue
+            if graded:
+                top = max(_dot(weights, e) for e in h)
+            for K, power in enumerate(powers):
+                items = power.items()
+                if graded:
+                    cut = (floor + K - t0) * scale - top
+                    items = [t for t, d in zip(items, z_degrees[K])
+                             if d >= cut]
+                for exp, coeff in z_product(items, h.items()).items():
+                    if coeff:
+                        acc.add_scaled(reduce_monomial(base, exp), coeff,
+                                       t0 - K, skip)
+        acc.compress()
+        if not filtration.is_trivial():
+            acc = filtration.coords_to_upper(acc)
+            if floor is not None:
+                acc.coeffs = {k: vec for k, vec in acc.coeffs.items()
+                              if k >= floor}
+        out.append(acc)
+    return out
+
+
+def _dot(weights, exp):
+    return sum(w * e for w, e in zip(weights, exp))
 
 
 def _integer_scale(values):

@@ -190,3 +190,62 @@ def test_pairing_matches_lattice_reduction(capsys, tmp_path, f, m, lead):
             if v:
                 want[str(k)] = str(v / lead)
         assert value["series"] == want
+
+
+ELLIPTIC = {"variables": ["z1", "z2", "z3"],
+            "f": "1/3*z1^3 + 1/3*z2^3 + 1/3*z3^3",
+            "weights": ["1/3", "1/3", "1/3"]}
+CHAIN = {"variables": ["z"], "f": "z^4", "weights": ["1/4"]}
+
+
+@pytest.mark.parametrize("singularity, extra, job_c, slot", [
+    # index 0 used to wrap to the last basis element, c(8,1)
+    (ELLIPTIC, {"mask": [8]}, None, "0,1"),
+    (CHAIN, {}, None, "8,1"),
+    (CHAIN, {}, {"1,4": "1"}, None),
+])
+def test_c_slot_out_of_range_is_rejected(capsys, tmp_path, singularity,
+                                         extra, job_c, slot):
+    job = {"schema": SCHEMA, "command": "primitive-form",
+           "singularity": singularity, "N": 6, **extra}
+    if job_c:
+        job["c"] = job_c
+    args = ["--set-c", slot + "=1"] if slot else []
+    code, doc = run_cli(capsys, tmp_path, job, args)
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "ValueError"
+    assert "out of range" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("primitive-form", {"N": 2, "mask": ["x"]}),
+    ("primitive-form", {"N": 2, "mask": 3}),
+    ("primitive-form", {"N": 2, "c": [1]}),
+    ("pairing", {"pairs": [[1, 2]]}),
+    ("verify", {"N": 2, "rep": 5}),
+    ("verify", {"N": 2, "rep": ["x"]}),
+    ("primitive-form", {"N": -1}),
+    ("primitive-form", {"N": 1.5}),
+    ("pairing", {"pairs": [["z", "1"]], "t_order": [1]}),
+    ("pairing", {"pairs": [["z", "1"]], "t_order": -3}),
+])
+def test_malformed_job_fields_are_rejected(capsys, tmp_path, command,
+                                           fields):
+    job = {"schema": SCHEMA, "command": command,
+           "singularity": {"variables": ["z"], "f": "z^3",
+                           "weights": ["1/3"]}, **fields}
+    code, doc = run_cli(capsys, tmp_path, job)
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "JobError"
+
+
+def test_verify_reports_a_missing_constant_class(capsys, tmp_path):
+    job = {"schema": SCHEMA, "command": "verify",
+           "singularity": {"variables": ["z"], "f": "z^3",
+                           "weights": ["1/3"]}, "N": 2, "rep": []}
+    code, doc = run_cli(capsys, tmp_path, job)
+    assert code == 0
+    assert doc["result"] == {"verified": False, "mismatches": [
+        {"t": 0, "basis": 1, "defect": "-1"}]}

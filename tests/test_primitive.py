@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import pytest
+
+from saitoforms import UnfoldRingElem
 from saitoforms.mpoly import MPoly
 from saitoforms.primitive import (
-    primitive_form, verify_class_equal, verify_primitive,
+    _as_t_rpolys, primitive_form, verify_class_equal, verify_primitive,
 )
-from saitoforms.singularity import analyze
-from saitoforms.unfolding import build_unfolding
+from saitoforms.unfolding import (
+    OppositeFiltration, build_unfolding, oscillating_projection,
+)
 
 from conftest import (
     elliptic_g, elliptic_h, make_a, series_reciprocal, series_sub,
@@ -86,3 +90,48 @@ def test_quartic_pair_with_splitting_parameter(quartic_pair):
     for c in (None, {(9, 1): Fraction(2)}):
         pf = primitive_form(unf, c=c)
         assert verify_primitive(unf, pf, c=c)
+
+
+def _e12_rep(unf, late_first):
+    # sum of t^1 * 2/3 u3 u5 * y, the constant 1 and a zero z-term, the
+    # shape of a CLI "rep" list
+    v = unf.base.variables
+    y = MPoly.variable("y", v)
+    u35 = UnfoldRingElem(unf.nu, unf.N,
+                         {(0, 0, 1, 0, 1) + (0,) * 7: Fraction(2, 3)})
+    terms = [(1, y, u35), (0, MPoly.constant(v, 1), unf.ring_one()),
+             (0, MPoly.zero(v), unf.ring_one())]
+    return terms if late_first else terms[1:] + terms[:1]
+
+
+@pytest.mark.parametrize("case", ["pf", "one", "cli-rep"])
+def test_projection_floor_is_full_projection_restricted(e12, elliptic, case):
+    if case == "pf":
+        unf = build_unfolding(elliptic, 4)
+        c = {(8, 1): Fraction(2)}
+        rep = primitive_form(unf, c=c)
+    elif case == "one":
+        unf = build_unfolding(e12, 3)
+        c = None
+        rep = MPoly.constant(e12.f.variables, 1)
+    else:
+        unf = build_unfolding(e12, 3)
+        c = None
+        rep = _e12_rep(unf, late_first=True)
+    filt = OppositeFiltration(unf.base, c)
+    classes = [_as_t_rpolys(unf, rep)]
+    full, = oscillating_projection(unf, classes, filt)
+    kept, = oscillating_projection(unf, classes, filt, floor=0)
+    assert min(full.coeffs) < 0
+    assert kept.coeffs == {k: v for k, v in full.coeffs.items() if k >= 0}
+    assert kept.coeffs
+
+
+def test_verify_lists_mismatches_by_t_then_basis(e12):
+    unf = build_unfolding(e12, 4)
+    report = verify_primitive(unf, _e12_rep(unf, late_first=True))
+    keys = [(k, j) for k, j, _ in report.mismatches]
+    assert {k for k, _ in keys} == {0, 1}
+    assert keys == sorted(keys)
+    assert report.mismatches == \
+        verify_primitive(unf, _e12_rep(unf, late_first=False)).mismatches

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from saitoforms import UnfoldRingElem
+from saitoforms import P1MirrorData, UnfoldRingElem
+from saitoforms.brieskorn import ReducedClass, reduce_monomial
 from saitoforms.primitive import primitive_form
 from saitoforms.unfolding import (
-    OppositeFiltration, build_unfolding, oscillator_matrices, positive_bound,
+    OppositeFiltration, build_unfolding, exp_series, oscillator_matrices,
+    positive_bound,
 )
 
 from conftest import make_a
@@ -99,12 +101,28 @@ def test_opposite_filtration_validation(elliptic):
         OppositeFiltration(elliptic, {(1, 8): Fraction(1)})
 
 
-def test_filtration_conversion_roundtrip(elliptic):
-    from saitoforms.brieskorn import reduce_class
+def test_upper_basis_reduces_to_unit_vectors(elliptic):
+    # Phi_i written over the Milnor basis and read back in Phi(c)
+    # coordinates is the unit vector e_i at t^0
     filt = OppositeFiltration(elliptic, {(8, 1): Fraction(3)})
-    red = reduce_class(elliptic, elliptic.basis[7] ** 4)
-    back = filt.coords_to_phi(filt.coords_to_upper(red))
-    assert back == red
+    mu = elliptic.mu
+    for i in range(mu):
+        red = ReducedClass(mu)
+        for t0, h in filt.upper(i):
+            for exp, c in h.items():
+                red.add_scaled(reduce_monomial(elliptic, exp), c, t0)
+        unit = [Fraction(int(j == i)) for j in range(mu)]
+        assert filt.coords_to_upper(red.compress()) == \
+            ReducedClass(mu, {0: unit})
+
+
+@pytest.mark.parametrize("c", [{(0, 1): 1}, {(8, 0): 1}, {(9, 1): 1},
+                               {(1, 9): 0}])
+def test_opposite_filtration_rejects_slots_out_of_range(elliptic, c):
+    (i, j), = c
+    with pytest.raises(ValueError,
+                       match=r"\(%d, %d\) out of range 1\.\.8" % (i, j)):
+        OppositeFiltration(elliptic, c)
 
 
 # (A_k chain index or fixture name, N, mask, c)
@@ -116,18 +134,23 @@ WINDOW_CASES = [
     ("elliptic", 4, [8], {(8, 1): Fraction(1)}),
     ("quartic_pair", 3, None, {(9, 1): Fraction(2)}),
     ("quartic_pair", 4, [9], {(9, 1): Fraction(2)}),
+    ("p1", 6, None, None),
 ]
 
 
-def _window_data(request, name):
-    return make_a(name) if isinstance(name, int) else \
+def _window_unfolding(request, name, N, mask):
+    if name == "p1":
+        # the P^1 mirror with its exponentiated second direction
+        return build_unfolding(P1MirrorData(2), N, u_names=["u0", "u1"],
+                               overrides={2: lambda u: exp_series(u) - 1})
+    data = make_a(name) if isinstance(name, int) else \
         request.getfixturevalue(name)
+    return build_unfolding(data, N, mask=mask)
 
 
 @pytest.mark.parametrize("name, N, mask, c", WINDOW_CASES)
 def test_window_is_full_family_restricted(request, name, N, mask, c):
-    data = _window_data(request, name)
-    unf = build_unfolding(data, N, mask=mask)
+    unf = _window_unfolding(request, name, N, mask)
     full = oscillator_matrices(unf, c=c, prune=False)
     osc = oscillator_matrices(unf, c=c)
     a = osc.a
