@@ -5,14 +5,25 @@ with volume twist lam = 1 in the polynomial case and lam = z for the
 Laurent (punctured-line) case. Iterating this rule writes any class
 uniquely as sum_k t^k (combination of Milnor basis elements).
 
+Polynomial case: each element g_k = sum_i row_k[i] * df/dz_i of the monic
+Groebner basis of the partials gives one step rule (step_rules). Dividing
+the t^k polynomial by the basis, a quotient term q z^s of g_k cancels
+q z^s g_k there and, by the rule above, adds
+-sum_i d/dz_i (q z^s row_k[i]) to the t^(k+1) polynomial: for each term
+c z^r of row_k[i] that is -q c (s_i + r_i) z^(s + r - e_i). The
+remainder of the division gives the t^k coordinates. Each pass lowers
+the weighted degree by one, so a monomial of weighted degree d needs at
+most int(d) + 1 passes.
+
 Coefficients may be Fractions or truncated unfolding-ring elements; the
 reduction is linear, so per-monomial results are cached with Fraction
 coefficients and scaled as needed.
 """
 
 from fractions import Fraction
+from operator import add, sub
 
-from .mpoly import MPoly
+from .mpoly import grevlex_key
 
 
 class ReductionGuardError(Exception):
@@ -75,16 +86,36 @@ class ReducedClass:
     __repr__ = __str__
 
 
+def step_rules(groebner):
+    """One step rule (leading exponent, tail, steps) per element g_k of a
+    monic Groebner basis of the partials, with its cofactor row
+    g_k = sum_i row_k[i] * df/dz_i. The tail lists (e, -n, d) for each
+    term (n/d) z^e of g_k below the leading one, the steps list
+    (i, r_i, r - e_i, -n, d) for each term (n/d) z^r of row_k[i]:
+    coefficients are kept as integer pairs, so that a product with a
+    quotient coefficient is one Fraction built from integers."""
+    rules = []
+    for g, row in groebner:
+        lead, lc = g.leading()
+        assert lc == 1, "Groebner basis element %s is not monic" % g
+        tail = [(e, -c.numerator, c.denominator)
+                for e, c in g.terms.items() if e != lead]
+        steps = [(i, r[i], tuple(x - (j == i) for j, x in enumerate(r)),
+                  -c.numerator, c.denominator)
+                 for i, cofactor in enumerate(row)
+                 for r, c in cofactor.terms.items()]
+        rules.append((lead, tail, steps))
+    return rules
+
+
 def reduce_monomial(data, exp):
     """Reduced class of a single monomial; cached per singularity."""
     cached = data.mono_cache.get(exp)
     if cached is None:
         if data.mode == "laurent":
-            cached = _reduce_laurent_poly(
-                data, MPoly.monomial(data.variables, exp, 1, laurent=True))
+            cached = _reduce_laurent_poly(data, exp)
         else:
-            cached = _reduce_poly(data,
-                                  MPoly.monomial(data.variables, exp, 1))
+            cached = _reduce_poly(data, exp)
         data.mono_cache[exp] = cached
     return cached
 
@@ -97,34 +128,58 @@ def reduce_class(data, h):
     return out.compress()
 
 
-def _reduce_poly(data, h):
-    """Iterated division + quotient differentiation, polynomial case."""
-    degree = data.weights.weighted_degree(h)
-    if degree is None and not h.is_zero():
-        degs = {data.weights.degree_of_exponent(e) for e in h.terms}
-        degree = max(degs)
-    guard = 2 if h.is_zero() else int(degree) + 2
+def _reduce_poly(data, exp):
+    """Reduction of the monomial z^exp, polynomial case: one division
+    pass per t-power, applying the step rules on plain dicts (see the
+    module docstring)."""
+    guard = int(data.weights.degree_of_exponent(exp)) + 2
+    rules = data.step_rules
     out = {}
-    current = h
+    work = {exp: Fraction(1)}
     k = 0
-    while not current.is_zero():
+    while work:
         if k > guard:
             raise ReductionGuardError(
-                "t-reduction of %s did not terminate within %d steps"
-                % (h, guard))
-        rem, cofactors = data.normal_form(current)
-        if not rem.is_zero():
+                "t-reduction of the monomial %r did not terminate within "
+                "%d steps" % (exp, guard))
+        rem = {}
+        nxt = {}
+        while work:
+            e = max(work, key=grevlex_key)
+            q = work.pop(e)
+            qn, qd = q.numerator, q.denominator
+            for lead, tail, steps in rules:
+                s = tuple(map(sub, e, lead))
+                if min(s) < 0:
+                    continue
+                for te, n, d in tail:
+                    t = tuple(map(add, s, te))
+                    c = Fraction(qn * n, qd * d)
+                    prior = work.get(t)
+                    if prior is not None:
+                        c = prior + c
+                    if c:
+                        work[t] = c
+                    else:
+                        del work[t]
+                for i, ri, down, n, d in steps:
+                    m = s[i] + ri
+                    if m:
+                        t = tuple(map(add, s, down))
+                        c = Fraction(qn * n * m, qd * d)
+                        prior = nxt.get(t)
+                        nxt[t] = c if prior is None else prior + c
+                break
+            else:
+                rem[e] = q
+        if rem:
             out[k] = data.coords(rem)
-        nxt = MPoly.zero(data.variables)
-        for i, g in enumerate(cofactors):
-            if not g.is_zero():
-                nxt = nxt - g.diff(i)
-        current = nxt
+        work = {e: c for e, c in nxt.items() if c}
         k += 1
     return ReducedClass(data.mu, out)
 
 
-def _reduce_laurent_poly(data, h):
+def _reduce_laurent_poly(data, exp):
     """Reduction for f = z + q/z with lam = z.
 
     Derived from [z^k f'(z)] = -t [z d/dz z^(k-1)]:
@@ -132,9 +187,7 @@ def _reduce_laurent_poly(data, h):
         [z^(-m)] = (1/q)[z^(2-m)] - ((m-1)/q) t [z^(1-m)]  (m >= 2)
     terminating on the span of {1, 1/z}."""
     q = data.q
-    work = {}
-    for (e,), c in h.terms.items():
-        work[(e, 0)] = work.get((e, 0), Fraction(0)) + c
+    work = {(exp[0], 0): Fraction(1)}
     out = {}
     guard = 0
     while work:

@@ -11,7 +11,8 @@ import sys
 from fractions import Fraction
 
 from . import moduli
-from .mpoly import MPoly, WeightSystem
+from .brieskorn import ReductionGuardError
+from .mpoly import PolynomialError, WeightSystem
 from .parsing import ParseError, parse_poly, parse_rational
 from .primitive import primitive_form, verify_primitive
 from .residue_series import pairing_univariate
@@ -43,6 +44,10 @@ def _int(x, what, nonnegative=False):
     return x
 
 
+def _is_list_of(x, kind):
+    return isinstance(x, list) and all(isinstance(v, kind) for v in x)
+
+
 def _fmt(x):
     return str(Fraction(x))
 
@@ -54,10 +59,15 @@ def _load_singularity(job):
     if spec.get("model") == "p1":
         return P1MirrorData(_rat(spec.get("q", "1")))
     variables = spec.get("variables")
-    if not variables:
-        raise JobError("singularity needs 'variables'")
+    if not variables or not _is_list_of(variables, str):
+        raise JobError("singularity needs 'variables', a list of names, "
+                       "got %r" % (variables,))
     f = parse_poly(spec.get("f", ""), variables)
-    weights = WeightSystem([_rat(w) for w in spec.get("weights", [])])
+    weights = spec.get("weights", [])
+    if not isinstance(weights, list):
+        raise JobError("'weights' must be a list of rationals, got %r"
+                       % (weights,))
+    weights = WeightSystem([_rat(w) for w in weights])
     return analyze(f, weights, orthogonalize=spec.get("orthogonalize", True))
 
 
@@ -187,8 +197,7 @@ def cmd_verify(data, job, args):
 
 def _parse_rep(rep_spec, data, unf):
     laurent = data.mode == "laurent"
-    if not isinstance(rep_spec, list) or \
-            not all(isinstance(entry, dict) for entry in rep_spec):
+    if not _is_list_of(rep_spec, dict):
         raise JobError("'rep' must be a list of term objects, got %r"
                        % (rep_spec,))
     terms = []
@@ -209,9 +218,7 @@ def cmd_pairing(data, job, args):
     t_order = _int(job.get("t_order", 8), "'t_order'", nonnegative=True)
     pairs = job.get("pairs")
     if not pairs or not isinstance(pairs, list) or not all(
-            isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(text, str) for text in pair)
-            for pair in pairs):
+            _is_list_of(pair, str) and len(pair) == 2 for pair in pairs):
         raise JobError("pairing needs 'pairs': [[expr, expr], ...], got %r"
                        % (pairs,))
     if data.mode == "laurent":
@@ -266,7 +273,7 @@ def run_job(job, args):
         raise JobError("a job document must be a JSON object, got %s"
                        % type(job).__name__)
     command = args.command or job.get("command")
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise JobError("unknown command %r; expected one of %s"
                        % (command, sorted(COMMANDS)))
     data = _load_singularity(job)
@@ -296,9 +303,10 @@ def main(argv=None):
             with open(args.job) as fh:
                 job = json.load(fh)
         doc = run_job(job, args)
-    except (JobError, ParseError, EulerIdentityViolated,
+    except (JobError, ParseError, PolynomialError, EulerIdentityViolated,
             NonIsolatedSingularity, DegeneratePairing, GradingViolation,
-            json.JSONDecodeError, OSError, ValueError) as exc:
+            ReductionGuardError, json.JSONDecodeError, OSError,
+            ValueError) as exc:
         doc = {"schema": SCHEMA, "ok": False,
                "error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(doc, indent=2, sort_keys=True))

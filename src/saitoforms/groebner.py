@@ -1,9 +1,9 @@
 """Buchberger's algorithm with cofactor tracking.
 
 Every Groebner basis element carries a row expressing it as a combination
-of the original generators, so normal-form computations can report
+of the original generators, so quotients over the basis translate into
 quotients over the *original* generators (here: the partial derivatives
-of the singularity), not just over the basis.
+of the singularity), as the Brieskorn reduction needs.
 """
 
 from .mpoly import (MPoly, grevlex_key, monomial_div, monomial_divides,
@@ -110,25 +110,6 @@ def _reduce_basis(basis, rows):
         out.append((basis[i] * inv, [r * inv for r in rows[i]]))
     out.sort(key=lambda pair: grevlex_key(pair[0].leading()[0]))
     return out
-
-
-def normal_form_with_cofactors(h, groebner, n_generators):
-    """Reduce h modulo the Groebner basis.
-
-    Returns (remainder, cofactors) with cofactors over the ORIGINAL
-    generators: h == remainder + sum(cofactors_i * generators_i).
-    """
-    basis = [g for g, _ in groebner]
-    qs, rem = divide(h, basis)
-    variables = h.variables
-    cof = [MPoly.zero(variables) for _ in range(n_generators)]
-    for q, (_, row) in zip(qs, groebner):
-        if q.is_zero():
-            continue
-        for i in range(n_generators):
-            if not row[i].is_zero():
-                cof[i] = cof[i] + q * row[i]
-    return rem, cof
 
 
 def standard_monomials(groebner, bound=100000):

@@ -11,7 +11,7 @@ the order. Monomial comparisons use graded reverse lexicographic
 
 from bisect import bisect_right
 from fractions import Fraction
-from operator import add
+from operator import add, neg
 
 
 class PolynomialError(Exception):
@@ -25,7 +25,7 @@ class TruncationMismatch(PolynomialError):
 def grevlex_key(exp):
     """Sort key realizing grevlex: compare total degree, then reversed
     exponents with the *smallest* last variable winning ties."""
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp), tuple(map(neg, reversed(exp))))
 
 
 def monomial_mul(a, b):

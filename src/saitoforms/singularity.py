@@ -11,8 +11,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .groebner import (buchberger_with_cofactors, normal_form_with_cofactors,
-                       standard_monomials)
+from .brieskorn import step_rules
+from .groebner import buchberger_with_cofactors, divide, standard_monomials
 from .mpoly import MPoly, WeightSystem, grevlex_key, monomial_divides
 
 
@@ -71,6 +71,7 @@ class SingularityData:
                 "f is independent of a variable; critical locus is positive-"
                 "dimensional")
         self.groebner = buchberger_with_cofactors(self.partials)
+        self.step_rules = step_rules(self.groebner)
         self._check_isolated()
         self.std = standard_monomials(self.groebner)
         self.std_index = {e: m for m, e in enumerate(self.std)}
@@ -123,7 +124,7 @@ class SingularityData:
 
     def _finish_residue(self):
         hess = hessian_det(self.f)
-        coords = self.coords(self.normal_form(hess)[0])
+        coords = self.coords(self.normal_form(hess).terms)
         for i, c in enumerate(coords[:-1]):
             if c:
                 raise DegeneratePairing(
@@ -137,25 +138,26 @@ class SingularityData:
     # -- quotient-ring arithmetic -------------------------------------
 
     def normal_form(self, h):
-        """(remainder, cofactors over the partials) with
-        h == remainder + sum(cofactors_i * partials_i)."""
-        return normal_form_with_cofactors(h, self.groebner, self.n)
+        """Remainder of h on division by the Groebner basis."""
+        return divide(h, [g for g, _ in self.groebner])[1]
 
-    def coords(self, rem):
-        """Coordinates of a fully reduced polynomial in the Milnor basis."""
-        sigma = self._std_coeffs(rem)
+    def coords(self, terms):
+        """Coordinates in the Milnor basis of a fully reduced polynomial,
+        given by its terms {exponent: coefficient}."""
+        sigma = self._std_coeffs(terms)
         inv = self.basis_inv
         return [sum(sigma[m] * inv[m][i] for m in range(self.mu) if sigma[m])
                 for i in range(self.mu)]
 
-    def _std_coeffs(self, rem):
-        """Coefficients of a fully reduced polynomial on the standard
-        monomials."""
+    def _std_coeffs(self, terms):
+        """Coefficients of a fully reduced polynomial, given by its terms,
+        on the standard monomials."""
         sigma = [Fraction(0)] * self.mu
-        for exp, c in rem.terms.items():
+        for exp, c in terms.items():
             m = self.std_index.get(exp)
             if m is None:
-                raise ValueError("%s is not reduced" % rem)
+                raise ValueError("%s is not reduced"
+                                 % MPoly(self.variables, terms))
             sigma[m] = c
         return sigma
 
@@ -163,7 +165,7 @@ class SingularityData:
         """Grothendieck residue, normalized so the Hessian has residue mu:
         the socle (last) coordinate of the normal form of g, read from the
         last column of basis_inv alone."""
-        sigma = self._std_coeffs(self.normal_form(g)[0])
+        sigma = self._std_coeffs(self.normal_form(g).terms)
         inv = self.basis_inv
         socle = sum(sigma[m] * inv[m][-1] for m in range(self.mu) if sigma[m])
         return socle * self.residue_scale

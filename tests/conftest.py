@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from saitoforms.mpoly import MPoly
+from saitoforms.parsing import parse_poly
 from saitoforms.singularity import P1MirrorData, analyze
 
 
@@ -69,6 +70,35 @@ def quartic_pair():
 @pytest.fixture(scope="session")
 def p1_q2():
     return P1MirrorData(2)
+
+
+# (f, variables, weights) checked against independent oracles: A2, E6,
+# E12, E13, the elliptic cone, a loop polynomial and x^6 + y^6 + x^3 y^3.
+ORACLE_ZOO = [
+    ("z^3", ("z",), ["1/3"]),
+    ("x^3 + y^4", ("x", "y"), ["1/3", "1/4"]),
+    ("x^3 + y^7", ("x", "y"), ["1/3", "1/7"]),
+    ("x^3 + x*y^5", ("x", "y"), ["1/3", "2/15"]),
+    ("1/3*z1^3 + 1/3*z2^3 + 1/3*z3^3", ("z1", "z2", "z3"), ["1/3"] * 3),
+    ("x^3*y + y^3*z + z^3*x", ("x", "y", "z"), ["1/4"] * 3),
+    ("x^6 + y^6 + x^3*y^3", ("x", "y"), ["1/6", "1/6"]),
+]
+
+
+def analyze_oracle_case(case):
+    f, variables, weights = case
+    return analyze(parse_poly(f, variables),
+                   [Fraction(q) for q in weights])
+
+
+def monomials_up_to(data, degree):
+    """Every exponent of weighted degree at most `degree`."""
+    found = [()]
+    for q in data.weights:
+        found = [e + (k,) for e in found
+                 for k in range(int(degree / q) + 1)]
+    return [e for e in found
+            if data.weights.degree_of_exponent(e) <= degree]
 
 
 # --- series oracles for the simple elliptic family ---------------------

@@ -25,6 +25,7 @@ def bench_modules():
 @pytest.mark.parametrize("workload, name", [
     ("unfold-full", "A2/N6"),
     ("socle-deep", "p1-q2/N20"),
+    ("socle-deep", "elliptic-socle/N60/c81=1"),
     ("milnor-zoo", "library:A2"),
     ("milnor-zoo", "analyze:A2"),
 ])

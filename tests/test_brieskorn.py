@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from saitoforms.brieskorn import ReducedClass, reduce_class, reduce_monomial
+from saitoforms.groebner import divide
 from saitoforms.mpoly import MPoly
 
-from conftest import make_a
+from conftest import (ORACLE_ZOO, analyze_oracle_case, make_a,
+                      monomials_up_to)
 
 
 def test_chain_point_z4():
@@ -105,3 +109,35 @@ def test_reduced_class_arithmetic():
                         3: [Fraction(0), Fraction(1)]}
     assert not a.is_zero()
     assert ReducedClass(2).is_zero()
+
+
+def _reference_reduction(data, exp):
+    """Reduction of z^exp by the cofactor algorithm: divide by the
+    Groebner basis, turn the quotients into cofactors over the partials
+    through the basis rows, and continue with -sum_i d/dz_i cofactor_i."""
+    basis = [g for g, _ in data.groebner]
+    current = MPoly.monomial(data.variables, exp)
+    out = {}
+    k = 0
+    while current:
+        quotients, rem = divide(current, basis)
+        if rem:
+            out[k] = data.coords(rem.terms)
+        nxt = MPoly.zero(data.variables)
+        for i in range(data.n):
+            cofactor = MPoly.zero(data.variables)
+            for q, (_, row) in zip(quotients, data.groebner):
+                cofactor = cofactor + q * row[i]
+            nxt = nxt - cofactor.diff(i)
+        current = nxt
+        k += 1
+    return ReducedClass(data.mu, out)
+
+
+@pytest.mark.parametrize("case", ORACLE_ZOO, ids=[c[0] for c in ORACLE_ZOO])
+def test_reduce_monomial_matches_cofactor_reference(case):
+    data = analyze_oracle_case(case)
+    sample = monomials_up_to(data, data.s + 3)
+    rng = random.Random(len(sample))
+    for exp in rng.sample(sample, min(len(sample), 25)):
+        assert reduce_monomial(data, exp) == _reference_reduction(data, exp)

@@ -1,10 +1,8 @@
 import random
 from fractions import Fraction
 
-from saitoforms.groebner import (
-    buchberger_with_cofactors, divide, normal_form_with_cofactors,
-    standard_monomials,
-)
+from saitoforms.groebner import (buchberger_with_cofactors, divide,
+                                 standard_monomials)
 from saitoforms.mpoly import MPoly
 
 
@@ -50,12 +48,22 @@ def test_buchberger_cofactors_express_basis():
         assert acc == g
 
 
+def _normal_form_with_cofactors(h, gb, n_generators):
+    """Remainder and cofactors over the original generators, from the
+    quotients over the basis and the basis rows."""
+    qs, rem = divide(h, [g for g, _ in gb])
+    cof = [MPoly.zero(h.variables) for _ in range(n_generators)]
+    for q, (_, row) in zip(qs, gb):
+        cof = [c + q * r for c, r in zip(cof, row)]
+    return rem, cof
+
+
 def test_normal_form_membership():
     x, y = _vars2()
     gens = [x ** 2 + y ** 2, x * y]
     gb = buchberger_with_cofactors(gens)
     h = (x ** 2 + y ** 2) * (x + 3) + x * y * y
-    rem, cof = normal_form_with_cofactors(h, gb, len(gens))
+    rem, cof = _normal_form_with_cofactors(h, gb, len(gens))
     assert rem == MPoly.constant(("x", "y"), 0)
     acc = rem
     for c, gen in zip(cof, gens):
@@ -70,8 +78,12 @@ def test_normal_form_idempotent():
     gb = buchberger_with_cofactors(gens)
     for _ in range(30):
         h = rand_poly(rng, ("x", "y"))
-        rem, _ = normal_form_with_cofactors(h, gb, len(gens))
-        rem2, _ = normal_form_with_cofactors(rem, gb, len(gens))
+        rem, cof = _normal_form_with_cofactors(h, gb, len(gens))
+        acc = rem
+        for c, gen in zip(cof, gens):
+            acc = acc + c * gen
+        assert acc == h
+        rem2, _ = _normal_form_with_cofactors(rem, gb, len(gens))
         assert rem2 == rem
 
 

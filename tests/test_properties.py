@@ -260,6 +260,6 @@ def test_classical_residue_is_socle_coordinate(e12, e13, elliptic):
                                                 rng.randrange(1, 4)))
             samples.append(g)
         for g in samples:
-            rem = data.normal_form(g)[0]
+            rem = data.normal_form(g)
             assert data.classical_residue(g) == \
-                data.coords(rem)[-1] * data.residue_scale
+                data.coords(rem.terms)[-1] * data.residue_scale

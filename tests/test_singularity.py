@@ -113,8 +113,8 @@ def test_hyperbolic_reduce_names_the_failed_search():
 def test_normal_form_coords_roundtrip(e6_cusp):
     x, y = _xy()
     h = x ** 2 * y ** 5 + 3 * x * y - 7
-    rem, _ = e6_cusp.normal_form(h)
-    vec = e6_cusp.coords(rem)
+    rem = e6_cusp.normal_form(h)
+    vec = e6_cusp.coords(rem.terms)
     acc = MPoly.constant(("x", "y"), 0)
     for c, b in zip(vec, e6_cusp.basis):
         acc = acc + b * c
