@@ -13,7 +13,9 @@ q z^s g_k there and, by the rule above, adds
 c z^r of row_k[i] that is -q c (s_i + r_i) z^(s + r - e_i). The
 remainder of the division gives the t^k coordinates. Each pass lowers
 the weighted degree by one, so a monomial of weighted degree d needs at
-most int(d) + 1 passes.
+most int(d) + 1 passes. The first pass is the division of the monomial
+itself, so the t^0 part of a reduction is its Jacobian-ring normal form:
+SingularityData reads classical residues from it.
 
 Coefficients may be Fractions or truncated unfolding-ring elements; the
 reduction is linear, so per-monomial results are cached with Fraction

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import moduli
 from .brieskorn import ReductionGuardError
-from .mpoly import PolynomialError, WeightSystem
+from .mpoly import MPoly, PolynomialError, WeightSystem
 from .parsing import ParseError, parse_poly, parse_rational
 from .primitive import primitive_form, verify_primitive
 from .residue_series import pairing_univariate
@@ -153,22 +153,13 @@ def _build_unfolding(data, job, args):
 def _records_json(pf, data):
     records = []
     for q, j, elem in pf.records():
-        terms = [{"u": _u_monomial(exp, pf.unf), "value": _fmt(c)}
+        terms = [{"u": str(MPoly(pf.unf.u_names, {exp: 1})),
+                  "value": _fmt(c)}
                  for exp, c in elem.sorted_terms(reverse=False)]
         records.append({"t": q, "basis": j,
                         "basis_expr": str(data.basis[j - 1]),
                         "terms": terms})
     return records
-
-
-def _u_monomial(exp, unf):
-    parts = []
-    for name, e in zip(unf.u_names, exp):
-        if e == 1:
-            parts.append(name)
-        elif e:
-            parts.append("%s^%d" % (name, e))
-    return "*".join(parts) or "1"
 
 
 def cmd_primitive_form(data, job, args):

@@ -31,15 +31,8 @@ def admissible_pairs(data):
 
 
 def dimension_D(data):
-    mu = data.mu
-    count = 0
-    for i, j in admissible_pairs(data):
-        r = int(data.degrees[i - 1] - data.degrees[j - 1])
-        if i + j < mu + 1:
-            count += 1
-        elif i + j == mu + 1 and r % 2 == 1:
-            count += 1
-    return count
+    """The moduli dimension D: the number of FREE coordinates."""
+    return sum(c.status == FREE for c in y_constraints(data))
 
 
 class Constraint:
@@ -116,7 +109,7 @@ class ModuliReport:
         self.mu = data.mu
         self.degrees = list(data.degrees)
         self.constraints = y_constraints(data)
-        self.dimension = dimension_D(data)
+        self.dimension = self.counts()[FREE]
 
     def counts(self):
         tally = {FREE: 0, DETERMINED: 0, AUTO_VANISHING: 0}

@@ -11,9 +11,9 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .brieskorn import step_rules
+from .brieskorn import reduce_class, reduce_monomial, step_rules
 from .groebner import buchberger_with_cofactors, divide, standard_monomials
-from .mpoly import MPoly, WeightSystem, grevlex_key, monomial_divides
+from .mpoly import MPoly, WeightSystem, grevlex_key
 
 
 class EulerIdentityViolated(Exception):
@@ -51,9 +51,11 @@ class SingularityData:
 
     Attributes: f, weights, s, partials, groebner, std (standard
     monomials), mu, basis (Milnor basis, degree-sorted), degrees,
-    basis_mat / basis_inv (coordinates of basis vs standard monomials),
-    hessian socle coefficient, plus a reduction cache used by the
-    Brieskorn-lattice module.
+    basis_inv (per standard monomial, the nonzero (i, value) entries of
+    its row: its coordinates in the basis), residue_scale, and mono_cache,
+    the Brieskorn-lattice reductions of monomials. The cached reductions
+    hold coordinates in the installed basis, so installing a basis
+    empties the cache.
     """
 
     mode = "poly"
@@ -78,7 +80,6 @@ class SingularityData:
         self.mu = len(self.std)
         self._install_basis([MPoly.monomial(self.variables, e)
                              for e in self._sorted_std()])
-        self.mono_cache = {}
         self._finish_residue()
 
     def _check_isolated(self):
@@ -115,16 +116,17 @@ class SingularityData:
                         "basis element %s is not a combination of standard "
                         "monomials" % phi)
                 mat[i][m] = c
-        self.basis_mat = mat
-        self.basis_inv = linalg.mat_inv(mat)
+        self.basis_inv = [[(i, v) for i, v in enumerate(row) if v]
+                          for row in linalg.mat_inv(mat)]
+        self.mono_cache = {}
         for i in range(self.mu):
             if self.degrees[i] + self.degrees[self.mu - 1 - i] != self.s:
                 raise DegeneratePairing(
                     "degree duality d_%d + d_%d != s" % (i + 1, self.mu - i))
 
     def _finish_residue(self):
-        hess = hessian_det(self.f)
-        coords = self.coords(self.normal_form(hess).terms)
+        hess = reduce_class(self, hessian_det(self.f))
+        coords = hess.coeffs.get(0, [0] * self.mu)
         for i, c in enumerate(coords[:-1]):
             if c:
                 raise DegeneratePairing(
@@ -132,7 +134,6 @@ class SingularityData:
                     "socle" % (i + 1))
         if not coords[-1]:
             raise DegeneratePairing("Hessian reduces to zero; pairing degenerate")
-        self.hess_socle_coeff = coords[-1]
         self.residue_scale = Fraction(self.mu) / coords[-1]
 
     # -- quotient-ring arithmetic -------------------------------------
@@ -144,30 +145,25 @@ class SingularityData:
     def coords(self, terms):
         """Coordinates in the Milnor basis of a fully reduced polynomial,
         given by its terms {exponent: coefficient}."""
-        sigma = self._std_coeffs(terms)
-        inv = self.basis_inv
-        return [sum(sigma[m] * inv[m][i] for m in range(self.mu) if sigma[m])
-                for i in range(self.mu)]
-
-    def _std_coeffs(self, terms):
-        """Coefficients of a fully reduced polynomial, given by its terms,
-        on the standard monomials."""
-        sigma = [Fraction(0)] * self.mu
+        out = [Fraction(0)] * self.mu
         for exp, c in terms.items():
             m = self.std_index.get(exp)
             if m is None:
                 raise ValueError("%s is not reduced"
                                  % MPoly(self.variables, terms))
-            sigma[m] = c
-        return sigma
+            for i, v in self.basis_inv[m]:
+                out[i] += c * v
+        return out
 
     def classical_residue(self, g):
         """Grothendieck residue, normalized so the Hessian has residue mu:
-        the socle (last) coordinate of the normal form of g, read from the
-        last column of basis_inv alone."""
-        sigma = self._std_coeffs(self.normal_form(g).terms)
-        inv = self.basis_inv
-        socle = sum(sigma[m] * inv[m][-1] for m in range(self.mu) if sigma[m])
+        the socle (last) coordinate of the t^0 part of the reduced class of
+        g, which is the normal form of g."""
+        socle = 0
+        for exp, c in g.terms.items():
+            vec = reduce_monomial(self, exp).coeffs.get(0)
+            if vec:
+                socle += c * vec[-1]
         return socle * self.residue_scale
 
     def residue_pairing_matrix(self):
@@ -252,7 +248,6 @@ def orthogonalize_basis(data):
                 "degree slice %s has no partner slice of matching size" % d)
         _fix_slice_pair(data, lower, upper, new_basis)
     data._install_basis(new_basis)
-    data.mono_cache = {}
     data._finish_residue()
     matrix = data.residue_pairing_matrix()
     for i in range(mu):
@@ -287,17 +282,11 @@ def _fix_slice_pair(data, lower, upper, new_basis):
     except linalg.SingularMatrix:
         raise DegeneratePairing(
             "residue pairing degenerate between degree slices")
-    reversal = [[Fraction(1) if a + b == k - 1 else Fraction(0)
-                 for b in range(k)] for a in range(k)]
-    # Solve gram * X^T = J for the upper-slice recombination X.
-    xt = linalg.mat_mul(inv, reversal)
+    # Solve gram * X^T = J (J the reversal) for the upper-slice
+    # recombination X: X^T = gram^-1 J is gram^-1 with its columns reversed.
     old = [new_basis[u] for u in upper]
     for c in range(k):
-        combo = MPoly.zero(data.variables)
-        for b in range(k):
-            if xt[b][c]:
-                combo = combo + xt[b][c] * old[b]
-        new_basis[upper[c]] = combo
+        new_basis[upper[c]] = _combine([row[k - 1 - c] for row in inv], old)
 
 
 def _fix_middle_slice(data, idxs, new_basis):
@@ -314,11 +303,16 @@ def _fix_middle_slice(data, idxs, new_basis):
     vectors = _hyperbolic_reduce(gram)
     old = [new_basis[i] for i in idxs]
     for c, vec in enumerate(vectors):
-        combo = MPoly.zero(data.variables)
-        for b, coeff in enumerate(vec):
-            if coeff:
-                combo = combo + coeff * old[b]
-        new_basis[idxs[c]] = combo
+        new_basis[idxs[c]] = _combine(vec, old)
+
+
+def _combine(coeffs, polys):
+    """sum_b coeffs[b] * polys[b], skipping zero coefficients."""
+    combo = MPoly.zero(polys[0].variables)
+    for coeff, poly in zip(coeffs, polys):
+        if coeff:
+            combo = combo + coeff * poly
+    return combo
 
 
 def _hyperbolic_reduce(gram):

@@ -172,12 +172,6 @@ class UnfoldingData:
             self._exp_powers = powers
         return self._exp_powers
 
-    def truncate(self, M):
-        """The same unfolding at a smaller truncation order."""
-        coeffs = [c.truncate(M) for c in self.coeffs]
-        return UnfoldingData(self.base, M, list(self.indices),
-                             list(self.u_names), coeffs, self.override)
-
 
 def build_unfolding(base, N, mask=None, overrides=None, u_names=None):
     """Construct the truncated universal unfolding.

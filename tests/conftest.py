@@ -85,10 +85,10 @@ ORACLE_ZOO = [
 ]
 
 
-def analyze_oracle_case(case):
+def analyze_oracle_case(case, orthogonalize=True):
     f, variables, weights = case
     return analyze(parse_poly(f, variables),
-                   [Fraction(q) for q in weights])
+                   [Fraction(q) for q in weights], orthogonalize)
 
 
 def monomials_up_to(data, degree):

@@ -28,6 +28,9 @@ def bench_modules():
     ("socle-deep", "elliptic-socle/N60/c81=1"),
     ("milnor-zoo", "library:A2"),
     ("milnor-zoo", "analyze:A2"),
+    # the only zoo singularity whose orthogonalized basis is not monomial
+    ("milnor-zoo", "library:x6+y6+x3y3"),
+    ("milnor-zoo", "analyze:x6+y6+x3y3"),
 ])
 def test_bench_job_passes_its_check(bench_modules, tmp_path, workload, name):
     workloads, tracing = bench_modules

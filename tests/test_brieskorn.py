@@ -6,6 +6,7 @@ import pytest
 from saitoforms.brieskorn import ReducedClass, reduce_class, reduce_monomial
 from saitoforms.groebner import divide
 from saitoforms.mpoly import MPoly
+from saitoforms.singularity import orthogonalize_basis
 
 from conftest import (ORACLE_ZOO, analyze_oracle_case, make_a,
                       monomials_up_to)
@@ -141,3 +142,28 @@ def test_reduce_monomial_matches_cofactor_reference(case):
     rng = random.Random(len(sample))
     for exp in rng.sample(sample, min(len(sample), 25)):
         assert reduce_monomial(data, exp) == _reference_reduction(data, exp)
+
+
+BASIS_CHANGING = [c for c in ORACLE_ZOO
+                  if c[0] in ("x^3*y + y^3*z + z^3*x", "x^6 + y^6 + x^3*y^3")]
+
+
+@pytest.mark.parametrize("case", BASIS_CHANGING,
+                         ids=[c[0] for c in BASIS_CHANGING])
+def test_reduction_cache_is_in_the_installed_basis(case):
+    # Installing a basis empties mono_cache. Both analyze and the Gram
+    # blocks of the orthogonalization fill it in the sorted monomial basis;
+    # so does a sweep over a data set before it is orthogonalized. Every
+    # entry left afterwards must be the reduction in the final basis.
+    data = analyze_oracle_case(case)
+    swept = analyze_oracle_case(case, orthogonalize=False)
+    for exp in monomials_up_to(swept, swept.s):
+        reduce_monomial(swept, exp)
+    orthogonalize_basis(swept)
+    assert [str(b) for b in swept.basis] == [str(b) for b in data.basis]
+    for d in (data, swept):
+        cached = dict(d.mono_cache)
+        assert cached
+        d.mono_cache = {}
+        for exp, red in cached.items():
+            assert red == reduce_monomial(d, exp)

@@ -245,8 +245,9 @@ def test_residue_matrix_zoo_anti_diagonal(e12, e13, elliptic):
 
 
 def test_classical_residue_is_socle_coordinate(e12, e13, elliptic):
-    # classical_residue reads only the socle column of basis_inv; the
-    # oracle is the last of all mu coordinates of the normal form.
+    # classical_residue reads the t^0 part of the cached Brieskorn
+    # reduction; the oracle is the last of all mu coordinates of the
+    # normal form from groebner.divide.
     rng = random.Random(5)
     for data in _residue_zoo(e12, e13, elliptic):
         basis = data.basis

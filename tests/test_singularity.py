@@ -121,6 +121,12 @@ def test_normal_form_coords_roundtrip(e6_cusp):
     assert acc == rem
 
 
+def test_coords_rejects_a_polynomial_that_is_not_reduced(e6_cusp):
+    # x^2 is a leading monomial of the Groebner basis of (3x^2, 4y^3)
+    with pytest.raises(ValueError, match="is not reduced"):
+        e6_cusp.coords({(2, 0): Fraction(1), (0, 1): Fraction(2)})
+
+
 def test_basis_monomial_degrees(e12):
     ws = e12.weights
     for b, d in zip(e12.basis, e12.degrees):
