@@ -9,9 +9,9 @@ from .singularity import (DegeneratePairing, EulerIdentityViolated,
                           SingularityData, analyze, orthogonalize_basis,
                           validate)
 from .brieskorn import ReducedClass, ReductionGuardError, reduce_class
-from .unfolding import (GradingViolation, OppositeFiltration, UnfoldingData,
-                        UnfoldRingElem, build_unfolding, exp_series,
-                        oscillator_matrices)
+from .unfolding import (GradingViolation, InvalidOverride,
+                        OppositeFiltration, UnfoldingData, UnfoldRingElem,
+                        build_unfolding, exp_series, oscillator_matrices)
 from .primitive import (PrimitiveForm, primitive_form, verify_class_equal,
                         verify_primitive)
 from .moduli import ModuliReport, dimension_D, moduli_report, y_constraints
@@ -25,6 +25,7 @@ __all__ = [
     "ReducedClass", "ReductionGuardError", "reduce_class",
     "UnfoldRingElem", "exp_series",
     "UnfoldingData", "OppositeFiltration", "GradingViolation",
+    "InvalidOverride",
     "build_unfolding", "oscillator_matrices",
     "PrimitiveForm", "primitive_form", "verify_primitive",
     "verify_class_equal",

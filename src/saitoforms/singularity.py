@@ -230,7 +230,8 @@ def orthogonalize_basis(data):
     permutations) so the residue pairing matrix becomes exactly
     anti-diagonal: res(phi_i phi_j) = 0 unless i + j = mu + 1.
 
-    Mutates and returns data."""
+    Mutates and returns data. A basis that no slice changes stays
+    installed, with its warm reduction cache."""
     mu, s = data.mu, data.s
     slices = {}
     for i, d in enumerate(data.degrees):
@@ -247,8 +248,9 @@ def orthogonalize_basis(data):
             raise DegeneratePairing(
                 "degree slice %s has no partner slice of matching size" % d)
         _fix_slice_pair(data, lower, upper, new_basis)
-    data._install_basis(new_basis)
-    data._finish_residue()
+    if new_basis != data.basis:
+        data._install_basis(new_basis)
+        data._finish_residue()
     matrix = data.residue_pairing_matrix()
     for i in range(mu):
         for j in range(mu):

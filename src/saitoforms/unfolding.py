@@ -1,9 +1,23 @@
 """Universal unfoldings, opposite-filtration basis changes, and
 oscillator matrices.
 
-The unfolding F = f + sum_j psi_j(u) phi_j is truncated at total
-u-degree N. Oscillator matrices A^(k)(u) collect the t^k component of
-the reduced classes e^((F-f)/t) Phi_i = sum_{j,k} A^(k)_ij t^k Phi_j.
+The unfolding F = f + sum_l psi_l(u_l) phi_l is truncated at total
+u-degree N; psi_l(u_l) = u_l unless an override replaces it by a series
+in u_l alone with no constant term. Oscillator matrices A^(k)(u) collect
+the t^k component of the reduced classes
+e^((F-f)/t) Phi_i = sum_{j,k} A^(k)_ij t^k Phi_j.
+
+The oscillating projection runs in u-monomial order. Each factor
+expands as e^(psi_l(u_l) phi_l/t) = sum_n u_l^n Q_{l,n}, so
+e^((F-f)/t) = sum_alpha u^alpha P_alpha with P_alpha = prod_l
+Q_{l,alpha_l}, a polynomial in z and 1/t with Fraction coefficients;
+for psi_l = u_l it is t^(-|alpha|) prod_l phi_l^alpha_l / alpha_l!.
+An input class h = sum_beta u^beta h_beta then projects to
+sum_gamma u^gamma sum_{alpha+beta=gamma} [P_alpha h_beta]: every
+coefficient is a plain Fraction until the ring entries are built, once,
+at the end. With a floor on the t-powers two cuts keep the work to what
+lands at or above it: a z-term cut on each product and, from the
+grading, an exact cut on alpha itself (see oscillating_projection).
 """
 
 import math
@@ -18,6 +32,13 @@ from .mpoly import MPoly
 
 class GradingViolation(Exception):
     pass
+
+
+class InvalidOverride(ValueError):
+    """An override whose coefficient psi_l(u_l) has a constant term or
+    involves another u: the truncation of e^((F-f)/t) at u-degree N and
+    the per-variable expansion of the projection both need psi_l in the
+    maximal ideal of Q[u_l]."""
 
 
 @cache
@@ -111,22 +132,20 @@ class OppositeFiltration:
                              for e, c in self.base.basis[j].terms.items()}))
         return out
 
-    def coords_to_upper(self, reduced):
-        """Rewrite a reduced class from phi coordinates into Phi
-        coordinates: right-multiplication by the inverse basis change,
-        whose (l, j) slot carries t^(d_l - d_j)."""
+    def coords_to_upper(self, slots):
+        """Rewrite {(k, l): {gamma: c}}, the u^gamma coefficients of
+        t^k phi_l, into Phi coordinates: right-multiplication by the
+        inverse basis change, whose (l, j) slot carries t^(d_l - d_j)."""
         mu = self.base.mu
-        out = ReducedClass(mu)
-        for k, vec in reduced.coeffs.items():
-            for l in range(mu):
-                if not vec[l]:
-                    continue
-                for j in range(mu):
-                    if self.inv[l][j]:
-                        tgt = out.coeffs.setdefault(
-                            k + self.t_power(l, j), [0] * mu)
-                        tgt[j] = tgt[j] + vec[l] * self.inv[l][j]
-        return out.compress()
+        out = {}
+        for (k, l), poly in slots.items():
+            for j in range(mu):
+                w = self.inv[l][j]
+                if w:
+                    tgt = out.setdefault((k + self.t_power(l, j), j), {})
+                    for gamma, c in poly.items():
+                        tgt[gamma] = tgt.get(gamma, 0) + c * w
+        return out
 
 
 class UnfoldingData:
@@ -140,6 +159,9 @@ class UnfoldingData:
         self.nu = len(indices)
         self.coeffs = coeffs          # ring element per index
         self.override = override
+        # psi_l as {power: coefficient}; each coefficient involves u_l only
+        self.series = [{exp[pos]: c for exp, c in coeff.terms.items()}
+                       for pos, coeff in enumerate(coeffs)]
         self.deg_u = [1 - base.degrees[j] for j in indices]
         self.f_diff = {}              # z-exponent -> ring element, F - f
         for j, coeff in zip(indices, coeffs):
@@ -161,7 +183,11 @@ class UnfoldingData:
         return sum(d * e for d, e in zip(self.deg_u, exp))
 
     def exp_powers(self):
-        """[(F-f)^k / k! as z-exp -> ring dicts, k = 0..N]."""
+        """[(F-f)^k / k! as z-exp -> ring dicts, k = 0..N].
+
+        No library code reads this table: oscillating_projection expands
+        e^((F-f)/t) by u-monomial instead. Only the benchmark's traced
+        mode times it and counts its terms."""
         if self._exp_powers is None:
             powers = [{tuple([0] * self.base.n): self.ring_one()}]
             f_diff = self.f_diff.items()
@@ -199,10 +225,28 @@ def build_unfolding(base, N, mask=None, overrides=None, u_names=None):
         var = UnfoldRingElem(nu, N, {exp: 1})
         fn = (overrides or {}).get(j + 1)
         if fn is not None:
-            var = fn(var)
+            var = _checked_override(fn(var), var, j + 1, pos)
             override = True
         coeffs.append(var)
     return UnfoldingData(base, N, indices, u_names, coeffs, override)
+
+
+def _checked_override(value, var, index, pos):
+    """An override's coefficient psi(u), checked to lie in the maximal
+    ideal of Q[u] for its own variable u = var (see InvalidOverride)."""
+    if not isinstance(value, MPoly) or value.variables != var.variables \
+            or value.order != var.order:
+        raise InvalidOverride("the override for phi_%d must return an "
+                              "element of the unfolding ring, got %r"
+                              % (index, value))
+    if value.constant_term():
+        raise InvalidOverride("the override for phi_%d has the nonzero "
+                              "constant term %s" % (index,
+                                                    value.constant_term()))
+    if any(e for exp in value.terms for i, e in enumerate(exp) if i != pos):
+        raise InvalidOverride("the override for phi_%d involves a u-variable "
+                              "other than its own: %s" % (index, value))
+    return value
 
 
 class OscillatorData:
@@ -275,49 +319,197 @@ def oscillator_matrices(unf, c=None, prune=True):
 def oscillating_projection(unf, classes, filtration, floor=None):
     """Reduced classes of e^((F-f)/t) * h in Phi(c) coordinates, one per
     class h, each given as (t0, {z_exp: coefficient}) terms meaning
-    sum t^t0 * coefficient * z^z_exp.
+    sum t^t0 * coefficient * z^z_exp; a coefficient is a Fraction or a
+    ring element.
+
+    The work runs in u-monomial order (see the module docstring). Each
+    ring coefficient is split into its u-monomials beta on entry. Each
+    alpha with |alpha| <= N is visited once, depth-first over
+    non-decreasing index sequences; P_alpha is built once, as P at alpha
+    without its last variable l times Q_{l,alpha_l}, the Q_{l,n} coming
+    once per call from their recurrence (see _series_terms). The
+    products P_alpha h_beta are reduced through the monomial cache into
+    Fraction sums per (t^k, phi_j, u^(alpha+beta)).
 
     With a floor only the t-powers k >= floor are computed and kept.
-    Reducing z^m gives t-powers of at most deg(m) in either basis, since
-    basis degrees are >= 0, so in polynomial mode a z-term e of
-    (F-f)^K/K! is skipped when deg(e) + maxdeg(h) + t0 - K < floor. In
-    both modes coords_to_upper lifts a t-power by at most
-    filtration.lift, so reduced t-powers below floor - lift are skipped
-    before any ring multiplication, and what still lands below floor is
-    dropped.
+    Reducing z^e gives t-powers of at most deg(e) in either basis, since
+    basis degrees are >= 0. So in polynomial mode a term z^e t^(-m) of
+    P_alpha is skipped against a term group (t0, h_beta) when
+    deg(e) - m + top(h_beta) + t0 < floor, top being the largest degree
+    in h_beta, before any product is formed. For psi_l = u_l, P_alpha
+    is homogeneous with deg(e) - m = -wdeg(alpha),
+    wdeg(alpha) = sum alpha_l (1 - d_l), so this is an exact cut on
+    alpha, and a subtree is pruned when even
+    wdeg(alpha) + (N - |alpha|) min(0, min deg u) leaves every group
+    below the floor. In both modes coords_to_upper lifts a t-power by at
+    most filtration.lift, so reduced t-powers below floor - lift are
+    skipped, and what still lands below floor is dropped.
     """
     base = unf.base
-    powers = unf.exp_powers()
+    mu, nu, N = base.mu, unf.nu, unf.N
     graded = floor is not None and not unf.laurent
-    if graded:
-        scale, weights = _integer_scale(base.weights)
-        z_degrees = [[_dot(weights, e) for e in power] for power in powers]
-    skip = None if floor is None else floor - filtration.lift
-    out = []
-    for terms in classes:
-        acc = ReducedClass(base.mu)
-        for t0, h in terms:
-            if not h:
+    scale, weights = (1, None) if unf.laurent else \
+        _integer_scale(base.weights)
+    skip = -math.inf if floor is None else floor - filtration.lift
+    groups = []
+    for i, terms in enumerate(classes):
+        for (t0, beta), h in _split_by_u(terms, nu).items():
+            # the smallest scaled deg(e) - m of a P_alpha term to keep
+            cut = (floor - t0) * scale - max(_dot(weights, e) for e in h) \
+                if graded else -math.inf
+            groups.append((i, t0, beta, sum(beta), list(h.items()), cut))
+    # per variable l: the scaled degree step of one more phi_l / t, and
+    # Q_{l,n} for n = 0..N
+    rises = [int(-d * scale) for d in unf.deg_u]
+    qs = [_series_terms(list(base.basis[j].terms.items()), psi, rise, N)
+          for j, psi, rise in zip(unf.indices, unf.series, rises)]
+    # without overrides P_alpha is homogeneous and one more u raises
+    # its degree by at most climb, so no alpha below a pruned one can pass
+    prune = graded and not unf.override
+    lowest = min((g[-1] for g in groups), default=0)
+    climb = max([0] + rises)
+    acc = [{} for _ in classes]     # per class: (k, j) -> {gamma: Fraction}
+    reductions = {}
+
+    # depth first over alpha as non-decreasing index sequences; each
+    # P_alpha maps (m, scaled deg(e) - m) to the z-terms of its t^(-m)
+    # part, and prefix is P at alpha with alpha_last set to 0
+    one = {(0, 0): {(0,) * base.n: Fraction(1)}}
+    stack = [((0,) * nu, 0, 0, one, one)] if groups else []
+    while stack:
+        alpha, size, last, prefix, P = stack.pop()
+        top = max((d for _, d in P), default=-math.inf)
+        if prune and top + (N - size) * climb < lowest:
+            continue
+        for i, t0, beta, bsize, h, cut in groups:
+            if size + bsize > N or top < cut:
                 continue
-            if graded:
-                top = max(_dot(weights, e) for e in h)
-            for K, power in enumerate(powers):
-                items = power.items()
-                if graded:
-                    cut = (floor + K - t0) * scale - top
-                    items = [t for t, d in zip(items, z_degrees[K])
-                             if d >= cut]
-                for exp, coeff in z_product(items, h.items()).items():
-                    if coeff:
-                        acc.add_scaled(reduce_monomial(base, exp), coeff,
-                                       t0 - K, skip)
-        acc.compress()
+            local = {}
+            for (m, d), poly in P.items():
+                if d < cut:
+                    continue
+                shift = t0 - m
+                for e, c in z_product(poly.items(), h).items():
+                    if not c:
+                        continue
+                    red = reductions.get(e)
+                    if red is None:
+                        red = reductions[e] = _sparse(reduce_monomial(base, e))
+                    for k, row in red:
+                        k += shift
+                        if k < skip:
+                            break
+                        for j, v in row:
+                            key = (k, j)
+                            prior = local.get(key)
+                            local[key] = c * v if prior is None \
+                                else prior + c * v
+            if local:
+                gamma = tuple(map(add, alpha, beta))
+                slots = acc[i]
+                for key, c in local.items():
+                    slot = slots.get(key)
+                    if slot is None:
+                        slots[key] = {gamma: c}
+                    else:
+                        prior = slot.get(gamma)
+                        slot[gamma] = c if prior is None else prior + c
+        if size < N:
+            for l in range(last, nu):
+                # P at alpha + e_l is P at alpha without its u_l part
+                # times Q_{l,alpha_l+1}
+                before = prefix if l == last else P
+                n = alpha[l] + 1
+                stack.append((alpha[:l] + (n,) + alpha[l + 1:], size + 1, l,
+                              before, _times(before, qs[l][n])))
+
+    out = []
+    zero = unf.ring_zero()
+    for slots in acc:
         if not filtration.is_trivial():
-            acc = filtration.coords_to_upper(acc)
-            if floor is not None:
-                acc.coeffs = {k: vec for k, vec in acc.coeffs.items()
-                              if k >= floor}
-        out.append(acc)
+            slots = filtration.coords_to_upper(slots)
+        rows = {}
+        for (k, j), poly in slots.items():
+            if floor is None or k >= floor:
+                # gamma has |gamma| <= N and every c is a Fraction
+                elem = zero._like({g: c for g, c in poly.items() if c})
+                if elem:
+                    rows.setdefault(k, [zero] * mu)[j] = elem
+        out.append(ReducedClass(mu, rows))
+    return out
+
+
+def _sparse(reduced):
+    """A reduced class as [(k, [(j, v) nonzero])], highest k first."""
+    return [(k, [(j, v) for j, v in enumerate(vec) if v])
+            for k, vec in sorted(reduced.coeffs.items(), reverse=True)]
+
+
+def _split_by_u(terms, nu):
+    """(t0, {z_exp: coefficient}) terms as {(t0, beta): {z_exp: c}},
+    beta running over the u-monomials of the ring coefficients."""
+    out = {}
+    constant = (0,) * nu
+    for t0, h in terms:
+        for e, coeff in h.items():
+            parts = coeff.terms.items() if isinstance(coeff, MPoly) \
+                else ((constant, coeff),)
+            for beta, c in parts:
+                poly = out.setdefault((t0, beta), {})
+                poly[e] = poly.get(e, 0) + c
+    return _nonzero(out)
+
+
+def _series_terms(phi, psi, rise, N):
+    """[Q_0, ..., Q_N] of e^(psi(u) phi / t) = sum_n u^n Q_n, for
+    psi = sum_k p_k u^k given as {k: p_k}, by the recurrence
+    Q_n = (phi / (n t)) sum_{k=1..n} k p_k Q_(n-k), the u^(n-1)
+    coefficient of d/du e^(psi phi/t) = psi'(u) (phi/t) e^(psi phi/t).
+    For psi = u it gives Q_n = phi^n / (n! t^n). Each Q_n maps
+    (m, scaled deg(e) - m) to the z-terms of its t^(-m) part; one more
+    phi / t raises that degree by rise."""
+    out = [{(0, 0): {(0,) * len(phi[0][0]): Fraction(1)}}]
+    for n in range(1, N + 1):
+        q = {}
+        for k, p in psi.items():
+            if k <= n:
+                factor = [(e, c * k * p / n) for e, c in phi]
+                for (m, d), poly in out[n - k].items():
+                    _accumulate(q, (m + 1, d + rise),
+                                z_product(poly.items(), factor))
+        out.append(_nonzero(q))
+    return out
+
+
+def _times(a, b):
+    """The product of two polynomials in z and 1/t, each given as
+    {(m, scaled deg(e) - m): {z_exp: c}}."""
+    out = {}
+    for (m1, d1), p1 in a.items():
+        for (m2, d2), p2 in b.items():
+            _accumulate(out, (m1 + m2, d1 + d2),
+                        z_product(p1.items(), p2.items()))
+    return _nonzero(out)
+
+
+def _accumulate(polys, key, part):
+    """polys[key] += part, for z-exponent -> c dicts."""
+    prior = polys.get(key)
+    if prior is None:
+        polys[key] = part
+    else:
+        for e, c in part.items():
+            c0 = prior.get(e)
+            prior[e] = c if c0 is None else c0 + c
+
+
+def _nonzero(polys):
+    """{key: {z_exp: c}} without its zero coefficients and empty parts."""
+    out = {}
+    for key, poly in polys.items():
+        poly = {e: c for e, c in poly.items() if c}
+        if poly:
+            out[key] = poly
     return out
 
 
@@ -352,12 +544,16 @@ def _check_grading(osc):
     mu = unf.base.mu
     scale, ints = _integer_scale(unf.base.degrees + unf.deg_u)
     degrees, deg_u = ints[:mu], ints[mu:]
+    memo = {}
     for k, m in osc.matrices.items():
         for i, row in enumerate(m):
             for j, elem in enumerate(row):
                 want = degrees[i] - degrees[j] - k * scale
                 for exp in elem.terms:
-                    if sum(d * e for d, e in zip(deg_u, exp)) != want:
+                    degree = memo.get(exp)
+                    if degree is None:
+                        degree = memo[exp] = _dot(deg_u, exp)
+                    if degree != want:
                         raise GradingViolation(
                             "off-grade term u^%r in A^(%d)[%d][%d]"
                             % (exp, k, i + 1, j + 1))

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from saitoforms.brieskorn import ReducedClass, reduce_monomial
 from saitoforms.mpoly import MPoly
 from saitoforms.parsing import parse_poly
 from saitoforms.singularity import P1MirrorData, analyze
+from saitoforms.unfolding import z_product
 
 
 def var(name, variables):
@@ -99,6 +101,55 @@ def monomials_up_to(data, degree):
                  for k in range(int(degree / q) + 1)]
     return [e for e in found
             if data.weights.degree_of_exponent(e) <= degree]
+
+
+# --- the oscillating projection in ring order -------------------------
+
+def ring_order_projection(unf, classes, filtration, floor=None):
+    """oscillating_projection computed the other way round, as an oracle:
+    each z-term of (F-f)^K/K! from unf.exp_powers(), a ring element,
+    times each class term through z_product, every product monomial
+    reduced with its ring coefficient, then the phi coordinates rewritten
+    into Phi(c) coordinates. With a floor it makes the ring-order cuts: a
+    z-term of (F-f)^K/K! whose products all reduce below the floor, and a
+    reduced t-power below floor - filtration.lift, are skipped."""
+    base = unf.base
+    mu = base.mu
+    graded = floor is not None and base.mode != "laurent"
+    if graded:
+        scale = math.lcm(*(q.denominator for q in base.weights))
+
+        def degree(e):
+            return sum(int(q * scale) * x for q, x in zip(base.weights, e))
+    skip = None if floor is None else floor - filtration.lift
+    out = []
+    for terms in classes:
+        acc = ReducedClass(mu)
+        for t0, h in terms:
+            if not h:
+                continue
+            h = list(h.items())
+            for K, power in enumerate(unf.exp_powers()):
+                items = list(power.items())
+                if graded:
+                    top = max(degree(e) for e, _ in h)
+                    items = [(e, c) for e, c in items if degree(e) + top
+                             >= (floor + K - t0) * scale]
+                for exp, coeff in z_product(items, h).items():
+                    if coeff:
+                        acc.add_scaled(reduce_monomial(base, exp), coeff,
+                                       t0 - K, skip)
+        upper = {}
+        for k, vec in acc.coeffs.items():
+            for l, x in enumerate(vec):
+                for j, w in enumerate(filtration.inv[l]):
+                    if x and w:
+                        row = upper.setdefault(k + filtration.t_power(l, j),
+                                               [unf.ring_zero()] * mu)
+                        row[j] = row[j] + x * w
+        out.append(ReducedClass(mu, {k: row for k, row in upper.items()
+                                     if floor is None or k >= floor}))
+    return out
 
 
 # --- series oracles for the simple elliptic family ---------------------

@@ -7,12 +7,15 @@ from saitoforms.mpoly import MPoly
 from saitoforms.primitive import (
     _as_t_rpolys, primitive_form, verify_class_equal, verify_primitive,
 )
+from saitoforms.singularity import P1MirrorData
 from saitoforms.unfolding import (
-    OppositeFiltration, build_unfolding, oscillating_projection,
+    OppositeFiltration, UnfoldingData, build_unfolding, exp_series,
+    oscillating_projection, positive_bound,
 )
 
 from conftest import (
-    elliptic_g, elliptic_h, make_a, series_reciprocal, series_sub,
+    elliptic_g, elliptic_h, make_a, ring_order_projection, series_reciprocal,
+    series_sub,
 )
 
 
@@ -135,3 +138,65 @@ def test_verify_lists_mismatches_by_t_then_basis(e12):
     assert keys == sorted(keys)
     assert report.mismatches == \
         verify_primitive(unf, _e12_rep(unf, late_first=False)).mismatches
+
+
+def _e12_mislabeled(unf):
+    # the E12 series of the source paper on 1, x, x^2 instead of 1, y, y^2
+    def elem(terms):
+        out = {}
+        for spec, c in terms.items():
+            exp = [0] * 12
+            for idx, e in spec:
+                exp[idx - 1] = e
+            out[tuple(exp)] = Fraction(*c)
+        return UnfoldRingElem(12, unf.N, out)
+
+    v = unf.base.variables
+    x = MPoly.variable("x", v)
+    return [(0, MPoly.constant(v, 1),
+             elem({(): (1, 1), ((11, 1), (12, 2)): (4, 147),
+                   ((10, 1), (12, 5)): (-76, 21609),
+                   ((11, 2), (12, 4)): (-64, 7203)})),
+            (0, x, elem({((12, 3),): (1, 49),
+                         ((11, 1), (12, 5)): (-101, 12005)})),
+            (0, x * x, elem({((12, 6),): (-53, 21609)}))]
+
+
+@pytest.mark.parametrize("case", ["one", "mislabeled", "pf"])
+def test_projection_of_representatives_matches_ring_order_oracle(
+        e12, elliptic, case):
+    # ring coefficients split into u-monomials agree with ring products
+    if case == "pf":
+        unf = build_unfolding(elliptic, 4)
+        c = {(8, 1): Fraction(2)}
+        rep = primitive_form(unf, c=c)
+    else:
+        unf = build_unfolding(e12, 5)
+        c = None
+        rep = MPoly.constant(e12.f.variables, 1) if case == "one" \
+            else _e12_mislabeled(unf)
+    filt = OppositeFiltration(unf.base, c)
+    classes = [_as_t_rpolys(unf, rep)]
+    a = positive_bound(unf.base, unf.N)
+    for floor in (None, -a, 0):
+        assert oscillating_projection(unf, classes, filt, floor) == \
+            ring_order_projection(unf, classes, filt, floor), floor
+    assert bool(verify_primitive(unf, rep, c=c)) == (case == "pf")
+
+
+def test_primitive_form_and_verify_never_build_exp_powers(
+        monkeypatch, e12, elliptic):
+    def refuse(self):
+        raise AssertionError("exp_powers called")
+
+    monkeypatch.setattr(UnfoldingData, "exp_powers", refuse)
+    p1 = build_unfolding(P1MirrorData(2), 6, u_names=["u0", "u1"],
+                         overrides={2: lambda u: exp_series(u) - 1})
+    for unf, c in ((build_unfolding(e12, 4), None),
+                   (build_unfolding(elliptic, 4, mask=[8]),
+                    {(8, 1): Fraction(1)}),
+                   (p1, None)):
+        pf = primitive_form(unf, c=c)
+        assert verify_primitive(unf, pf, c=c)
+        assert not verify_primitive(unf, MPoly.constant(unf.base.variables,
+                                                        2), c=c)

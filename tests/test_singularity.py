@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from saitoforms.brieskorn import _reduce_poly
 from saitoforms.mpoly import MPoly
+from saitoforms.parsing import parse_poly
 from saitoforms.singularity import (
     DegeneratePairing, EulerIdentityViolated, NonIsolatedSingularity,
-    P1MirrorData, _hyperbolic_reduce, analyze, hessian_det, validate,
+    P1MirrorData, SingularityData, _hyperbolic_reduce, analyze, hessian_det,
+    validate,
 )
 
 
@@ -140,3 +143,27 @@ def test_p1_mirror_shape():
     assert data.s == 1
     assert data.degrees == [Fraction(0), Fraction(1)]
     assert data.mode == "laurent"
+
+
+@pytest.mark.parametrize("f, weights, installs", [
+    # E6: the degree-sorted monomial basis is already anti-diagonal
+    ("x^3 + y^4", [Fraction(1, 3), Fraction(1, 4)], 1),
+    # x^6 + y^6 + x^3 y^3: a slice is recombined, so the basis changes
+    ("x^6 + y^6 + x^3*y^3", [Fraction(1, 6)] * 2, 2),
+])
+def test_orthogonalize_installs_only_a_changed_basis(monkeypatch, f, weights,
+                                                     installs):
+    calls = []
+    install = SingularityData._install_basis
+
+    def counting(self, basis):
+        calls.append(basis)
+        install(self, basis)
+
+    monkeypatch.setattr(SingularityData, "_install_basis", counting)
+    data = analyze(parse_poly(f, ("x", "y")), weights)
+    assert len(calls) == installs
+    # the cache that analyze leaves holds reductions in the installed basis
+    assert data.mono_cache
+    for exp, red in data.mono_cache.items():
+        assert red == _reduce_poly(data, exp)

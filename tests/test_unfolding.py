@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,12 +6,13 @@ import pytest
 from saitoforms import P1MirrorData, UnfoldRingElem
 from saitoforms.brieskorn import ReducedClass, reduce_monomial
 from saitoforms.primitive import primitive_form
+from saitoforms.cli import main
 from saitoforms.unfolding import (
-    OppositeFiltration, build_unfolding, exp_series, oscillator_matrices,
-    positive_bound,
+    InvalidOverride, OppositeFiltration, build_unfolding, exp_series,
+    oscillating_projection, oscillator_matrices, positive_bound,
 )
 
-from conftest import make_a
+from conftest import make_a, ring_order_projection
 
 
 def _elem(unf, terms):
@@ -103,17 +105,16 @@ def test_opposite_filtration_validation(elliptic):
 
 def test_upper_basis_reduces_to_unit_vectors(elliptic):
     # Phi_i written over the Milnor basis and read back in Phi(c)
-    # coordinates is the unit vector e_i at t^0
+    # coordinates is the unit vector e_i at t^0: at N = 0 the projection
+    # is the reduction followed by coords_to_upper
     filt = OppositeFiltration(elliptic, {(8, 1): Fraction(3)})
     mu = elliptic.mu
-    for i in range(mu):
-        red = ReducedClass(mu)
-        for t0, h in filt.upper(i):
-            for exp, c in h.items():
-                red.add_scaled(reduce_monomial(elliptic, exp), c, t0)
+    unf = build_unfolding(elliptic, 0)
+    rows = oscillating_projection(unf, [filt.upper(i) for i in range(mu)],
+                                  filt)
+    for i, row in enumerate(rows):
         unit = [Fraction(int(j == i)) for j in range(mu)]
-        assert filt.coords_to_upper(red.compress()) == \
-            ReducedClass(mu, {0: unit})
+        assert row == ReducedClass(mu, {0: unit})
 
 
 @pytest.mark.parametrize("c", [{(0, 1): 1}, {(8, 0): 1}, {(9, 1): 1},
@@ -169,3 +170,43 @@ def test_window_drops_dead_powers(e12):
     assert all(-osc.a <= k <= osc.a for k in osc.matrices)
     assert osc.matrix(-osc.a - 1) == [[unf.ring_zero()] * e12.mu
                                       for _ in range(e12.mu)]
+
+
+@pytest.mark.parametrize("name, N, mask, c", WINDOW_CASES)
+def test_projection_matches_ring_order_oracle(request, name, N, mask, c):
+    unf = _window_unfolding(request, name, N, mask)
+    filt = OppositeFiltration(unf.base, c)
+    classes = [filt.upper(i) for i in range(unf.base.mu)]
+    a = positive_bound(unf.base, N)
+    for floor in (None, -a, 0):
+        assert oscillating_projection(unf, classes, filt, floor) == \
+            ring_order_projection(unf, classes, filt, floor), floor
+
+
+def test_override_with_a_constant_term_is_rejected(e6_cusp):
+    # the (F-f)^K/K! series cut at K = N is exact only for coefficients in
+    # the maximal ideal; before the check this input verified as primitive
+    with pytest.raises(InvalidOverride,
+                       match="phi_2 has the nonzero constant term 1"):
+        build_unfolding(e6_cusp, 3, overrides={2: lambda u: u + 1})
+    assert issubclass(InvalidOverride, ValueError)
+
+
+def test_cross_variable_override_is_rejected(e6_cusp):
+    u1 = UnfoldRingElem(e6_cusp.mu, 3, {(1,) + (0,) * 5: 1})
+    with pytest.raises(InvalidOverride,
+                       match="phi_2 involves a u-variable other than its own"):
+        build_unfolding(e6_cusp, 3, overrides={2: lambda u: u + u1 * u})
+
+
+@pytest.mark.parametrize("command", ["primitive-form", "verify"])
+def test_cli_p1_exponentiated_job_runs(capsys, tmp_path, command):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": command, "N": 6,
+                                "singularity": {"model": "p1", "q": "2"}}))
+    assert main(["--job", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    if command == "verify":
+        assert result == {"verified": True}
+    else:
+        assert result["records"][0]["terms"] == [{"u": "1", "value": "1"}]
