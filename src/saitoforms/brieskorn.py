@@ -17,9 +17,10 @@ most int(d) + 1 passes. The first pass is the division of the monomial
 itself, so the t^0 part of a reduction is its Jacobian-ring normal form:
 SingularityData reads classical residues from it.
 
-Coefficients may be Fractions or truncated unfolding-ring elements; the
-reduction is linear, so per-monomial results are cached with Fraction
-coefficients and scaled as needed.
+Reductions take Fraction coefficients. The reduction is linear, so
+per-monomial results are cached and scaled as needed; callers with
+unfolding-ring coefficients (oscillating_projection, verify_class_equal)
+spread each reduced monomial over the u-monomials of its coefficient.
 """
 
 from fractions import Fraction
@@ -60,10 +61,7 @@ class ReducedClass:
             tgt = self.coeffs.setdefault(k, [Fraction(0)] * self.mu)
             for i, c in enumerate(vec):
                 if c:
-                    # a fresh slot holds Fraction(0): the first product
-                    # replaces it instead of going through Fraction + ring
-                    prior = tgt[i]
-                    tgt[i] = prior + scale * c if prior else scale * c
+                    tgt[i] += scale * c
         return self
 
     def compress(self):

@@ -44,6 +44,12 @@ def _int(x, what, nonnegative=False):
     return x
 
 
+def _bool(x, what):
+    if not isinstance(x, bool):
+        raise JobError("%s must be true or false, got %r" % (what, x))
+    return x
+
+
 def _is_list_of(x, kind):
     return isinstance(x, list) and all(isinstance(v, kind) for v in x)
 
@@ -68,7 +74,8 @@ def _load_singularity(job):
         raise JobError("'weights' must be a list of rationals, got %r"
                        % (weights,))
     weights = WeightSystem([_rat(w) for w in weights])
-    return analyze(f, weights, orthogonalize=spec.get("orthogonalize", True))
+    return analyze(f, weights, orthogonalize=_bool(
+        spec.get("orthogonalize", True), "'orthogonalize'"))
 
 
 def _parse_c(job, args):
@@ -144,7 +151,7 @@ def _build_unfolding(data, job, args):
     u_names = None
     if data.mode == "laurent":
         u_names = ["u0", "u1"]
-        if job.get("exponentiate", True):
+        if _bool(job.get("exponentiate", True), "'exponentiate'"):
             overrides = {2: lambda u: exp_series(u) - 1}
     return build_unfolding(data, n, mask=_mask(job, args),
                            overrides=overrides, u_names=u_names)
@@ -239,7 +246,7 @@ def cmd_pairing(data, job, args):
 def _subst_q(poly, data):
     """Replace the symbolic mirror parameter q by its value."""
     if data.mode != "laurent":
-        return {e[0]: c for e, c in poly.terms.items()}
+        return poly
     out = {}
     for exp, c in poly.terms.items():
         e_z, e_q = exp

@@ -241,7 +241,8 @@ class MPoly:
             new = list(exp)
             new[i] = e - 1
             terms[tuple(new)] = c * e
-        return MPoly(self.variables, terms, self.laurent, self.order)
+        # distinct exponents stay distinct and c * e is nonzero: clean
+        return self._like(terms)
 
     def leading(self):
         """(exponent, coefficient) of the grevlex-largest term."""

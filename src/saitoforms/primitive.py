@@ -147,11 +147,18 @@ def verify_primitive(unf, rep, c=None):
 
 def verify_class_equal(unf, rep_a, rep_b):
     """Equality of two candidate classes in the Brieskorn lattice over
-    the truncated parameter ring (compares canonical reductions)."""
-    diff = ReducedClass(unf.base.mu)
+    the truncated parameter ring (compares canonical reductions). Each
+    z-monomial is reduced once and spread over the u-monomials of its
+    ring coefficient, so the difference is kept as one class with
+    Fraction entries per u-monomial."""
+    diff = {}
     for rep, sign in ((rep_a, 1), (rep_b, -1)):
         for t0, h in _as_t_rpolys(unf, rep):
             for exp, coeff in h.items():
-                diff.add_scaled(reduce_monomial(unf.base, exp),
-                                sign * coeff, t0)
-    return diff.compress().is_zero()
+                red = reduce_monomial(unf.base, exp)
+                for beta, c in coeff.terms.items():
+                    part = diff.get(beta)
+                    if part is None:
+                        part = diff[beta] = ReducedClass(unf.base.mu)
+                    part.add_scaled(red, sign * c, t0)
+    return all(part.compress().is_zero() for part in diff.values())

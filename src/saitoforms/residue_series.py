@@ -14,57 +14,54 @@ Two closed-form kernels are implemented:
   where all rational functions have denominator a power of P = z^2 - q,
   so both residues are computed from exact finite series expansions.
 
-Values are dicts {t_power: Fraction}; by convention K(a,b)(t)
-equals K(b,a)(-t).
+Both kernels run on Laurent MPolys in the one variable z. The A_m step
+is g -> (g z^(-m))'. The P^1 step keeps D^r(a) = num / P^k and maps num
+to (z num + z^2 num') P - 2(k+1) z^3 num; the residues of num / P^k dz
+at 0 and at infinity read one binomial series of (1 - x w)^(-k).
+
+Values are dicts {t_power: Fraction} without zero values; by convention
+K(a,b)(t) equals K(b,a)(-t).
 """
 
 from fractions import Fraction
+from math import comb
 
 from .mpoly import MPoly
 
+_Z = ("z",)
 
-def _as_laurent_dict(h):
+
+def _laurent(h):
+    """A {power: coeff} dict or a one-variable MPoly, as one in z."""
     if isinstance(h, MPoly):
         if len(h.variables) != 1:
             raise ValueError("univariate pairing needs one variable")
-        return {e[0]: c for e, c in h.terms.items()}
-    return {int(e): Fraction(c) for e, c in dict(h).items() if c}
+        terms = h.terms
+    else:
+        terms = {(int(e),): c for e, c in dict(h).items()}
+    return MPoly(_Z, terms, laurent=True)
 
 
-def _lau_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            c = out.get(e, 0) + c1 * c2
-            if c:
-                out[e] = c
-            elif e in out:
-                del out[e]
-    return out
+def _monomial(e, c=1):
+    return MPoly(_Z, {(e,): c}, laurent=True)
 
 
-def _lau_diff(a):
-    return {e - 1: c * e for e, c in a.items() if e}
-
-
-def _lau_shift(a, k):
-    return {e + k: c for e, c in a.items()}
-
-
-def _lau_scale(a, s):
-    return {e: c * s for e, c in a.items()} if s else {}
+def _res0(a, b):
+    """Res_0(a b dz), the z^(-1) coefficient of a * b, read off without
+    forming the product."""
+    b = b.terms
+    return sum((c * b[(-1 - e,)] for (e,), c in a.terms.items()
+                if (-1 - e,) in b), Fraction(0))
 
 
 def higher_residue_Am(h, m, t_order):
     """Closed-form higher residue of a single class in the A_m model."""
-    h = _as_laurent_dict(h)
+    h = _laurent(h)
     out = {}
     product = Fraction(1)
     for r in range(t_order + 1):
         # Res_0(h dz / z^(r(m+1)+m)) is the z^(r(m+1)+m-1) coefficient.
-        coeff = h.get(r * (m + 1) + m - 1, Fraction(0))
-        value = product * coeff * (-1) ** r
+        value = product * h.terms.get((r * (m + 1) + m - 1,), 0) * (-1) ** r
         if value:
             out[r] = value
         product *= m + r * (m + 1)
@@ -73,102 +70,53 @@ def higher_residue_Am(h, m, t_order):
 
 def pairing_univariate_Am(a, b, m, t_order):
     """K(a, b) for the A_m model through order t^t_order."""
-    a = _as_laurent_dict(a)
-    b = _as_laurent_dict(b)
+    g, b = _laurent(a), _laurent(b)
+    shift = _monomial(-m)
     out = {}
-    g = dict(a)
     for r in range(t_order + 1):
-        integrand = _lau_mul(b, _lau_shift(g, -m))
-        value = integrand.get(-1, Fraction(0)) * (-1) ** r
+        g = g * shift
+        value = _res0(b, g) * (-1) ** r
         if value:
             out[r] = value
-        g = _lau_diff(_lau_shift(g, -m))
+        g = g.diff(0)
     return out
 
 
-def _p1_res0(num, q, k):
-    """Res_0 of num / (z^2 - q)^k dz, num a Laurent polynomial."""
-    lo = min(num, default=0)
-    depth = -1 - lo
-    if depth < 0:
-        return Fraction(0)
-    # (z^2 - q)^(-k) = (-q)^(-k) (1 - z^2/q)^(-k)
-    series = {}
-    x = Fraction(1, 1)
-    binom = Fraction(1)
-    j = 0
-    while 2 * j <= depth:
-        series[2 * j] = binom * x
-        j += 1
-        binom = binom * (k + j - 1) / j
-        x /= q
-    scale = Fraction(1) / (-q) ** k
+def _binomial_residue(num, k, x, lead, step):
+    """The z^(-1) coefficient of num z^lead (1 - x z^step)^(-k), by
+    (1 - x w)^(-k) = sum_j binom(k+j-1, j) x^j w^j."""
     total = Fraction(0)
-    for e, c in num.items():
-        s = series.get(-1 - e)
-        if s is not None:
-            total += c * s * scale
+    for (e,), c in num.terms.items():
+        j, off = divmod(-1 - e - lead, step)
+        if not off and j >= 0:
+            total += c * comb(k + j - 1, j) * x ** j
     return total
 
 
-def _p1_res_inf(num, q, k):
-    """Residue at infinity of num / (z^2 - q)^k dz."""
-    hi = max(num, default=0)
-    depth = hi - 2 * k + 1
-    if depth < 0:
-        return Fraction(0)
-    # (z^2 - q)^(-k) = z^(-2k) (1 - q z^(-2))^(-k)
-    series = {}
-    x = Fraction(1)
-    binom = Fraction(1)
-    j = 0
-    while 2 * j <= depth:
-        series[2 * j] = binom * x
-        j += 1
-        binom = binom * (k + j - 1) / j
-        x *= q
-    total = Fraction(0)
-    for e, c in num.items():
-        # coefficient of z^(-1): need e - 2k - 2j == -1
-        s = series.get(e - 2 * k + 1)
-        if s is not None:
-            total += c * s
-    return -total
+def _p1_residues(num, q, k):
+    """(Res_0 + Res_inf)(num / (z^2 - q)^k dz), num a Laurent polynomial:
+    at 0, (z^2 - q)^(-k) = (-q)^(-k) (1 - z^2/q)^(-k); at infinity it is
+    z^(-2k) (1 - q z^(-2))^(-k), and Res_inf is minus the z^(-1)
+    coefficient there."""
+    return _binomial_residue(num, k, 1 / q, 0, 2) / (-q) ** k \
+        - _binomial_residue(num, k, q, -2 * k, -2)
 
 
 def pairing_univariate_p1(a, b, q, t_order):
     """K(a, b) for the P^1 mirror through order t^t_order."""
     q = Fraction(q)
-    a = _as_laurent_dict(a)
-    b = _as_laurent_dict(b)
+    num, b = _laurent(a), _laurent(b)
+    z, z2 = _monomial(1), _monomial(2)
+    P = z2 - q
     out = {}
-    num, k = dict(a), 0          # current D^r(a) = num / P^k
+    k = 0                         # D^r(a) = num / P^k
     for r in range(t_order + 1):
-        integrand = _lau_mul(b, num)
-        value = _p1_res0(integrand, q, k + 1) + _p1_res_inf(integrand, q, k + 1)
+        value = _p1_residues(b * num, q, k + 1)
         if value:
             out[r] = value
-        # D: (num, k) -> ( z(num + z num')P - 2(k+1) z^3 num, k + 2 )
-        zn = _lau_shift(num, 1)
-        zdn = _lau_shift(_lau_mul({0: Fraction(1)}, _lau_diff(num)), 2)
-        part = {}
-        for term in (zn, zdn):
-            for e, c in term.items():
-                c0 = part.get(e, 0) + c
-                if c0:
-                    part[e] = c0
-                elif e in part:
-                    del part[e]
-        p_poly = {2: Fraction(1), 0: -q}
-        new = _lau_mul(part, p_poly)
-        sub = _lau_scale(_lau_shift(num, 3), Fraction(2 * (k + 1)))
-        for e, c in sub.items():
-            c0 = new.get(e, 0) - c
-            if c0:
-                new[e] = c0
-            elif e in new:
-                del new[e]
-        num, k = new, k + 2
+        num = (z * num + z2 * num.diff(0)) * P \
+            + _monomial(3, -2 * (k + 1)) * num
+        k += 2
     return out
 
 

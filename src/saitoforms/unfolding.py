@@ -252,9 +252,10 @@ def _checked_override(value, var, index, pos):
 class OscillatorData:
     """The family A^(k)(u), keyed by the t-powers k that occur.
 
-    By default only the window -a <= k <= a that the Neumann solve reads
-    is kept, in polynomial and Laurent mode alike, and matrix(k) is zero
-    outside it; built with prune=False the family runs down to k = -N.
+    Only the window -a <= k <= a that the Neumann solve reads is kept,
+    in polynomial and Laurent mode alike, and matrix(k) is zero outside
+    it. The whole family down to k = -N is the oscillating projection of
+    the Phi_i with no floor.
     """
 
     def __init__(self, unf, filtration, matrices, a):
@@ -280,13 +281,12 @@ def positive_bound(base, N):
     return max(math.floor(N * (s - 1) + s), math.floor(s))
 
 
-def oscillator_matrices(unf, c=None, prune=True):
+def oscillator_matrices(unf, c=None):
     """Compute the A^(k) family in the Phi(c) basis: row i is the
     oscillating projection of Phi_i.
 
-    With prune (the default) only the t-powers -a <= k <= a that
-    primitive_form reads are computed and kept (see
-    oscillating_projection); prune=False returns every k down to -N.
+    Only the t-powers -a <= k <= a that primitive_form reads are
+    computed and kept (see oscillating_projection).
     """
     base = unf.base
     mu = base.mu
@@ -295,7 +295,7 @@ def oscillator_matrices(unf, c=None, prune=True):
     a = positive_bound(base, unf.N)
     rows = oscillating_projection(
         unf, [filtration.upper(i) for i in range(mu)], filtration,
-        floor=-a if prune else None)
+        floor=-a)
     matrices = {}
     zero = unf.ring_zero()
     for i, row in enumerate(rows):

@@ -7,7 +7,10 @@ from saitoforms.brieskorn import ReducedClass, reduce_monomial
 from saitoforms.mpoly import MPoly
 from saitoforms.parsing import parse_poly
 from saitoforms.singularity import P1MirrorData, analyze
-from saitoforms.unfolding import z_product
+from saitoforms.unfolding import (
+    OppositeFiltration, OscillatorData, oscillating_projection,
+    positive_bound, z_product,
+)
 
 
 def var(name, variables):
@@ -150,6 +153,21 @@ def ring_order_projection(unf, classes, filtration, floor=None):
         out.append(ReducedClass(mu, {k: row for k, row in upper.items()
                                      if floor is None or k >= floor}))
     return out
+
+
+def full_oscillator_family(unf, c=None):
+    """The whole A^(k) family down to k = -N: row i of A^(k) is the t^k
+    part of the oscillating projection of Phi_i with no floor."""
+    filt = OppositeFiltration(unf.base, c)
+    mu = unf.base.mu
+    rows = oscillating_projection(unf, [filt.upper(i) for i in range(mu)],
+                                  filt)
+    matrices = {}
+    for i, row in enumerate(rows):
+        for k, vec in row.coeffs.items():
+            matrices.setdefault(k, [[unf.ring_zero()] * mu
+                                    for _ in range(mu)])[i] = list(vec)
+    return OscillatorData(unf, filt, matrices, positive_bound(unf.base, unf.N))
 
 
 # --- series oracles for the simple elliptic family ---------------------

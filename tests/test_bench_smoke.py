@@ -31,6 +31,11 @@ def bench_modules():
     # the only zoo singularity whose orthogonalized basis is not monomial
     ("milnor-zoo", "library:x6+y6+x3y3"),
     ("milnor-zoo", "analyze:x6+y6+x3y3"),
+    # the pairing kernels against the product formula and the P^1 values;
+    # 5*z^4 is a chain model that is not normalized
+    ("milnor-zoo", "pairing:p1-q2"),
+    ("milnor-zoo", "pairing:1/4*z^4"),
+    ("milnor-zoo", "pairing:5*z^4"),
 ])
 def test_bench_job_passes_its_check(bench_modules, tmp_path, workload, name):
     workloads, tracing = bench_modules

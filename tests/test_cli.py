@@ -229,6 +229,15 @@ def test_c_slot_out_of_range_is_rejected(capsys, tmp_path, singularity,
     ("primitive-form", {"N": 1.5}),
     ("pairing", {"pairs": [["z", "1"]], "t_order": [1]}),
     ("pairing", {"pairs": [["z", "1"]], "t_order": -3}),
+    # "no" used to orthogonalize, "false" to exponentiate
+    ("analyze", {"singularity": {"variables": ["z"], "f": "z^3",
+                                 "weights": ["1/3"], "orthogonalize": "no"}}),
+    ("analyze", {"singularity": {"variables": ["z"], "f": "z^3",
+                                 "weights": ["1/3"], "orthogonalize": 0}}),
+    ("primitive-form", {"singularity": {"model": "p1", "q": "2"}, "N": 2,
+                        "exponentiate": "false"}),
+    ("verify", {"singularity": {"model": "p1", "q": "2"}, "N": 2,
+                "exponentiate": 1}),
 ])
 def test_malformed_job_fields_are_rejected(capsys, tmp_path, command,
                                            fields):
@@ -239,6 +248,27 @@ def test_malformed_job_fields_are_rejected(capsys, tmp_path, command,
     assert code == 2
     assert doc["ok"] is False
     assert doc["error"]["type"] == "JobError"
+
+
+def test_boolean_fields_accept_json_booleans(capsys, tmp_path):
+    # the one zoo singularity whose orthogonalized basis is not monomial
+    sing = {"variables": ["x", "y"], "f": "x^6 + y^6 + x^3*y^3",
+            "weights": ["1/6", "1/6"]}
+    bases = []
+    for value in (True, False):
+        job = {"schema": SCHEMA, "command": "analyze",
+               "singularity": dict(sing, orthogonalize=value)}
+        code, doc = run_cli(capsys, tmp_path, job)
+        assert code == 0
+        bases.append(doc["result"]["basis"])
+    assert "1/2*x^3*y + y^4" in bases[0] and "x*y^3" in bases[1]
+    for value in (True, False):
+        job = {"schema": SCHEMA, "command": "verify", "N": 3,
+               "singularity": {"model": "p1", "q": "2"},
+               "exponentiate": value}
+        code, doc = run_cli(capsys, tmp_path, job)
+        assert code == 0
+        assert doc["result"] == {"verified": True}
 
 
 def test_verify_reports_a_missing_constant_class(capsys, tmp_path):

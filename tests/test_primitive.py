@@ -88,6 +88,23 @@ def test_verify_class_equal_detects_difference(elliptic):
     assert not verify_class_equal(unf, pf, one)
 
 
+def test_verify_class_equal_per_u_monomial(e6_cusp):
+    # [3 x^3] = -t [1] in the lattice of x^3 + y^4, with ring coefficients
+    unf = build_unfolding(e6_cusp, 3)
+    v = e6_cusp.variables
+    x3 = MPoly.monomial(v, (3, 0), 3)
+    minus_one = MPoly.constant(v, -1)
+    u1 = UnfoldRingElem(unf.nu, 3, {(1,) + (0,) * (unf.nu - 1): 1})
+    u2 = UnfoldRingElem(unf.nu, 3, {(0, 1) + (0,) * (unf.nu - 2): 1})
+    coeff = u1 + u2 * u2 * Fraction(2, 3)
+    assert verify_class_equal(unf, [(0, x3, coeff)],
+                              [(1, minus_one, u1), (1, minus_one, coeff - u1)])
+    assert not verify_class_equal(unf, [(0, x3, coeff)],
+                                  [(1, minus_one, coeff + u2 * u1)])
+    # the same class and coefficient sum on different u-monomials
+    assert not verify_class_equal(unf, [(0, x3, u1)], [(0, x3, u2)])
+
+
 def test_quartic_pair_with_splitting_parameter(quartic_pair):
     unf = build_unfolding(quartic_pair, 4, mask=[9])
     for c in (None, {(9, 1): Fraction(2)}):

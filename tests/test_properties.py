@@ -11,7 +11,7 @@ from saitoforms.primitive import assemble_psi, neumann_solve, primitive_form
 from saitoforms.residue_series import pairing_univariate_Am, pairing_univariate_p1
 from saitoforms.unfolding import build_unfolding, oscillator_matrices
 
-from conftest import make_a
+from conftest import full_oscillator_family, make_a
 
 
 def _monomials_of_degree(data, d):
@@ -176,7 +176,7 @@ def test_base_point_and_positive_bound(elliptic, quartic_pair):
 
 
 def test_window_matches_full_family(elliptic, quartic_pair):
-    # the default family is the prune=False one restricted to -a..a, and
+    # the windowed family is the full one restricted to -a..a, and
     # the primitive form read from either is the same
     rng = random.Random(31)
     for data, pair in ((elliptic, (8, 1)), (quartic_pair, (9, 1))):
@@ -185,7 +185,7 @@ def test_window_matches_full_family(elliptic, quartic_pair):
             unf = build_unfolding(data, rng.randrange(2, 5), mask=mask)
             for c in (None, {pair: Fraction(rng.randrange(1, 6),
                                             rng.randrange(1, 4))}):
-                full = oscillator_matrices(unf, c=c, prune=False)
+                full = full_oscillator_family(unf, c)
                 osc = oscillator_matrices(unf, c=c)
                 assert osc.matrices == {k: m for k, m in full.matrices.items()
                                         if -osc.a <= k <= osc.a}

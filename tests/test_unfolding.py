@@ -12,7 +12,7 @@ from saitoforms.unfolding import (
     oscillating_projection, oscillator_matrices, positive_bound,
 )
 
-from conftest import make_a, ring_order_projection
+from conftest import full_oscillator_family, make_a, ring_order_projection
 
 
 def _elem(unf, terms):
@@ -22,10 +22,10 @@ def _elem(unf, terms):
 
 def test_chain_point_first_order_matrix():
     # full unfolding of z^3 at first order: A^(-1) = [[u1, u2], [0, u1]];
-    # k = -1 lies outside the window (a = 0), so ask for the full family
+    # k = -1 lies outside the window (a = 0), so read the full family
     data = make_a(2)
     unf = build_unfolding(data, 1)
-    osc = oscillator_matrices(unf, prune=False)
+    osc = full_oscillator_family(unf)
     m = osc.matrix(-1)
     u1 = _elem(unf, {(1, 0): 1})
     u2 = _elem(unf, {(0, 1): 1})
@@ -58,8 +58,10 @@ def test_matrices_stop_at_positive_bound(e6_cusp):
 
 def test_grading_of_entries(e6_cusp):
     # t^k u^alpha coefficient in A_ij requires k + deg(u^alpha) + d_j - d_i = 0
+    # over the full family, every k down to -N
     unf = build_unfolding(e6_cusp, 4)
-    osc = oscillator_matrices(unf, prune=False)
+    osc = full_oscillator_family(unf)
+    assert min(osc.matrices) == -4
     d = e6_cusp.degrees
     seen = 0
     for k, m in osc.matrices.items():
@@ -152,7 +154,7 @@ def _window_unfolding(request, name, N, mask):
 @pytest.mark.parametrize("name, N, mask, c", WINDOW_CASES)
 def test_window_is_full_family_restricted(request, name, N, mask, c):
     unf = _window_unfolding(request, name, N, mask)
-    full = oscillator_matrices(unf, c=c, prune=False)
+    full = full_oscillator_family(unf, c)
     osc = oscillator_matrices(unf, c=c)
     a = osc.a
     assert a == full.a
@@ -164,7 +166,7 @@ def test_window_is_full_family_restricted(request, name, N, mask, c):
 
 def test_window_drops_dead_powers(e12):
     unf = build_unfolding(e12, 4)
-    full = oscillator_matrices(unf, prune=False)
+    full = full_oscillator_family(unf)
     osc = oscillator_matrices(unf)
     assert min(full.matrices) < -osc.a
     assert all(-osc.a <= k <= osc.a for k in osc.matrices)
