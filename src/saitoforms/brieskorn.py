@@ -20,7 +20,9 @@ SingularityData reads classical residues from it.
 Reductions take Fraction coefficients. The reduction is linear, so
 per-monomial results are cached and scaled as needed; callers with
 unfolding-ring coefficients (oscillating_projection, verify_class_equal)
-spread each reduced monomial over the u-monomials of its coefficient.
+take product terms, a z-polynomial times a ring element, and spread
+the reduction of the z-polynomial over the u-monomials of the ring
+element.
 """
 
 from fractions import Fraction
@@ -51,14 +53,11 @@ class ReducedClass:
     def is_zero(self):
         return not self.coeffs
 
-    def add_scaled(self, other, scale=1, t_shift=0, floor=None):
-        """self += scale * t^t_shift * other (in place), leaving out the
-        t-powers below floor when one is given."""
+    def add_scaled(self, other, scale=1, t_shift=0):
+        """self += scale * t^t_shift * other (in place)."""
         for k, vec in other.coeffs.items():
-            k += t_shift
-            if floor is not None and k < floor:
-                continue
-            tgt = self.coeffs.setdefault(k, [Fraction(0)] * self.mu)
+            tgt = self.coeffs.setdefault(k + t_shift,
+                                         [Fraction(0)] * self.mu)
             for i, c in enumerate(vec):
                 if c:
                     tgt[i] += scale * c

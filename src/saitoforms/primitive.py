@@ -112,20 +112,19 @@ class VerifyReport:
 
 
 def _as_t_rpolys(unf, rep):
-    """A candidate class as a list of (t_power, {z_exp: ring_elem})
-    terms, one per product term (terms are not merged by t_power).
+    """A candidate class as a list of (t_power, {z_exp: Fraction},
+    ring_elem) product terms (terms are not merged by t_power), the
+    format oscillating_projection reads.
 
     Accepts a PrimitiveForm, an MPoly with Fraction coefficients, or a
     list of (t_power, MPoly, ring_elem) product terms.
     """
     if isinstance(rep, PrimitiveForm):
-        return [(q + t0, {e: elem * c for e, c in h.items()})
-                for q, j, elem in rep.records()
+        return [(q + t0, h, elem) for q, j, elem in rep.records()
                 for t0, h in rep.filtration.upper(j - 1)]
     if isinstance(rep, MPoly):
         rep = [(0, rep, unf.ring_one())]
-    return [(t0, {e: elem * c for e, c in poly.terms.items()})
-            for t0, poly, elem in rep]
+    return [(t0, poly.terms, elem) for t0, poly, elem in rep]
 
 
 def verify_primitive(unf, rep, c=None):
@@ -148,17 +147,17 @@ def verify_primitive(unf, rep, c=None):
 def verify_class_equal(unf, rep_a, rep_b):
     """Equality of two candidate classes in the Brieskorn lattice over
     the truncated parameter ring (compares canonical reductions). Each
-    z-monomial is reduced once and spread over the u-monomials of its
-    ring coefficient, so the difference is kept as one class with
-    Fraction entries per u-monomial."""
+    z-monomial of a product term is reduced once and spread over the
+    u-monomials of the term's ring coefficient, so the difference is kept
+    as one class with Fraction entries per u-monomial."""
     diff = {}
     for rep, sign in ((rep_a, 1), (rep_b, -1)):
-        for t0, h in _as_t_rpolys(unf, rep):
-            for exp, coeff in h.items():
+        for t0, h, coeff in _as_t_rpolys(unf, rep):
+            for exp, c in h.items():
                 red = reduce_monomial(unf.base, exp)
-                for beta, c in coeff.terms.items():
+                for beta, b in coeff.terms.items():
                     part = diff.get(beta)
                     if part is None:
                         part = diff[beta] = ReducedClass(unf.base.mu)
-                    part.add_scaled(red, sign * c, t0)
+                    part.add_scaled(red, sign * c * b, t0)
     return all(part.compress().is_zero() for part in diff.values())

@@ -71,10 +71,9 @@ def higher_residue_Am(h, m, t_order):
 def pairing_univariate_Am(a, b, m, t_order):
     """K(a, b) for the A_m model through order t^t_order."""
     g, b = _laurent(a), _laurent(b)
-    shift = _monomial(-m)
     out = {}
     for r in range(t_order + 1):
-        g = g * shift
+        g = g._like({(e - m,): c for (e,), c in g.terms.items()})
         value = _res0(b, g) * (-1) ** r
         if value:
             out[r] = value

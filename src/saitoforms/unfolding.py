@@ -12,12 +12,14 @@ expands as e^(psi_l(u_l) phi_l/t) = sum_n u_l^n Q_{l,n}, so
 e^((F-f)/t) = sum_alpha u^alpha P_alpha with P_alpha = prod_l
 Q_{l,alpha_l}, a polynomial in z and 1/t with Fraction coefficients;
 for psi_l = u_l it is t^(-|alpha|) prod_l phi_l^alpha_l / alpha_l!.
-An input class h = sum_beta u^beta h_beta then projects to
-sum_gamma u^gamma sum_{alpha+beta=gamma} [P_alpha h_beta]: every
-coefficient is a plain Fraction until the ring entries are built, once,
-at the end. With a floor on the t-powers two cuts keep the work to what
-lands at or above it: a z-term cut on each product and, from the
-grading, an exact cut on alpha itself (see oscillating_projection).
+An input class is a sum of product terms t^t0 r h, r = sum_beta r_beta
+u^beta a ring element and h a polynomial in z with Fraction
+coefficients, and projects to sum u^(alpha+beta) r_beta [t^t0 P_alpha h]:
+each [P_alpha h] is reduced once, and every coefficient is a plain
+Fraction until the ring entries are built, once, at the end. With a
+floor on the t-powers two cuts keep the work to what lands at or above
+it: a z-term cut on each product and, from the grading, an exact cut on
+alpha itself (see oscillating_projection).
 """
 
 import math
@@ -68,9 +70,10 @@ def exp_series(elem):
 def z_product(left, right):
     """The product of two z-exponent -> coefficient maps, given as
     (exponent, coefficient) pairs, as a dict accumulating c1 * c2 at
-    e1 + e2. Coefficients are ring elements or Fractions; zero products
-    are skipped, but sums that cancel stay as zero entries. right is
-    iterated once per left term, so it must not be a one-shot iterator."""
+    e1 + e2. The projection passes Fractions; only exp_powers passes ring
+    elements. Zero products are skipped, but sums that cancel stay as
+    zero entries. right is iterated once per left term, so it must not
+    be a one-shot iterator."""
     out = {}
     for e1, c1 in left:
         for e2, c2 in right:
@@ -293,9 +296,10 @@ def oscillator_matrices(unf, c=None):
     filtration = c if isinstance(c, OppositeFiltration) else \
         OppositeFiltration(base, c)
     a = positive_bound(base, unf.N)
+    one = unf.ring_one()
     rows = oscillating_projection(
-        unf, [filtration.upper(i) for i in range(mu)], filtration,
-        floor=-a)
+        unf, [[(t0, h, one) for t0, h in filtration.upper(i)]
+              for i in range(mu)], filtration, floor=-a)
     matrices = {}
     zero = unf.ring_zero()
     for i, row in enumerate(rows):
@@ -318,32 +322,32 @@ def oscillator_matrices(unf, c=None):
 
 def oscillating_projection(unf, classes, filtration, floor=None):
     """Reduced classes of e^((F-f)/t) * h in Phi(c) coordinates, one per
-    class h, each given as (t0, {z_exp: coefficient}) terms meaning
-    sum t^t0 * coefficient * z^z_exp; a coefficient is a Fraction or a
-    ring element.
+    class h, each given as product terms (t0, {z_exp: Fraction}, r)
+    meaning t^t0 * r * sum c z^z_exp, r a ring element (the rep format of
+    verify_primitive).
 
     The work runs in u-monomial order (see the module docstring). Each
-    ring coefficient is split into its u-monomials beta on entry. Each
     alpha with |alpha| <= N is visited once, depth-first over
     non-decreasing index sequences; P_alpha is built once, as P at alpha
     without its last variable l times Q_{l,alpha_l}, the Q_{l,n} coming
-    once per call from their recurrence (see _series_terms). The
-    products P_alpha h_beta are reduced through the monomial cache into
-    Fraction sums per (t^k, phi_j, u^(alpha+beta)).
+    once per call from their recurrence (see _series_terms). Each
+    product P_alpha h is reduced through the monomial cache into Fraction
+    sums per (t^k, phi_j) once, and those sums are spread over the
+    u-monomials beta of r with |alpha| + |beta| <= N into the
+    u^(alpha+beta) slots, multiplied by r_beta unless it is 1.
 
     With a floor only the t-powers k >= floor are computed and kept.
     Reducing z^e gives t-powers of at most deg(e) in either basis, since
     basis degrees are >= 0. So in polynomial mode a term z^e t^(-m) of
-    P_alpha is skipped against a term group (t0, h_beta) when
-    deg(e) - m + top(h_beta) + t0 < floor, top being the largest degree
-    in h_beta, before any product is formed. For psi_l = u_l, P_alpha
-    is homogeneous with deg(e) - m = -wdeg(alpha),
-    wdeg(alpha) = sum alpha_l (1 - d_l), so this is an exact cut on
-    alpha, and a subtree is pruned when even
-    wdeg(alpha) + (N - |alpha|) min(0, min deg u) leaves every group
-    below the floor. In both modes coords_to_upper lifts a t-power by at
-    most filtration.lift, so reduced t-powers below floor - lift are
-    skipped, and what still lands below floor is dropped.
+    P_alpha is skipped against a product term (t0, h, r) when
+    deg(e) - m + top(h) + t0 < floor, top being the largest degree in h,
+    before any product is formed. For psi_l = u_l, P_alpha is homogeneous
+    with deg(e) - m = -wdeg(alpha), wdeg(alpha) = sum alpha_l (1 - d_l),
+    so this is an exact cut on alpha, and a subtree is pruned when even
+    wdeg(alpha) + (N - |alpha|) min(0, min deg u) leaves every product
+    term below the floor. In both modes coords_to_upper lifts a t-power
+    by at most filtration.lift, so reduced t-powers below floor - lift
+    are skipped, and what still lands below floor is dropped.
     """
     base = unf.base
     mu, nu, N = base.mu, unf.nu, unf.N
@@ -353,11 +357,17 @@ def oscillating_projection(unf, classes, filtration, floor=None):
     skip = -math.inf if floor is None else floor - filtration.lift
     groups = []
     for i, terms in enumerate(classes):
-        for (t0, beta), h in _split_by_u(terms, nu).items():
+        for t0, h, coeff in terms:
+            if not h or not coeff:
+                continue
             # the smallest scaled deg(e) - m of a P_alpha term to keep
             cut = (floor - t0) * scale - max(_dot(weights, e) for e in h) \
                 if graded else -math.inf
-            groups.append((i, t0, beta, sum(beta), list(h.items()), cut))
+            # the u-monomials of coeff by size, None for a coefficient 1
+            spread = sorted((sum(beta), beta, None if b == 1 else b)
+                            for beta, b in coeff.terms.items())
+            groups.append((i, t0, list(h.items()), spread, spread[0][0],
+                           cut))
     # per variable l: the scaled degree step of one more phi_l / t, and
     # Q_{l,n} for n = 0..N
     rises = [int(-d * scale) for d in unf.deg_u]
@@ -381,8 +391,8 @@ def oscillating_projection(unf, classes, filtration, floor=None):
         top = max((d for _, d in P), default=-math.inf)
         if prune and top + (N - size) * climb < lowest:
             continue
-        for i, t0, beta, bsize, h, cut in groups:
-            if size + bsize > N or top < cut:
+        for i, t0, h, spread, least, cut in groups:
+            if size + least > N or top < cut:
                 continue
             local = {}
             for (m, d), poly in P.items():
@@ -404,10 +414,16 @@ def oscillating_projection(unf, classes, filtration, floor=None):
                             prior = local.get(key)
                             local[key] = c * v if prior is None \
                                 else prior + c * v
-            if local:
+            if not local:
+                continue
+            slots = acc[i]
+            for bsize, beta, b in spread:
+                if size + bsize > N:
+                    break
                 gamma = tuple(map(add, alpha, beta))
-                slots = acc[i]
                 for key, c in local.items():
+                    if b is not None:
+                        c *= b
                     slot = slots.get(key)
                     if slot is None:
                         slots[key] = {gamma: c}
@@ -443,21 +459,6 @@ def _sparse(reduced):
     """A reduced class as [(k, [(j, v) nonzero])], highest k first."""
     return [(k, [(j, v) for j, v in enumerate(vec) if v])
             for k, vec in sorted(reduced.coeffs.items(), reverse=True)]
-
-
-def _split_by_u(terms, nu):
-    """(t0, {z_exp: coefficient}) terms as {(t0, beta): {z_exp: c}},
-    beta running over the u-monomials of the ring coefficients."""
-    out = {}
-    constant = (0,) * nu
-    for t0, h in terms:
-        for e, coeff in h.items():
-            parts = coeff.terms.items() if isinstance(coeff, MPoly) \
-                else ((constant, coeff),)
-            for beta, c in parts:
-                poly = out.setdefault((t0, beta), {})
-                poly[e] = poly.get(e, 0) + c
-    return _nonzero(out)
 
 
 def _series_terms(phi, psi, rise, N):

@@ -110,12 +110,13 @@ def monomials_up_to(data, degree):
 
 def ring_order_projection(unf, classes, filtration, floor=None):
     """oscillating_projection computed the other way round, as an oracle:
-    each z-term of (F-f)^K/K! from unf.exp_powers(), a ring element,
-    times each class term through z_product, every product monomial
-    reduced with its ring coefficient, then the phi coordinates rewritten
-    into Phi(c) coordinates. With a floor it makes the ring-order cuts: a
-    z-term of (F-f)^K/K! whose products all reduce below the floor, and a
-    reduced t-power below floor - filtration.lift, are skipped."""
+    each product term (t0, h, r) of a class is first multiplied out to
+    the ring-coefficient polynomial r * h, then each z-term of
+    (F-f)^K/K! from unf.exp_powers(), a ring element, times it through
+    z_product, every product monomial reduced with its ring coefficient,
+    then the phi coordinates rewritten into Phi(c) coordinates. With a
+    floor it makes the ring-order cut: a z-term of (F-f)^K/K! whose
+    products all reduce below the floor is skipped."""
     base = unf.base
     mu = base.mu
     graded = floor is not None and base.mode != "laurent"
@@ -124,14 +125,13 @@ def ring_order_projection(unf, classes, filtration, floor=None):
 
         def degree(e):
             return sum(int(q * scale) * x for q, x in zip(base.weights, e))
-    skip = None if floor is None else floor - filtration.lift
     out = []
     for terms in classes:
         acc = ReducedClass(mu)
-        for t0, h in terms:
+        for t0, h, r in terms:
             if not h:
                 continue
-            h = list(h.items())
+            h = [(e, r * c) for e, c in h.items()]
             for K, power in enumerate(unf.exp_powers()):
                 items = list(power.items())
                 if graded:
@@ -141,7 +141,7 @@ def ring_order_projection(unf, classes, filtration, floor=None):
                 for exp, coeff in z_product(items, h).items():
                     if coeff:
                         acc.add_scaled(reduce_monomial(base, exp), coeff,
-                                       t0 - K, skip)
+                                       t0 - K)
         upper = {}
         for k, vec in acc.coeffs.items():
             for l, x in enumerate(vec):
@@ -155,13 +155,20 @@ def ring_order_projection(unf, classes, filtration, floor=None):
     return out
 
 
+def phi_classes(unf, filtration):
+    """Each Phi_i as product terms with the ring coefficient 1, the input
+    of oscillating_projection for the oscillator rows."""
+    one = unf.ring_one()
+    return [[(t0, h, one) for t0, h in filtration.upper(i)]
+            for i in range(unf.base.mu)]
+
+
 def full_oscillator_family(unf, c=None):
     """The whole A^(k) family down to k = -N: row i of A^(k) is the t^k
     part of the oscillating projection of Phi_i with no floor."""
     filt = OppositeFiltration(unf.base, c)
     mu = unf.base.mu
-    rows = oscillating_projection(unf, [filt.upper(i) for i in range(mu)],
-                                  filt)
+    rows = oscillating_projection(unf, phi_classes(unf, filt), filt)
     matrices = {}
     for i, row in enumerate(rows):
         for k, vec in row.coeffs.items():

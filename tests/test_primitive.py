@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from saitoforms import UnfoldRingElem
+from saitoforms import UnfoldRingElem, unfolding
 from saitoforms.mpoly import MPoly
 from saitoforms.primitive import (
     _as_t_rpolys, primitive_form, verify_class_equal, verify_primitive,
@@ -217,3 +217,27 @@ def test_primitive_form_and_verify_never_build_exp_powers(
         assert verify_primitive(unf, pf, c=c)
         assert not verify_primitive(unf, MPoly.constant(unf.base.variables,
                                                         2), c=c)
+
+
+def test_verify_products_do_not_grow_with_ring_coefficient_terms(
+        monkeypatch, elliptic):
+    # each P_alpha h is formed once per product term and spread over the
+    # u-monomials of its ring coefficient, not once per u-monomial
+    unf = build_unfolding(elliptic, 12, mask=[8])
+    calls = []
+    z_product = unfolding.z_product
+
+    def counting(left, right):
+        calls.append(None)
+        return z_product(left, right)
+
+    monkeypatch.setattr(unfolding, "z_product", counting)
+    one = MPoly.constant(elliptic.f.variables, 1)
+    counts = []
+    for R in (unf.ring_one(),
+              UnfoldRingElem(1, 12, {(n,): Fraction(1, n + 1)
+                                     for n in range(13)})):
+        calls.clear()
+        verify_primitive(unf, [(0, one, R)])
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]

@@ -12,7 +12,9 @@ from saitoforms.unfolding import (
     oscillating_projection, oscillator_matrices, positive_bound,
 )
 
-from conftest import full_oscillator_family, make_a, ring_order_projection
+from conftest import (
+    full_oscillator_family, make_a, phi_classes, ring_order_projection,
+)
 
 
 def _elem(unf, terms):
@@ -112,8 +114,7 @@ def test_upper_basis_reduces_to_unit_vectors(elliptic):
     filt = OppositeFiltration(elliptic, {(8, 1): Fraction(3)})
     mu = elliptic.mu
     unf = build_unfolding(elliptic, 0)
-    rows = oscillating_projection(unf, [filt.upper(i) for i in range(mu)],
-                                  filt)
+    rows = oscillating_projection(unf, phi_classes(unf, filt), filt)
     for i, row in enumerate(rows):
         unit = [Fraction(int(j == i)) for j in range(mu)]
         assert row == ReducedClass(mu, {0: unit})
@@ -178,7 +179,7 @@ def test_window_drops_dead_powers(e12):
 def test_projection_matches_ring_order_oracle(request, name, N, mask, c):
     unf = _window_unfolding(request, name, N, mask)
     filt = OppositeFiltration(unf.base, c)
-    classes = [filt.upper(i) for i in range(unf.base.mu)]
+    classes = phi_classes(unf, filt)
     a = positive_bound(unf.base, N)
     for floor in (None, -a, 0):
         assert oscillating_projection(unf, classes, filt, floor) == \
