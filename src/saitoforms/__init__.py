@@ -1,7 +1,7 @@
 """Exact perturbative primitive forms for weighted-homogeneous
 singularities: Milnor-basis analysis, Brieskorn-lattice reduction,
-oscillator matrices, the Neumann-series primitive form, moduli of
-opposite filtrations, and univariate higher residue pairings."""
+oscillator matrices, the primitive form solved order by order in u,
+moduli of opposite filtrations, and univariate higher residue pairings."""
 
 from .mpoly import MPoly, TruncationMismatch, WeightSystem
 from .singularity import (DegeneratePairing, EulerIdentityViolated,

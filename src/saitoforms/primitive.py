@@ -2,69 +2,71 @@
 
 With A^(k) the oscillator matrices and a the largest positive t-power,
 the block matrix Psi[p][q] = A^(q-p) - delta_pq Id (p, q = 0..a) has
-entries in the maximal ideal of the truncated parameter ring, so
-Id + Psi inverts by a finite Neumann series. The row vector
-g = e (Id + Psi)^{-1}, e = (e_1, 0, ..., 0), yields the primitive form
+entries in the maximal ideal of the truncated parameter ring. The row
+vector g = e (Id + Psi)^{-1}, e = (e_1, 0, ..., 0), yields the primitive
+form
 
     zeta_+ = sum_{q=0}^{a} t^q sum_j g^(q)_j Phi_j,
 
 the unique class whose oscillating projection to nonnegative t-powers
-is the constant class 1.
+is the constant class 1. Psi has no constant term, so the degree-d part
+of g = e - g Psi reads only the parts of g below degree d: Id + Psi
+inverts in N passes, one u-degree each.
 """
 
 from .brieskorn import ReducedClass, reduce_monomial
 from .mpoly import MPoly
-from .unfolding import (OppositeFiltration, oscillating_projection,
-                        oscillator_matrices)
+from .unfolding import (GradingViolation, OppositeFiltration,
+                        oscillating_projection, oscillator_matrices)
 
 
 def assemble_psi(osc):
-    """The nilpotent correction block matrix of size (a+1) mu."""
-    unf = osc.unf
-    mu = unf.base.mu
-    a = osc.a
-    one = unf.ring_one()
+    """Psi = A - Id, size (a+1) mu, as sparse rows [(column, ring_elem)]
+    of its nonzero entries, read from osc.matrices (a missing A^(k) is
+    zero). The name and call shape stay: the benchmark times this stage
+    and neumann_solve on their own."""
+    mu, one = osc.unf.base.mu, osc.unf.ring_one()
+    zeros = [osc.unf.ring_zero()] * mu
     psi = []
-    for p in range(a + 1):
+    for p in range(osc.a + 1):
         for i in range(mu):
             row = []
-            for q in range(a + 1):
-                block = osc.matrix(q - p)
-                for j in range(mu):
-                    entry = block[i][j]
-                    if p == q and i == j:
-                        entry = entry - one
-                    row.append(entry)
+            for q in range(osc.a + 1):
+                block = osc.matrices.get(q - p)
+                entries = block[i] if block else zeros
+                if p == q:
+                    entries = list(entries)
+                    entries[i] = entries[i] - one
+                row += [(j, e) for j, e in enumerate(entries, q * mu)
+                        if e.terms]
             psi.append(row)
     return psi
 
 
 def neumann_solve(psi, unf):
-    """Row vector e (Id + Psi)^{-1} by the finite Neumann series."""
-    size = len(psi)
-    zero = unf.ring_zero()
-    e = [unf.ring_one()] + [zero] * (size - 1)
-    acc = list(e)
-    term = list(e)
-    for _ in range(unf.N + 1):
-        nxt = [zero] * size
-        for l in range(size):
-            tl = term[l]
-            if tl.is_zero():
+    """Row vector g = e (Id + Psi)^{-1}. Pass d = 0..N-1 takes the
+    degree-d part of each g_l, final by then, and subtracts its products
+    with row l of Psi, so each part is multiplied once. An entry of Psi
+    with a constant term is rejected."""
+    origin = (0,) * unf.nu
+    for l, row in enumerate(psi):
+        for m, entry in row:
+            if origin in entry.terms:
+                raise GradingViolation(
+                    "Psi[%d][%d] has the constant term %s: A at u = 0 "
+                    "is not the identity" % (l + 1, m + 1,
+                                             entry.terms[origin]))
+    g = [unf.ring_one()] + [unf.ring_zero()] * (len(psi) - 1)
+    for d in range(unf.N):
+        for l, row in enumerate(psi):
+            if not (row and g[l].terms):
                 continue
-            row = psi[l]
-            for m in range(size):
-                if not row[m].is_zero():
-                    nxt[m] = nxt[m] - tl * row[m]
-        term = nxt
-        if all(x.is_zero() for x in term):
-            break
-        acc = [x + y for x, y in zip(acc, term)]
-    else:
-        if not all(x.is_zero() for x in term):
-            raise RuntimeError("Neumann series did not terminate; Psi is "
-                               "not nilpotent at this truncation order")
-    return acc
+            part = {e: c for e, c in g[l].terms.items() if sum(e) == d}
+            if part:
+                part = g[l]._like(part)
+                for m, entry in row:
+                    g[m] = g[m] - part * entry
+    return g
 
 
 class PrimitiveForm:
@@ -87,6 +89,9 @@ class PrimitiveForm:
 
 
 def primitive_form(unf, c=None, osc=None):
+    """zeta_+ for the opposite filtration c, read from oscillator
+    matrices osc when given: c is then ignored, since osc carries its
+    own filtration."""
     if osc is None:
         osc = oscillator_matrices(unf, c=c)
     mu = unf.base.mu

@@ -253,12 +253,13 @@ def _checked_override(value, var, index, pos):
 
 
 class OscillatorData:
-    """The family A^(k)(u), keyed by the t-powers k that occur.
+    """The family A^(k)(u), keyed by the t-powers k that occur: a block
+    is stored only when it has a nonzero entry, so a missing k is a zero
+    matrix.
 
     Only the window -a <= k <= a that the Neumann solve reads is kept,
-    in polynomial and Laurent mode alike, and matrix(k) is zero outside
-    it. The whole family down to k = -N is the oscillating projection of
-    the Phi_i with no floor.
+    in polynomial and Laurent mode alike. The whole family down to
+    k = -N is the oscillating projection of the Phi_i with no floor.
     """
 
     def __init__(self, unf, filtration, matrices, a):
@@ -266,14 +267,6 @@ class OscillatorData:
         self.filtration = filtration
         self.matrices = matrices      # k -> mu x mu matrix of ring elems
         self.a = a
-
-    def matrix(self, k):
-        mu = self.unf.base.mu
-        m = self.matrices.get(k)
-        if m is None:
-            zero = self.unf.ring_zero()
-            m = [[zero] * mu for _ in range(mu)]
-        return m
 
 
 def positive_bound(base, N):

@@ -15,14 +15,15 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 def bench_modules():
     sys.path.insert(0, BENCH)
     try:
+        import run
         import tracing
         import workloads
     finally:
         sys.path.remove(BENCH)
-    return workloads, tracing
+    return workloads, tracing, run
 
 
-@pytest.mark.parametrize("workload, name", [
+JOBS = [
     ("unfold-full", "A2/N6"),
     ("socle-deep", "p1-q2/N20"),
     ("socle-deep", "elliptic-socle/N60/c81=1"),
@@ -36,10 +37,21 @@ def bench_modules():
     ("milnor-zoo", "pairing:p1-q2"),
     ("milnor-zoo", "pairing:1/4*z^4"),
     ("milnor-zoo", "pairing:5*z^4"),
-])
-def test_bench_job_passes_its_check(bench_modules, tmp_path, workload, name):
-    workloads, tracing = bench_modules
+]
+# traced runs also take the side calls (the Neumann stages, the Groebner
+# basis inside analyze) and report the layer counters
+TRACED = [("unfold-full", "A2/N6"), ("socle-deep", "p1-q2/N20")]
+
+
+@pytest.mark.parametrize("workload, name, traced", [
+    pytest.param(w, n, traced, id="%s-%s%s" % (w, n, "-traced" * traced))
+    for traced, jobs in ((False, JOBS), (True, TRACED)) for w, n in jobs])
+def test_bench_job_passes_its_check(bench_modules, tmp_path, workload, name,
+                                    traced):
+    workloads, tracing, run = bench_modules
     job, = [j for j in workloads.build(workload, 1, str(tmp_path))
             if j.name == name]
-    out = job.run(tracing.NullTracer())
+    out = job.run(tracing.Tracer() if traced else tracing.NullTracer())
     assert job.check(out) == []
+    if traced:
+        assert sorted(job.counters(out)) == sorted(run.COUNTERS)

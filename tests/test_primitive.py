@@ -5,12 +5,14 @@ import pytest
 from saitoforms import UnfoldRingElem, unfolding
 from saitoforms.mpoly import MPoly
 from saitoforms.primitive import (
-    _as_t_rpolys, primitive_form, verify_class_equal, verify_primitive,
+    _as_t_rpolys, assemble_psi, neumann_solve, primitive_form,
+    verify_class_equal, verify_primitive,
 )
 from saitoforms.singularity import P1MirrorData
 from saitoforms.unfolding import (
-    OppositeFiltration, UnfoldingData, build_unfolding, exp_series,
-    oscillating_projection, positive_bound,
+    GradingViolation, OppositeFiltration, OscillatorData, UnfoldingData,
+    build_unfolding, exp_series, oscillating_projection,
+    oscillator_matrices, positive_bound,
 )
 
 from conftest import (
@@ -241,3 +243,35 @@ def test_verify_products_do_not_grow_with_ring_coefficient_terms(
         verify_primitive(unf, [(0, one, R)])
         counts.append(len(calls))
     assert counts[1] <= counts[0]
+
+
+def test_psi_with_a_constant_term_is_rejected():
+    # A^(0) = Id + E_12 at u = 0: Psi has the nilpotent constant entry
+    # Psi[1][2] = 1, which the solve must not accept
+    unf = build_unfolding(make_a(2), 3)
+    one, zero = unf.ring_one(), unf.ring_zero()
+    osc = OscillatorData(unf, OppositeFiltration(unf.base),
+                         {0: [[one, one], [zero, one]]}, 0)
+    with pytest.raises(GradingViolation, match=r"Psi\[1\]\[2\]"):
+        neumann_solve(assemble_psi(osc), unf)
+    with pytest.raises(GradingViolation, match=r"Psi\[1\]\[2\]"):
+        primitive_form(unf, osc=osc)
+
+
+def test_solve_forms_each_part_once(monkeypatch, elliptic):
+    # the degree-d part of each g_l is multiplied by its Psi row once, so
+    # the coefficient products grow like N^2 (547 at N = 40), not like
+    # the N^3 of repeated Neumann terms (6500)
+    unf = build_unfolding(elliptic, 40, mask=[8])
+    psi = assemble_psi(oscillator_matrices(unf, c={(8, 1): 1}))
+    mul = Fraction.__mul__
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__mul__", counting)
+        neumann_solve(psi, unf)
+    assert 0 < len(calls) <= 1000

@@ -120,18 +120,36 @@ def test_connection_block_nilpotent(elliptic, quartic_pair):
     for data in (elliptic, quartic_pair):
         unf = build_unfolding(data, 4, mask=[data.mu])
         osc = oscillator_matrices(unf)
-        psi = assemble_psi(osc)
+        psi = _dense_psi(osc)
         n = len(psi)
+        # the sparse rows list exactly the nonzero entries of Psi
+        assert assemble_psi(osc) == [[(j, e) for j, e in enumerate(row) if e]
+                                     for row in psi]
         power = [row[:] for row in psi]
         for _ in range(unf.N):
             power = _ring_mat_mul(power, psi, unf)
         assert all(e.terms == {} for row in power for e in row)
-        # the series solution satisfies g * (Id + Psi) = e
-        g = neumann_solve(psi, unf)
+        # the solution satisfies g * (Id + Psi) = e
+        g = neumann_solve(assemble_psi(osc), unf)
         prod = _ring_vec_mat(g, psi, unf)
         for j in range(n):
             expect = unf.ring_one() if j == 0 else unf.ring_zero()
             assert g[j] + prod[j] == expect
+
+
+def _dense_psi(osc):
+    """Psi[p mu + i][q mu + j] = A^(q-p)_ij - delta, as a dense matrix."""
+    mu, a = osc.unf.base.mu, osc.a
+    zero = osc.unf.ring_zero()
+    psi = [[zero] * ((a + 1) * mu) for _ in range((a + 1) * mu)]
+    for p in range(a + 1):
+        for q in range(a + 1):
+            for i, row in enumerate(osc.matrices.get(q - p, ())):
+                for j, e in enumerate(row):
+                    psi[p * mu + i][q * mu + j] = e
+    for r in range(len(psi)):
+        psi[r][r] = psi[r][r] - osc.unf.ring_one()
+    return psi
 
 
 def _ring_mat_mul(a, b, unf):
