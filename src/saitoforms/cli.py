@@ -31,7 +31,7 @@ class JobError(Exception):
 def _rat(x):
     if isinstance(x, str):
         return parse_rational(x)
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise JobError("expected an exact rational (int or 'p/q'), got %r" % (x,))
 

@@ -9,6 +9,13 @@ of the singularity), as the Brieskorn reduction needs.
 from .mpoly import (MPoly, grevlex_key, monomial_div, monomial_divides,
                     monomial_lcm, monomial_mul)
 
+# the largest Milnor number, a count of standard monomials, accepted
+MAX_STANDARD_MONOMIALS = 100000
+
+
+class MilnorNumberTooLarge(ValueError):
+    pass
+
 
 def divide(h, divisors):
     """Multivariate division: h = sum(q_i * divisors_i) + remainder.
@@ -112,10 +119,10 @@ def _reduce_basis(basis, rows):
     return out
 
 
-def standard_monomials(groebner, bound=100000):
+def standard_monomials(groebner):
     """All monomials outside the leading-term ideal, grevlex-sorted
-    ascending. Raises if more than `bound` are found (non-isolated or
-    runaway case)."""
+    ascending; the ideal must have finite codimension. Raises
+    MilnorNumberTooLarge past MAX_STANDARD_MONOMIALS."""
     leads = [g.leading()[0] for g, _ in groebner]
     n = len(leads[0])
     found = []
@@ -126,10 +133,10 @@ def standard_monomials(groebner, bound=100000):
         if any(monomial_divides(le, exp) for le in leads):
             continue
         found.append(exp)
-        if len(found) > bound:
-            raise RuntimeError(
-                "more than %d standard monomials; quotient looks "
-                "infinite-dimensional" % bound)
+        if len(found) > MAX_STANDARD_MONOMIALS:
+            raise MilnorNumberTooLarge(
+                "the Milnor number exceeds the bound of %d standard "
+                "monomials" % MAX_STANDARD_MONOMIALS)
         for i in range(n):
             nxt = tuple(e + 1 if j == i else e for j, e in enumerate(exp))
             if nxt not in seen:

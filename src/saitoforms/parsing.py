@@ -18,6 +18,9 @@ class ParseError(Exception):
         self.pos = pos
 
 
+# each parenthesis level costs the recursive descent a few stack frames
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
 
 
@@ -49,6 +52,7 @@ class _Parser:
         self.i = 0
         self.variables = tuple(variables)
         self.laurent = laurent
+        self.depth = 0              # open parentheses around the token
 
     def peek(self):
         return self.tokens[self.i]
@@ -98,14 +102,12 @@ class _Parser:
                 return poly
 
     def factor(self):
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            return -self.factor()
-        if kind == "op" and val == "+":
-            self.take()
-            return self.factor()
-        return self.atom_power()
+        # unary signs in a loop, so a long run of them cannot recurse
+        negate = False
+        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            negate ^= self.take()[1] == "-"
+        poly = self.atom_power()
+        return -poly if negate else poly
 
     def atom_power(self):
         base = self.atom()
@@ -163,8 +165,13 @@ class _Parser:
                 raise ParseError("unknown variable %r" % val, pos)
             return MPoly.variable(val, self.variables, self.laurent)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d"
+                                 % MAX_NESTING, pos)
+            self.depth += 1
             poly = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return poly
         raise ParseError("unexpected %r" % (val,), pos)
 

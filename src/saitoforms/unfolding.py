@@ -18,8 +18,9 @@ coefficients, and projects to sum u^(alpha+beta) r_beta [t^t0 P_alpha h]:
 each [P_alpha h] is reduced once, and every coefficient is a plain
 Fraction until the ring entries are built, once, at the end. With a
 floor on the t-powers two cuts keep the work to what lands at or above
-it: a z-term cut on each product and, from the grading, an exact cut on
-alpha itself (see oscillating_projection).
+it: a cut on the reduced t-powers of each product and, without
+overrides, an exact cut on alpha itself from the grading (see
+oscillating_projection).
 """
 
 import math
@@ -282,7 +283,11 @@ def oscillator_matrices(unf, c=None):
     oscillating projection of Phi_i.
 
     Only the t-powers -a <= k <= a that primitive_form reads are
-    computed and kept (see oscillating_projection).
+    computed and kept (see oscillating_projection). Each nonzero entry
+    is checked where it is placed: k <= a, the base point (constant term
+    delta_k0 delta_ij) and, without overrides, the grading
+    k + deg(u^alpha) + d_j - d_i = 0 of each u-monomial, in integers.
+    Then every diagonal entry of A^(0) must be there.
     """
     base = unf.base
     mu = base.mu
@@ -293,24 +298,44 @@ def oscillator_matrices(unf, c=None):
     rows = oscillating_projection(
         unf, [[(t0, h, one) for t0, h in filtration.upper(i)]
               for i in range(mu)], filtration, floor=-a)
+    if not unf.override:
+        scale, ints = _integer_scale(base.degrees + unf.deg_u)
+        degrees, deg_u = ints[:mu], ints[mu:]
+        memo = {}
     matrices = {}
     zero = unf.ring_zero()
     for i, row in enumerate(rows):
         for k, vec in row.coeffs.items():
-            for j in range(mu):
-                if not vec[j]:
+            for j, elem in enumerate(vec):
+                if not elem:
                     continue
                 if k > a:
                     raise GradingViolation(
                         "t^%d term beyond the bound a=%d at A[%d][%d]"
                         % (k, a, i + 1, j + 1))
+                const, want = elem.constant_term(), int(k == 0 and i == j)
+                if const != want:
+                    raise GradingViolation(
+                        "A^(%d)[%d][%d](0) = %s, expected %s"
+                        % (k, i + 1, j + 1, const, want))
+                if not unf.override:
+                    grade = degrees[i] - degrees[j] - k * scale
+                    for exp in elem.terms:
+                        degree = memo.get(exp)
+                        if degree is None:
+                            degree = memo[exp] = _dot(deg_u, exp)
+                        if degree != grade:
+                            raise GradingViolation(
+                                "off-grade term u^%r in A^(%d)[%d][%d]"
+                                % (exp, k, i + 1, j + 1))
                 m = matrices.setdefault(k, [[zero] * mu for _ in range(mu)])
-                m[i][j] = vec[j]
-    osc = OscillatorData(unf, filtration, matrices, a)
-    _check_base_point(osc)
-    if not unf.override:
-        _check_grading(osc)
-    return osc
+                m[i][j] = elem
+    identity = matrices.get(0)
+    for i in range(mu):
+        if identity is None or not identity[i][i]:
+            raise GradingViolation("A^(0)[%d][%d](0) = 0, expected 1"
+                                   % (i + 1, i + 1))
+    return OscillatorData(unf, filtration, matrices, a)
 
 
 def oscillating_projection(unf, classes, filtration, floor=None):
@@ -330,21 +355,20 @@ def oscillating_projection(unf, classes, filtration, floor=None):
     u^(alpha+beta) slots, multiplied by r_beta unless it is 1.
 
     With a floor only the t-powers k >= floor are computed and kept.
-    Reducing z^e gives t-powers of at most deg(e) in either basis, since
-    basis degrees are >= 0. So in polynomial mode a term z^e t^(-m) of
+    In both modes coords_to_upper lifts a t-power by at most
+    filtration.lift, so reduced t-powers below floor - lift are skipped,
+    and what still lands below floor is dropped. In polynomial mode
+    without overrides P_alpha is homogeneous of degree deg(e) - m =
+    -wdeg(alpha), wdeg(alpha) = sum alpha_l (1 - d_l), and reducing z^e
+    gives t-powers of at most deg(e), since basis degrees are >= 0. So
     P_alpha is skipped against a product term (t0, h, r) when
-    deg(e) - m + top(h) + t0 < floor, top being the largest degree in h,
-    before any product is formed. For psi_l = u_l, P_alpha is homogeneous
-    with deg(e) - m = -wdeg(alpha), wdeg(alpha) = sum alpha_l (1 - d_l),
-    so this is an exact cut on alpha, and a subtree is pruned when even
-    wdeg(alpha) + (N - |alpha|) min(0, min deg u) leaves every product
-    term below the floor. In both modes coords_to_upper lifts a t-power
-    by at most filtration.lift, so reduced t-powers below floor - lift
-    are skipped, and what still lands below floor is dropped.
+    top(h) + t0 - wdeg(alpha) < floor, top being the largest degree in
+    h, and a subtree is pruned when even -wdeg(alpha) - (N - |alpha|)
+    min(0, min deg u) leaves every product term below the floor.
     """
     base = unf.base
     mu, nu, N = base.mu, unf.nu, unf.N
-    graded = floor is not None and not unf.laurent
+    graded = floor is not None and not unf.laurent and not unf.override
     scale, weights = (1, None) if unf.laurent else \
         _integer_scale(base.weights)
     skip = -math.inf if floor is None else floor - filtration.lift
@@ -364,33 +388,29 @@ def oscillating_projection(unf, classes, filtration, floor=None):
     # per variable l: the scaled degree step of one more phi_l / t, and
     # Q_{l,n} for n = 0..N
     rises = [int(-d * scale) for d in unf.deg_u]
-    qs = [_series_terms(list(base.basis[j].terms.items()), psi, rise, N)
-          for j, psi, rise in zip(unf.indices, unf.series, rises)]
-    # without overrides P_alpha is homogeneous and one more u raises
-    # its degree by at most climb, so no alpha below a pruned one can pass
-    prune = graded and not unf.override
+    qs = [_series_terms(list(base.basis[j].terms.items()), psi, N)
+          for j, psi in zip(unf.indices, unf.series)]
+    # one more u raises the degree of P_alpha by at most climb, so no
+    # alpha below a pruned one can pass
     lowest = min((g[-1] for g in groups), default=0)
     climb = max([0] + rises)
     acc = [{} for _ in classes]     # per class: (k, j) -> {gamma: Fraction}
     reductions = {}
 
     # depth first over alpha as non-decreasing index sequences; each
-    # P_alpha maps (m, scaled deg(e) - m) to the z-terms of its t^(-m)
-    # part, and prefix is P at alpha with alpha_last set to 0
-    one = {(0, 0): {(0,) * base.n: Fraction(1)}}
-    stack = [((0,) * nu, 0, 0, one, one)] if groups else []
+    # P_alpha maps m to the z-terms of its t^(-m) part, top is its scaled
+    # degree, and prefix is P at alpha with alpha_last set to 0
+    one = {0: {(0,) * base.n: Fraction(1)}}
+    stack = [((0,) * nu, 0, 0, 0, one, one)] if groups else []
     while stack:
-        alpha, size, last, prefix, P = stack.pop()
-        top = max((d for _, d in P), default=-math.inf)
-        if prune and top + (N - size) * climb < lowest:
+        alpha, size, last, top, prefix, P = stack.pop()
+        if graded and top + (N - size) * climb < lowest:
             continue
         for i, t0, h, spread, least, cut in groups:
             if size + least > N or top < cut:
                 continue
             local = {}
-            for (m, d), poly in P.items():
-                if d < cut:
-                    continue
+            for m, poly in P.items():
                 shift = t0 - m
                 for e, c in z_product(poly.items(), h).items():
                     if not c:
@@ -430,7 +450,8 @@ def oscillating_projection(unf, classes, filtration, floor=None):
                 before = prefix if l == last else P
                 n = alpha[l] + 1
                 stack.append((alpha[:l] + (n,) + alpha[l + 1:], size + 1, l,
-                              before, _times(before, qs[l][n])))
+                              top + rises[l], before,
+                              _times(before, qs[l][n])))
 
     out = []
     zero = unf.ring_zero()
@@ -454,35 +475,32 @@ def _sparse(reduced):
             for k, vec in sorted(reduced.coeffs.items(), reverse=True)]
 
 
-def _series_terms(phi, psi, rise, N):
+def _series_terms(phi, psi, N):
     """[Q_0, ..., Q_N] of e^(psi(u) phi / t) = sum_n u^n Q_n, for
     psi = sum_k p_k u^k given as {k: p_k}, by the recurrence
     Q_n = (phi / (n t)) sum_{k=1..n} k p_k Q_(n-k), the u^(n-1)
     coefficient of d/du e^(psi phi/t) = psi'(u) (phi/t) e^(psi phi/t).
-    For psi = u it gives Q_n = phi^n / (n! t^n). Each Q_n maps
-    (m, scaled deg(e) - m) to the z-terms of its t^(-m) part; one more
-    phi / t raises that degree by rise."""
-    out = [{(0, 0): {(0,) * len(phi[0][0]): Fraction(1)}}]
+    For psi = u it gives Q_n = phi^n / (n! t^n). Each Q_n maps m to the
+    z-terms of its t^(-m) part."""
+    out = [{0: {(0,) * len(phi[0][0]): Fraction(1)}}]
     for n in range(1, N + 1):
         q = {}
         for k, p in psi.items():
             if k <= n:
                 factor = [(e, c * k * p / n) for e, c in phi]
-                for (m, d), poly in out[n - k].items():
-                    _accumulate(q, (m + 1, d + rise),
-                                z_product(poly.items(), factor))
+                for m, poly in out[n - k].items():
+                    _accumulate(q, m + 1, z_product(poly.items(), factor))
         out.append(_nonzero(q))
     return out
 
 
 def _times(a, b):
     """The product of two polynomials in z and 1/t, each given as
-    {(m, scaled deg(e) - m): {z_exp: c}}."""
+    {m: {z_exp: c}}, the z-terms of its t^(-m) part."""
     out = {}
-    for (m1, d1), p1 in a.items():
-        for (m2, d2), p2 in b.items():
-            _accumulate(out, (m1 + m2, d1 + d2),
-                        z_product(p1.items(), p2.items()))
+    for m1, p1 in a.items():
+        for m2, p2 in b.items():
+            _accumulate(out, m1 + m2, z_product(p1.items(), p2.items()))
     return _nonzero(out)
 
 
@@ -515,39 +533,3 @@ def _integer_scale(values):
     """The least common denominator L of rational values, and [v * L]."""
     scale = math.lcm(*(Fraction(v).denominator for v in values))
     return scale, [int(v * scale) for v in values]
-
-
-def _check_base_point(osc):
-    """At u = 0 the oscillator family must be the identity at t^0."""
-    mu = osc.unf.base.mu
-    for k, m in osc.matrices.items():
-        for i in range(mu):
-            for j in range(mu):
-                want = Fraction(1) if (k == 0 and i == j) else Fraction(0)
-                if m[i][j].constant_term() != want:
-                    raise GradingViolation(
-                        "A^(%d)[%d][%d](0) = %s, expected %s"
-                        % (k, i + 1, j + 1, m[i][j].constant_term(), want))
-
-
-def _check_grading(osc):
-    """Every u-monomial of A^(k)_ij satisfies
-    k + sum(alpha_l deg u_l) + d_j - d_i = 0, checked in integers with
-    all degrees scaled by their least common denominator."""
-    unf = osc.unf
-    mu = unf.base.mu
-    scale, ints = _integer_scale(unf.base.degrees + unf.deg_u)
-    degrees, deg_u = ints[:mu], ints[mu:]
-    memo = {}
-    for k, m in osc.matrices.items():
-        for i, row in enumerate(m):
-            for j, elem in enumerate(row):
-                want = degrees[i] - degrees[j] - k * scale
-                for exp in elem.terms:
-                    degree = memo.get(exp)
-                    if degree is None:
-                        degree = memo[exp] = _dot(deg_u, exp)
-                    if degree != want:
-                        raise GradingViolation(
-                            "off-grade term u^%r in A^(%d)[%d][%d]"
-                            % (exp, k, i + 1, j + 1))

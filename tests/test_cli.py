@@ -238,6 +238,11 @@ def test_c_slot_out_of_range_is_rejected(capsys, tmp_path, singularity,
                         "exponentiate": "false"}),
     ("verify", {"singularity": {"model": "p1", "q": "2"}, "N": 2,
                 "exponentiate": 1}),
+    # JSON true used to be read as the rational 1
+    ("primitive-form", {"singularity": {"model": "p1", "q": True}, "N": 2}),
+    ("primitive-form", {"singularity": ELLIPTIC, "N": 2, "mask": [8],
+                        "c": {"8,1": True}}),
+    ("verify", {"N": 2, "rep": [{"t": 0, "z": "1", "coeff": True}]}),
 ])
 def test_malformed_job_fields_are_rejected(capsys, tmp_path, command,
                                            fields):

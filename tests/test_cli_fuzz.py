@@ -91,6 +91,15 @@ def test_valid_documents_succeed(doc):
 @hypothesis.settings(max_examples=150, derandomize=True, deadline=None,
                      database=None)
 @hypothesis.given(job_documents())
+# these used to end in a RecursionError or RuntimeError traceback
+@hypothesis.example({"schema": SCHEMA, "command": "analyze",
+                     "singularity": dict(E6, f="(" * 3000 + "x" + ")" * 3000)})
+@hypothesis.example({"schema": SCHEMA, "command": "analyze",
+                     "singularity": dict(E6, f="-" * 3000 + "x^3 + y^4")})
+@hypothesis.example({"schema": SCHEMA, "command": "analyze",
+                     "singularity": {"variables": ["x", "y"],
+                                     "f": "x^400 + y^400",
+                                     "weights": ["1/400", "1/400"]}})
 def test_mutated_documents_give_a_result_or_the_error_document(doc):
     code, out = run_main(doc)
     if code == 0:

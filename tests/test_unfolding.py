@@ -1,15 +1,16 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from saitoforms import P1MirrorData, UnfoldRingElem
+from saitoforms import P1MirrorData, UnfoldRingElem, unfolding
 from saitoforms.brieskorn import ReducedClass, reduce_monomial
 from saitoforms.primitive import primitive_form
 from saitoforms.cli import main
 from saitoforms.unfolding import (
-    InvalidOverride, OppositeFiltration, build_unfolding, exp_series,
-    oscillating_projection, oscillator_matrices, positive_bound,
+    GradingViolation, InvalidOverride, OppositeFiltration, build_unfolding,
+    exp_series, oscillating_projection, oscillator_matrices, positive_bound,
 )
 
 from conftest import (
@@ -138,7 +139,15 @@ WINDOW_CASES = [
     ("quartic_pair", 3, None, {(9, 1): Fraction(2)}),
     ("quartic_pair", 4, [9], {(9, 1): Fraction(2)}),
     ("p1", 6, None, None),
+    ("elliptic-exp", 4, [8], {(8, 1): Fraction(1)}),
+    ("e6_cusp-exp", 4, None, None),
 ]
+
+# polynomial-mode overrides: fixture and index of the direction that is
+# exponentiated. deg u_8 = 0 on the elliptic cone, so e^u - 1 stays
+# homogeneous there; deg u_3 = 2/3 on the cusp, where it mixes degrees
+EXPONENTIATED = {"elliptic-exp": ("elliptic", 8),
+                 "e6_cusp-exp": ("e6_cusp", 3)}
 
 
 def _window_unfolding(request, name, N, mask):
@@ -146,6 +155,10 @@ def _window_unfolding(request, name, N, mask):
         # the P^1 mirror with its exponentiated second direction
         return build_unfolding(P1MirrorData(2), N, u_names=["u0", "u1"],
                                overrides={2: lambda u: exp_series(u) - 1})
+    if name in EXPONENTIATED:
+        fixture, index = EXPONENTIATED[name]
+        return build_unfolding(request.getfixturevalue(fixture), N, mask=mask,
+                               overrides={index: lambda u: exp_series(u) - 1})
     data = make_a(name) if isinstance(name, int) else \
         request.getfixturevalue(name)
     return build_unfolding(data, N, mask=mask)
@@ -182,6 +195,55 @@ def test_projection_matches_ring_order_oracle(request, name, N, mask, c):
     for floor in (None, -a, 0):
         assert oscillating_projection(unf, classes, filt, floor) == \
             ring_order_projection(unf, classes, filt, floor), floor
+
+
+def _beyond_the_bound(rows, a, one, zero, u1):
+    rows[0].coeffs[a + 1] = [one] + [zero] * (len(rows) - 1)
+    return "t^%d term beyond the bound a=%d at A[1][1]" % (a + 1, a)
+
+
+def _off_diagonal_constant(rows, a, one, zero, u1):
+    rows[0].coeffs[0][1] += one
+    return "A^(0)[1][2](0) = 1, expected 0"
+
+
+def _off_grade_monomial(rows, a, one, zero, u1):
+    rows[0].coeffs[0][0] += u1
+    return "off-grade term u^%r in A^(0)[1][1]" % (next(iter(u1.terms)),)
+
+
+def _missing_diagonal(rows, a, one, zero, u1):
+    rows[2].coeffs[0][2] = zero
+    return "A^(0)[3][3](0) = 0, expected 1"
+
+
+def _no_identity_block(rows, a, one, zero, u1):
+    for row in rows:
+        del row.coeffs[0]
+    return "A^(0)[1][1](0) = 0, expected 1"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _beyond_the_bound, _off_diagonal_constant, _off_grade_monomial,
+    _missing_diagonal, _no_identity_block])
+def test_checks_reject_a_corrupted_entry(monkeypatch, e6_cusp, corrupt):
+    # one entry of the real rows corrupted; u1 has degree 1 - d_1 = 1,
+    # so u1 in A^(0)_11 is off grade
+    unf = build_unfolding(e6_cusp, 3)
+    project = oscillating_projection
+    message = []
+
+    def corrupted(*args, **kwargs):
+        rows = project(*args, **kwargs)
+        u1 = _elem(unf, {(1,) + (0,) * (unf.nu - 1): 1})
+        message.append(corrupt(rows, positive_bound(e6_cusp, 3),
+                               unf.ring_one(), unf.ring_zero(), u1))
+        return rows
+
+    monkeypatch.setattr(unfolding, "oscillating_projection", corrupted)
+    with pytest.raises(GradingViolation) as err:
+        oscillator_matrices(unf)
+    assert re.fullmatch(re.escape(message[0]), str(err.value))
 
 
 def test_override_with_a_constant_term_is_rejected(e6_cusp):
