@@ -12,22 +12,6 @@ def identity(n):
             for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(m):
-            c = ai[k]
-            if not c:
-                continue
-            bk = b[k]
-            for j in range(p):
-                if bk[j]:
-                    oi[j] += c * bk[j]
-    return out
-
 def mat_inv(a):
     """Inverse by Gauss-Jordan; raises SingularMatrix if not invertible."""
     n = len(a)
@@ -65,11 +49,3 @@ def row_space_basis(rows):
         pivots.append(p)
     return echelon, pivots
 
-
-def in_row_space(vector, echelon, pivots):
-    row = list(vector)
-    for erow, p in zip(echelon, pivots):
-        if row[p]:
-            c = row[p]
-            row = [x - c * y for x, y in zip(row, erow)]
-    return all(x == 0 for x in row)

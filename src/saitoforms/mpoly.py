@@ -255,18 +255,6 @@ class MPoly:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
                       reverse=reverse)
 
-    def subs_values(self, values):
-        """Evaluate at a point given as {name: Fraction}. Exact."""
-        total = Fraction(0)
-        vals = [Fraction(values[v]) for v in self.variables]
-        for exp, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exp):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
     def __str__(self):
         if not self.terms:
             return "0"

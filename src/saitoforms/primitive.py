@@ -1,23 +1,28 @@
 """Perturbative primitive forms.
 
-With A^(k) the oscillator matrices and a the largest positive t-power,
-the block matrix Psi[p][q] = A^(q-p) - delta_pq Id (p, q = 0..a) has
-entries in the maximal ideal of the truncated parameter ring. The row
-vector g = e (Id + Psi)^{-1}, e = (e_1, 0, ..., 0), yields the primitive
-form
+The primitive form zeta_+ = sum_{q=0}^{a} t^q sum_j g^(q)_j Phi_j, a the
+largest positive t-power, is the unique class whose oscillating
+projection to nonnegative t-powers is the constant class Phi_1. Since
+e^((F-f)/t) = 1 + O(u) and a term t^q Phi_j with q >= 0 projects to
+itself at u = 0, it is solved order by order in u (solve_primitive):
+zeta^(0) = Phi_1, and the degree-d part zeta^(d) is minus the degree-d
+part of that projection of zeta^(<d), for d = 1..N. Only zeta_+ is
+projected, never the mu classes Phi_i.
 
-    zeta_+ = sum_{q=0}^{a} t^q sum_j g^(q)_j Phi_j,
-
-the unique class whose oscillating projection to nonnegative t-powers
-is the constant class 1. Psi has no constant term, so the degree-d part
-of g = e - g Psi reads only the parts of g below degree d: Id + Psi
-inverts in N passes, one u-degree each.
+The oscillator matrices give a second, independent solve. With A^(k)
+the t^k parts of the projections of the Phi_i, the block matrix
+Psi[p][q] = A^(q-p) - delta_pq Id (p, q = 0..a) has entries in the
+maximal ideal of the truncated parameter ring, and the row vector
+g = e (Id + Psi)^{-1}, e = (e_1, 0, ..., 0), gives the same zeta_+.
+Psi has no constant term, so the degree-d part of g = e - g Psi reads
+only the parts of g below degree d: Id + Psi inverts in N passes, one
+u-degree each. primitive_form(osc=...) takes this path.
 """
 
 from .brieskorn import ReducedClass, reduce_monomial
 from .mpoly import MPoly
-from .unfolding import (GradingViolation, OppositeFiltration,
-                        oscillating_projection, oscillator_matrices)
+from .unfolding import (GradingViolation, OppositeFiltration, Projector,
+                        grading, oscillating_projection, positive_bound)
 
 
 def assemble_psi(osc):
@@ -89,16 +94,83 @@ class PrimitiveForm:
 
 
 def primitive_form(unf, c=None, osc=None):
-    """zeta_+ for the opposite filtration c, read from oscillator
-    matrices osc when given: c is then ignored, since osc carries its
-    own filtration."""
+    """zeta_+ for the opposite filtration c, solved order by order in u
+    (see solve_primitive). Given oscillator matrices osc, it is read from
+    them instead, by the solve of g (Id + Psi) = e; c is then ignored,
+    since osc carries its own filtration."""
     if osc is None:
-        osc = oscillator_matrices(unf, c=c)
+        filtration = c if isinstance(c, OppositeFiltration) else \
+            OppositeFiltration(unf.base, c)
+        return solve_primitive(unf, filtration)
     mu = unf.base.mu
     psi = assemble_psi(osc)
     g = neumann_solve(psi, unf)
     blocks = [g[q * mu:(q + 1) * mu] for q in range(osc.a + 1)]
     return PrimitiveForm(unf, osc.filtration, osc.a, blocks)
+
+
+def solve_primitive(unf, filtration):
+    """zeta_+ by the recursion zeta^(0) = Phi_1 and, for d = 1..N,
+    zeta^(d) = -[proj_{t>=0} e^((F-f)/t) zeta^(<d)]_{u-degree d}.
+
+    Once the part zeta^(d') is final, one run of the Projector takes it
+    through every alpha with 1 <= |alpha| <= N - d' and adds its
+    products to the pending degree d' + |alpha|. A product term that a
+    part repeats from an earlier part is keyed by its (t-power, Phi_j,
+    term of Phi_j), so its reduced sums are kept and the parts after it
+    only spread them. Each term t^k u^gamma Phi_j is checked where it is
+    placed: k <= a and, without overrides, k + d_j + deg(u^gamma) = 0.
+    """
+    base, N = unf.base, unf.N
+    mu = base.mu
+    a = positive_bound(base, N)
+    projector = Projector(unf, filtration, floor=0)
+    uppers = [list(enumerate(filtration.upper(j))) for j in range(mu)]
+    on_grade = grading(unf)
+    pending = [{} for _ in range(N + 1)]   # phi coordinates, per u-degree
+    found = [[{} for _ in range(mu)] for _ in range(a + 1)]
+    met = set()
+    part = {0: [unf.ring_one()]}
+    for d in range(N + 1):
+        if d:
+            part = projector.rows(pending[d]).coeffs
+            pending[d] = None
+        sink = [None] + pending[d + 1:]
+        terms = []
+        for k, vec in part.items():
+            for j, elem in enumerate(vec):
+                if not elem:
+                    continue
+                if d:
+                    elem = -elem
+                _check_term(k, j, elem, a, on_grade)
+                found[k][j].update(elem.terms)
+                # a term in one part only, as on the P^1 mirror, keeps
+                # nothing
+                repeat = (k, j) in met
+                met.add((k, j))
+                for n, (t0, h) in uppers[j]:
+                    terms.append(projector.product_term(
+                        k + t0, h, elem.terms, sink,
+                        (k, j, n) if repeat else None))
+        projector.run(terms)
+    zero = unf.ring_zero()
+    blocks = [[zero._like(terms) for terms in vec] for vec in found]
+    return PrimitiveForm(unf, filtration, a, blocks)
+
+
+def _check_term(k, j, elem, a, on_grade):
+    """A part t^k elem Phi_j of zeta_+ (0-based j) lies in the blocks
+    0..a and, with a grading test, carries the grading of Phi_1."""
+    if k > a:
+        raise GradingViolation(
+            "zeta_+ term t^%d u^%r Phi_%d beyond the bound a=%d"
+            % (k, next(iter(elem.terms)), j + 1, a))
+    if on_grade is not None:
+        for exp in elem.terms:
+            if not on_grade(k, 0, j, exp):
+                raise GradingViolation("off-grade zeta_+ term t^%d u^%r "
+                                       "Phi_%d" % (k, exp, j + 1))
 
 
 class VerifyReport:

@@ -1,5 +1,5 @@
-"""Universal unfoldings, opposite-filtration basis changes, and
-oscillator matrices.
+"""Universal unfoldings, opposite-filtration basis changes, the
+oscillating projection and oscillator matrices.
 
 The unfolding F = f + sum_l psi_l(u_l) phi_l is truncated at total
 u-degree N; psi_l(u_l) = u_l unless an override replaces it by a series
@@ -19,8 +19,9 @@ each [P_alpha h] is reduced once, and every coefficient is a plain
 Fraction until the ring entries are built, once, at the end. With a
 floor on the t-powers two cuts keep the work to what lands at or above
 it: a cut on the reduced t-powers of each product and, without
-overrides, an exact cut on alpha itself from the grading (see
-oscillating_projection).
+overrides, an exact cut on alpha itself from the grading. A Projector
+holds this setup, so that the order-by-order solve of the primitive
+form can run it once per u-degree (see Projector).
 """
 
 import math
@@ -256,7 +257,8 @@ def _checked_override(value, var, index, pos):
 class OscillatorData:
     """The family A^(k)(u), keyed by the t-powers k that occur: a block
     is stored only when it has a nonzero entry, so a missing k is a zero
-    matrix.
+    matrix. primitive_form(osc=...) solves zeta_+ from it; the
+    order-by-order solve does not build it.
 
     Only the window -a <= k <= a that the Neumann solve reads is kept,
     in polynomial and Laurent mode alike. The whole family down to
@@ -282,7 +284,12 @@ def oscillator_matrices(unf, c=None):
     """Compute the A^(k) family in the Phi(c) basis: row i is the
     oscillating projection of Phi_i.
 
-    Only the t-powers -a <= k <= a that primitive_form reads are
+    primitive_form does not need it: it solves zeta_+ order by order
+    from the projection of zeta_+ alone. The family serves
+    primitive_form(osc=...), the benchmark's traced mode and the tests,
+    which compare the two algorithms.
+
+    Only the t-powers -a <= k <= a that the solve on A reads are
     computed and kept (see oscillating_projection). Each nonzero entry
     is checked where it is placed: k <= a, the base point (constant term
     delta_k0 delta_ij) and, without overrides, the grading
@@ -298,10 +305,7 @@ def oscillator_matrices(unf, c=None):
     rows = oscillating_projection(
         unf, [[(t0, h, one) for t0, h in filtration.upper(i)]
               for i in range(mu)], filtration, floor=-a)
-    if not unf.override:
-        scale, ints = _integer_scale(base.degrees + unf.deg_u)
-        degrees, deg_u = ints[:mu], ints[mu:]
-        memo = {}
+    on_grade = grading(unf)
     matrices = {}
     zero = unf.ring_zero()
     for i, row in enumerate(rows):
@@ -318,13 +322,9 @@ def oscillator_matrices(unf, c=None):
                     raise GradingViolation(
                         "A^(%d)[%d][%d](0) = %s, expected %s"
                         % (k, i + 1, j + 1, const, want))
-                if not unf.override:
-                    grade = degrees[i] - degrees[j] - k * scale
+                if on_grade is not None:
                     for exp in elem.terms:
-                        degree = memo.get(exp)
-                        if degree is None:
-                            degree = memo[exp] = _dot(deg_u, exp)
-                        if degree != grade:
+                        if not on_grade(k, i, j, exp):
                             raise GradingViolation(
                                 "off-grade term u^%r in A^(%d)[%d][%d]"
                                 % (exp, k, i + 1, j + 1))
@@ -338,135 +338,203 @@ def oscillator_matrices(unf, c=None):
     return OscillatorData(unf, filtration, matrices, a)
 
 
+def grading(unf):
+    """None with overrides. Otherwise on_grade(k, i, j, exp), 0-based i
+    and j: whether t^k u^exp may stand at Phi_j in the projection of
+    Phi_i, that is k + deg(u^exp) + d_j - d_i = 0, compared in integers
+    with a per-exponent memo. zeta_+ carries the grading of Phi_1."""
+    if unf.override:
+        return None
+    mu = unf.base.mu
+    scale, ints = _integer_scale(unf.base.degrees + unf.deg_u)
+    degrees, deg_u = ints[:mu], ints[mu:]
+    memo = {}
+
+    def on_grade(k, i, j, exp):
+        degree = memo.get(exp)
+        if degree is None:
+            degree = memo[exp] = _dot(deg_u, exp)
+        return degree == degrees[i] - degrees[j] - k * scale
+    return on_grade
+
+
 def oscillating_projection(unf, classes, filtration, floor=None):
     """Reduced classes of e^((F-f)/t) * h in Phi(c) coordinates, one per
     class h, each given as product terms (t0, {z_exp: Fraction}, r)
     meaning t^t0 * r * sum c z^z_exp, r a ring element (the rep format of
-    verify_primitive).
-
-    The work runs in u-monomial order (see the module docstring). Each
-    alpha with |alpha| <= N is visited once, depth-first over
-    non-decreasing index sequences; P_alpha is built once, as P at alpha
-    without its last variable l times Q_{l,alpha_l}, the Q_{l,n} coming
-    once per call from their recurrence (see _series_terms). Each
-    product P_alpha h is reduced through the monomial cache into Fraction
-    sums per (t^k, phi_j) once, and those sums are spread over the
-    u-monomials beta of r with |alpha| + |beta| <= N into the
-    u^(alpha+beta) slots, multiplied by r_beta unless it is 1.
-
-    With a floor only the t-powers k >= floor are computed and kept.
-    In both modes coords_to_upper lifts a t-power by at most
-    filtration.lift, so reduced t-powers below floor - lift are skipped,
-    and what still lands below floor is dropped. In polynomial mode
-    without overrides P_alpha is homogeneous of degree deg(e) - m =
-    -wdeg(alpha), wdeg(alpha) = sum alpha_l (1 - d_l), and reducing z^e
-    gives t-powers of at most deg(e), since basis degrees are >= 0. So
-    P_alpha is skipped against a product term (t0, h, r) when
-    top(h) + t0 - wdeg(alpha) < floor, top being the largest degree in
-    h, and a subtree is pruned when even -wdeg(alpha) - (N - |alpha|)
-    min(0, min deg u) leaves every product term below the floor.
-    """
-    base = unf.base
-    mu, nu, N = base.mu, unf.nu, unf.N
-    graded = floor is not None and not unf.laurent and not unf.override
-    scale, weights = (1, None) if unf.laurent else \
-        _integer_scale(base.weights)
-    skip = -math.inf if floor is None else floor - filtration.lift
-    groups = []
-    for i, terms in enumerate(classes):
-        for t0, h, coeff in terms:
-            if not h or not coeff:
-                continue
-            # the smallest scaled deg(e) - m of a P_alpha term to keep
-            cut = (floor - t0) * scale - max(_dot(weights, e) for e in h) \
-                if graded else -math.inf
-            # the u-monomials of coeff by size, None for a coefficient 1
-            spread = sorted((sum(beta), beta, None if b == 1 else b)
-                            for beta, b in coeff.terms.items())
-            groups.append((i, t0, list(h.items()), spread, spread[0][0],
-                           cut))
-    # per variable l: the scaled degree step of one more phi_l / t, and
-    # Q_{l,n} for n = 0..N
-    rises = [int(-d * scale) for d in unf.deg_u]
-    qs = [_series_terms(list(base.basis[j].terms.items()), psi, N)
-          for j, psi in zip(unf.indices, unf.series)]
-    # one more u raises the degree of P_alpha by at most climb, so no
-    # alpha below a pruned one can pass
-    lowest = min((g[-1] for g in groups), default=0)
-    climb = max([0] + rises)
+    verify_primitive). With a floor only the t-powers k >= floor are
+    computed and kept. One Projector runs every product term in one
+    search over alpha (see Projector)."""
+    projector = Projector(unf, filtration, floor)
     acc = [{} for _ in classes]     # per class: (k, j) -> {gamma: Fraction}
-    reductions = {}
+    projector.run([projector.product_term(t0, h, coeff.terms,
+                                          [slots] * (unf.N + 1))
+                   for terms, slots in zip(classes, acc)
+                   for t0, h, coeff in terms if h and coeff])
+    return [projector.rows(slots) for slots in acc]
 
-    # depth first over alpha as non-decreasing index sequences; each
-    # P_alpha maps m to the z-terms of its t^(-m) part, top is its scaled
-    # degree, and prefix is P at alpha with alpha_last set to 0
-    one = {0: {(0,) * base.n: Fraction(1)}}
-    stack = [((0,) * nu, 0, 0, 0, one, one)] if groups else []
-    while stack:
-        alpha, size, last, top, prefix, P = stack.pop()
-        if graded and top + (N - size) * climb < lowest:
-            continue
-        for i, t0, h, spread, least, cut in groups:
-            if size + least > N or top < cut:
-                continue
-            local = {}
-            for m, poly in P.items():
-                shift = t0 - m
-                for e, c in z_product(poly.items(), h).items():
-                    if not c:
-                        continue
-                    red = reductions.get(e)
-                    if red is None:
-                        red = reductions[e] = _sparse(reduce_monomial(base, e))
-                    for k, row in red:
-                        k += shift
-                        if k < skip:
-                            break
-                        for j, v in row:
-                            key = (k, j)
-                            prior = local.get(key)
-                            local[key] = c * v if prior is None \
-                                else prior + c * v
-            if not local:
-                continue
-            slots = acc[i]
-            for bsize, beta, b in spread:
-                if size + bsize > N:
-                    break
-                gamma = tuple(map(add, alpha, beta))
-                for key, c in local.items():
-                    if b is not None:
-                        c *= b
-                    slot = slots.get(key)
-                    if slot is None:
-                        slots[key] = {gamma: c}
-                    else:
-                        prior = slot.get(gamma)
-                        slot[gamma] = c if prior is None else prior + c
-        if size < N:
-            for l in range(last, nu):
-                # P at alpha + e_l is P at alpha without its u_l part
-                # times Q_{l,alpha_l+1}
-                before = prefix if l == last else P
-                n = alpha[l] + 1
-                stack.append((alpha[:l] + (n,) + alpha[l + 1:], size + 1, l,
-                              top + rises[l], before,
-                              _times(before, qs[l][n])))
 
-    out = []
-    zero = unf.ring_zero()
-    for slots in acc:
-        if not filtration.is_trivial():
-            slots = filtration.coords_to_upper(slots)
+class Projector:
+    """The oscillating projection of product terms for one unfolding,
+    opposite filtration and floor: the setup its callers share (the
+    Q_{l,n}, the cuts and the reductions met so far) and the one
+    reduce-and-accumulate kernel.
+
+    The work runs in u-monomial order (see the module docstring). A run
+    visits each alpha once, depth-first over non-decreasing index
+    sequences; P_alpha is built once per run, as P at alpha without its
+    last variable l times Q_{l,alpha_l}, the Q_{l,n} coming once per
+    Projector from their recurrence (see _series_terms). Each product
+    P_alpha h is reduced through the monomial cache into Fraction sums
+    per (t^k, phi_j) once, and those sums are spread over the
+    u-monomials beta of the term's coefficient with
+    |alpha| + |beta| <= N into the u^(alpha+beta) slots, multiplied by
+    r_beta unless it is 1. A product term given a key keeps its sum per
+    alpha for the Projector's lifetime, so a later run that meets the
+    term again only spreads it.
+
+    With a floor, coords_to_upper lifts a t-power by at most
+    filtration.lift in both modes, so reduced t-powers below floor -
+    lift are skipped, and what still lands below floor is dropped. In
+    polynomial mode without overrides P_alpha is homogeneous of degree
+    deg(e) - m = -wdeg(alpha), wdeg(alpha) = sum alpha_l (1 - d_l), and
+    reducing z^e gives t-powers of at most deg(e), since basis degrees
+    are >= 0. So P_alpha is skipped against a product term (t0, h, r)
+    when top(h) + t0 - wdeg(alpha) < floor, top being the largest degree
+    in h, and a subtree is pruned when even -wdeg(alpha) - (room)
+    min(0, min deg u) leaves every product term of the run below the
+    floor, room being how many more u the run's terms allow.
+    """
+
+    def __init__(self, unf, filtration, floor=None):
+        base = unf.base
+        self.unf = unf
+        self.filtration = filtration
+        self.floor = floor
+        self.graded = floor is not None and not unf.laurent and \
+            not unf.override
+        self.scale, self.weights = (1, None) if unf.laurent else \
+            _integer_scale(base.weights)
+        self.skip = -math.inf if floor is None else floor - filtration.lift
+        # per variable l: the scaled degree step of one more phi_l / t, and
+        # Q_{l,n} for n = 0..N; one more u raises the degree of P_alpha by
+        # at most climb, so no alpha below a pruned one can pass
+        self.rises = [int(-d * self.scale) for d in unf.deg_u]
+        self.climb = max([0] + self.rises)
+        self.qs = [_series_terms(list(base.basis[j].terms.items()), psi,
+                                 unf.N)
+                   for j, psi in zip(unf.indices, unf.series)]
+        self.reductions = {}
+        self.memo = {}
+
+    def product_term(self, t0, h, coeffs, sink, key=None):
+        """The product term t^t0 * (sum_beta r_beta u^beta) * h, h and
+        coeffs given as {exponent: Fraction}. Its u^(alpha+beta) parts go
+        to sink[|alpha|], a (k, j) -> {gamma: Fraction} dict in phi
+        coordinates, or nowhere where that is None. A key memoizes its
+        reduced sum per alpha."""
+        # the smallest scaled deg(e) - m of a P_alpha term to keep
+        cut = (self.floor - t0) * self.scale - \
+            max(_dot(self.weights, e) for e in h) if self.graded \
+            else -math.inf
+        # the u-monomials of coeffs by size, None for a coefficient 1
+        spread = sorted((sum(beta), beta, None if b == 1 else b)
+                        for beta, b in coeffs.items())
+        return (t0, list(h.items()), spread, spread[0][0], cut, sink, key)
+
+    def run(self, terms):
+        """Add the projections of the product terms to their sinks."""
+        if not terms:
+            return
+        unf, memo = self.unf, self.memo
+        N = unf.N
+        depth = N - min(term[3] for term in terms)
+        lowest = min(term[4] for term in terms)
+        # depth first over alpha as non-decreasing index sequences; each
+        # P_alpha maps m to the z-terms of its t^(-m) part, top is its
+        # scaled degree, and prefix is P at alpha with alpha_last set to 0
+        one = {0: {(0,) * unf.base.n: Fraction(1)}}
+        stack = [((0,) * unf.nu, 0, 0, 0, one, one)]
+        while stack:
+            alpha, size, last, top, prefix, P = stack.pop()
+            if self.graded and top + (depth - size) * self.climb < lowest:
+                continue
+            for t0, h, spread, least, cut, sink, key in terms:
+                if size + least > N or top < cut:
+                    continue
+                slots = sink[size]
+                if slots is None:
+                    continue
+                if key is None:
+                    local = self._reduce(P, t0, h)
+                else:
+                    local = memo.get((alpha, key))
+                    if local is None:
+                        local = memo[(alpha, key)] = self._reduce(P, t0, h)
+                if not local:
+                    continue
+                for bsize, beta, b in spread:
+                    if size + bsize > N:
+                        break
+                    gamma = tuple(map(add, alpha, beta))
+                    for slot_key, c in local.items():
+                        if b is not None:
+                            c *= b
+                        slot = slots.get(slot_key)
+                        if slot is None:
+                            slots[slot_key] = {gamma: c}
+                        else:
+                            prior = slot.get(gamma)
+                            slot[gamma] = c if prior is None else prior + c
+            if size < depth:
+                for l in range(last, unf.nu):
+                    # P at alpha + e_l is P at alpha without its u_l part
+                    # times Q_{l,alpha_l+1}
+                    before = prefix if l == last else P
+                    n = alpha[l] + 1
+                    stack.append((alpha[:l] + (n,) + alpha[l + 1:], size + 1,
+                                  l, top + self.rises[l], before,
+                                  _times(before, self.qs[l][n])))
+
+    def _reduce(self, P, t0, h):
+        """[t^t0 P h] as Fraction sums {(k, j): c} over the t-powers
+        k >= floor - lift, through the monomial cache."""
+        base, reductions, skip = self.unf.base, self.reductions, self.skip
+        local = {}
+        for m, poly in P.items():
+            shift = t0 - m
+            for e, c in z_product(poly.items(), h).items():
+                if not c:
+                    continue
+                red = reductions.get(e)
+                if red is None:
+                    red = reductions[e] = _sparse(reduce_monomial(base, e))
+                for k, row in red:
+                    k += shift
+                    if k < skip:
+                        break
+                    for j, v in row:
+                        key = (k, j)
+                        prior = local.get(key)
+                        local[key] = c * v if prior is None \
+                            else prior + c * v
+        return local
+
+    def rows(self, slots):
+        """A sink's (k, j) -> {gamma: c} slots as a ReducedClass of ring
+        elements in Phi(c) coordinates, t-powers below the floor
+        dropped."""
+        if not self.filtration.is_trivial():
+            slots = self.filtration.coords_to_upper(slots)
         rows = {}
+        zero = self.unf.ring_zero()
         for (k, j), poly in slots.items():
-            if floor is None or k >= floor:
+            if self.floor is None or k >= self.floor:
                 # gamma has |gamma| <= N and every c is a Fraction
                 elem = zero._like({g: c for g, c in poly.items() if c})
                 if elem:
-                    rows.setdefault(k, [zero] * mu)[j] = elem
-        out.append(ReducedClass(mu, rows))
-    return out
+                    rows.setdefault(k, [zero] * self.unf.base.mu)[j] = elem
+        return ReducedClass(self.unf.base.mu, rows)
 
 
 def _sparse(reduced):

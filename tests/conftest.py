@@ -106,6 +106,34 @@ def monomials_up_to(data, degree):
             if data.weights.degree_of_exponent(e) <= degree]
 
 
+# --- small exact helpers only the tests use ---------------------------
+
+def mat_mul(a, b):
+    """The product of two dense Fraction matrices."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+def in_row_space(vector, echelon, pivots):
+    """Whether vector lies in the span of linalg.row_space_basis's rows."""
+    row = list(vector)
+    for erow, p in zip(echelon, pivots):
+        if row[p]:
+            c = row[p]
+            row = [x - c * y for x, y in zip(row, erow)]
+    return all(x == 0 for x in row)
+
+
+def subs_values(poly, values):
+    """poly evaluated at the point {name: Fraction}, exactly."""
+    total = Fraction(0)
+    for exp, c in poly.terms.items():
+        for name, e in zip(poly.variables, exp):
+            c *= Fraction(values[name]) ** e
+        total += c
+    return total
+
+
 # --- the oscillating projection in ring order -------------------------
 
 def ring_order_projection(unf, classes, filtration, floor=None):

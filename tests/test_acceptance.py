@@ -73,6 +73,28 @@ def test_exceptional_unimodal_sixth_order_series(e12):
     assert time.monotonic() - t0 < 60.0
 
 
+def test_exceptional_unimodal_forms_at_higher_order(e12, e13):
+    # orders the A^(k) family made slow (about 1.2 s for E12 at N=10 and
+    # 1.5 s for E13 at N=8); the order-by-order solve takes about 0.05 s
+    for data, N in ((e12, 10), (e13, 8)):
+        t0 = time.monotonic()
+        unf = build_unfolding(data, N)
+        pf = primitive_form(unf)
+        assert verify_primitive(unf, pf)
+        d = data.degrees
+        records = pf.records()
+        assert records[0][:2] == (0, 1)
+        assert records[0][2].constant_term() == 1
+        for q, j, elem in records:
+            for exp in elem.terms:
+                assert q + d[j - 1] + unf.u_degree(exp) == 0, (q, j, exp)
+        assert time.monotonic() - t0 < 1.0
+        # truncation to u-degree 6 gives the form at N = 6
+        low = build_unfolding(data, 6)
+        assert [(q, j, e.truncate(6)) for q, j, e in records
+                if e.truncate(6)] == primitive_form(low).records()
+
+
 def test_simple_elliptic_reciprocal_period_family(elliptic):
     t0 = time.monotonic()
     socle = elliptic.basis[7]

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from saitoforms.linalg import (
-    SingularMatrix, identity, in_row_space, mat_inv, mat_mul,
-    row_space_basis,
+    SingularMatrix, identity, mat_inv, row_space_basis,
 )
+
+from conftest import in_row_space, mat_mul
 
 
 def rand_mat(rng, n, m):

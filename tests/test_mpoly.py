@@ -8,6 +8,8 @@ from saitoforms.mpoly import (
     monomial_div, monomial_divides, monomial_lcm, monomial_mul,
 )
 
+from conftest import subs_values
+
 
 def rand_poly(rng, variables, laurent=False, nterms=4, maxdeg=5):
     terms = {}
@@ -31,9 +33,10 @@ def test_arith_matches_integer_evaluation():
         b = rand_poly(rng, v)
         pt = {"x": Fraction(rng.randrange(-4, 5)),
               "y": Fraction(rng.randrange(-4, 5))}
-        assert (a + b).subs_values(pt) == a.subs_values(pt) + b.subs_values(pt)
-        assert (a - b).subs_values(pt) == a.subs_values(pt) - b.subs_values(pt)
-        assert (a * b).subs_values(pt) == a.subs_values(pt) * b.subs_values(pt)
+        at_a, at_b = subs_values(a, pt), subs_values(b, pt)
+        assert subs_values(a + b, pt) == at_a + at_b
+        assert subs_values(a - b, pt) == at_a - at_b
+        assert subs_values(a * b, pt) == at_a * at_b
 
 
 def test_pow_repeated_product():

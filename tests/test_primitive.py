@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from saitoforms import UnfoldRingElem, unfolding
+from saitoforms import UnfoldRingElem, primitive, unfolding
+from saitoforms.brieskorn import ReducedClass
 from saitoforms.mpoly import MPoly
 from saitoforms.primitive import (
     _as_t_rpolys, assemble_psi, neumann_solve, primitive_form,
@@ -16,8 +17,8 @@ from saitoforms.unfolding import (
 )
 
 from conftest import (
-    elliptic_g, elliptic_h, make_a, ring_order_projection, series_reciprocal,
-    series_sub,
+    analyze_oracle_case, elliptic_g, elliptic_h, make_a,
+    ring_order_projection, series_reciprocal, series_sub,
 )
 
 
@@ -275,3 +276,103 @@ def test_solve_forms_each_part_once(monkeypatch, elliptic):
         m.setattr(Fraction, "__mul__", counting)
         neumann_solve(psi, unf)
     assert 0 < len(calls) <= 1000
+
+
+ELLIPTIC = ("1/3*z1^3 + 1/3*z2^3 + 1/3*z3^3", ("z1", "z2", "z3"), ["1/3"] * 3)
+
+# (singularity, N, mask, c): the polynomial jobs of the benchmark's
+# unfold-full and socle-deep workloads (the socle direction at N = 20),
+# then full unfoldings with a nontrivial c
+TWO_SOLVE_CASES = [
+    (("z^%d" % n, ("z",), ["1/%d" % n]), 6, None, None) for n in range(3, 7)
+] + [
+    (("x^2*y + y^4", ("x", "y"), ["3/8", "1/4"]), 6, None, None),
+    (("x^3 + y^4", ("x", "y"), ["1/3", "1/4"]), 6, None, None),
+    (("x^3 + x*y^3", ("x", "y"), ["1/3", "2/9"]), 6, None, None),
+    (("x^3 + y^5", ("x", "y"), ["1/3", "1/5"]), 6, None, None),
+    (ELLIPTIC, 6, None, None),
+    (("x^3 + y^7", ("x", "y"), ["1/3", "1/7"]), 4, None, None),
+    (("x^3 + x*y^5", ("x", "y"), ["1/3", "2/15"]), 3, None, None),
+    (("x^3 + y^8", ("x", "y"), ["1/3", "1/8"]), 3, None, None),
+    (ELLIPTIC, 20, [8], None),
+    (ELLIPTIC, 20, [8], {(8, 1): Fraction(1)}),
+    (ELLIPTIC, 4, None, {(8, 1): Fraction(1)}),
+    (ELLIPTIC, 4, None, {(8, 1): Fraction(-3, 7)}),
+    (ELLIPTIC, 5, None, {(8, 1): Fraction(1)}),
+    (ELLIPTIC, 5, None, {(8, 1): Fraction(-3, 7)}),
+    (("x^4 + y^4", ("x", "y"), ["1/4", "1/4"]), 5, None,
+     {(9, 1): Fraction(1)}),
+]
+
+
+@pytest.mark.parametrize("case, N, mask, c", TWO_SOLVE_CASES)
+def test_order_by_order_solve_matches_oscillator_solve(case, N, mask, c):
+    unf = build_unfolding(analyze_oracle_case(case), N, mask=mask)
+    pf = primitive_form(unf, c=c)
+    osc = oscillator_matrices(unf, c=c)
+    assert pf.records() == primitive_form(unf, c, osc=osc).records()
+    assert verify_primitive(unf, pf, c=c)
+
+
+def test_order_by_order_solve_builds_no_oscillator_matrices(
+        monkeypatch, e12, elliptic):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the A^(k) path was called")
+
+    monkeypatch.setattr(unfolding, "oscillator_matrices", refuse)
+    monkeypatch.setattr(OscillatorData, "__init__", refuse)
+    monkeypatch.setattr(primitive, "assemble_psi", refuse)
+    monkeypatch.setattr(primitive, "neumann_solve", refuse)
+    p1 = build_unfolding(P1MirrorData(2), 6, u_names=["u0", "u1"],
+                         overrides={2: lambda u: exp_series(u) - 1})
+    for unf, c in ((build_unfolding(e12, 6), None),
+                   (build_unfolding(elliptic, 4), {(8, 1): Fraction(1)}),
+                   (p1, None)):
+        assert verify_primitive(unf, primitive_form(unf, c=c), c=c)
+
+
+def test_order_by_order_solve_makes_few_products(monkeypatch, e12):
+    # the mu rows of the A^(k) family took 71983 z_product calls at N = 8;
+    # the recursion projects zeta_+ alone and takes about 300
+    unf = build_unfolding(e12, 8)
+    calls = []
+    z_product = unfolding.z_product
+
+    def counting(left, right):
+        calls.append(None)
+        return z_product(left, right)
+
+    monkeypatch.setattr(unfolding, "z_product", counting)
+    primitive_form(unf)
+    assert 0 < len(calls) <= 1000
+
+
+def _corrupt_reductions(monkeypatch, t_power):
+    # every nonconstant monomial reduces with an extra t^t_power phi_1
+    reduce_monomial = unfolding.reduce_monomial
+
+    def corrupted(base, exp):
+        red = reduce_monomial(base, exp)
+        if not any(exp):
+            return red
+        out = ReducedClass(base.mu, red.coeffs)
+        out.coeffs.setdefault(t_power, [Fraction(0)] * base.mu)[0] += 1
+        return out
+
+    monkeypatch.setattr(unfolding, "reduce_monomial", corrupted)
+
+
+@pytest.mark.parametrize("t_power, message", [
+    (1, "off-grade zeta_+ term t^0 u^%r Phi_1"),
+    (3, "zeta_+ term t^2 u^%r Phi_1 beyond the bound a=1")])
+def test_order_by_order_solve_checks_each_term(monkeypatch, e12, t_power,
+                                               message):
+    # on E12 only u_12 (degree -1/21) lets Phi_1 reach t^0 at first order:
+    # [t^t_power phi_1 u_12 / t] lands at t^(t_power - 1)
+    unf = build_unfolding(e12, 2)
+    assert positive_bound(e12, 2) == 1
+    _corrupt_reductions(monkeypatch, t_power)
+    u12 = (0,) * 11 + (1,)
+    with pytest.raises(GradingViolation) as err:
+        primitive_form(unf)
+    assert str(err.value) == message % (u12,)

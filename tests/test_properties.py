@@ -5,13 +5,13 @@ import random
 from fractions import Fraction
 
 from saitoforms.brieskorn import reduce_class
-from saitoforms.linalg import in_row_space, row_space_basis
+from saitoforms.linalg import row_space_basis
 from saitoforms.mpoly import MPoly
 from saitoforms.primitive import assemble_psi, neumann_solve, primitive_form
 from saitoforms.residue_series import pairing_univariate_Am, pairing_univariate_p1
 from saitoforms.unfolding import build_unfolding, oscillator_matrices
 
-from conftest import full_oscillator_family, make_a
+from conftest import full_oscillator_family, in_row_space, make_a
 
 
 def _monomials_of_degree(data, d):
