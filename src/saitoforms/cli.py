@@ -147,14 +147,17 @@ def _build_unfolding(data, job, args):
     if n is None:
         raise JobError("truncation order required ('N' in job or --order)")
     _int(n, "the truncation order N", nonnegative=True)
+    mask = _mask(job, args)
     overrides = None
     u_names = None
     if data.mode == "laurent":
-        u_names = ["u0", "u1"]
+        # the direction of basis index i is u{i-1}
+        u_names = ["u%d" % (i - 1) for i in
+                   (range(1, data.mu + 1) if mask is None else sorted(mask))]
         if _bool(job.get("exponentiate", True), "'exponentiate'"):
             overrides = {2: lambda u: exp_series(u) - 1}
-    return build_unfolding(data, n, mask=_mask(job, args),
-                           overrides=overrides, u_names=u_names)
+    return build_unfolding(data, n, mask=mask, overrides=overrides,
+                           u_names=u_names)
 
 
 def _records_json(pf, data):

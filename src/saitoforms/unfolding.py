@@ -10,12 +10,13 @@ e^((F-f)/t) Phi_i = sum_{j,k} A^(k)_ij t^k Phi_j.
 The oscillating projection runs in u-monomial order. Each factor
 expands as e^(psi_l(u_l) phi_l/t) = sum_n u_l^n Q_{l,n}, so
 e^((F-f)/t) = sum_alpha u^alpha P_alpha with P_alpha = prod_l
-Q_{l,alpha_l}, a polynomial in z and 1/t with Fraction coefficients;
-for psi_l = u_l it is t^(-|alpha|) prod_l phi_l^alpha_l / alpha_l!.
-An input class is a sum of product terms t^t0 r h, r = sum_beta r_beta
-u^beta a ring element and h a polynomial in z with Fraction
-coefficients, and projects to sum u^(alpha+beta) r_beta [t^t0 P_alpha h]:
-each [P_alpha h] is reduced once, and every coefficient is a plain
+Q_{l,alpha_l}, a polynomial in z and 1/t with Fraction coefficients
+(an MPoly over the z-variables and 1/t); for psi_l = u_l it is
+t^(-|alpha|) prod_l phi_l^alpha_l / alpha_l!. An input class is a sum
+of product terms t^t0 r h, r = sum_beta r_beta u^beta a ring element
+and h a polynomial in z with Fraction coefficients, and projects to
+sum u^(alpha+beta) r_beta [t^t0 P_alpha h]: each [P_alpha h] is one
+MPoly product, reduced once, and every coefficient is a plain
 Fraction until the ring entries are built, once, at the end. With a
 floor on the t-powers two cuts keep the work to what lands at or above
 it: a cut on the reduced t-powers of each product and, without
@@ -70,12 +71,12 @@ def exp_series(elem):
 
 
 def z_product(left, right):
-    """The product of two z-exponent -> coefficient maps, given as
+    """The product of two z-exponent -> ring element maps, given as
     (exponent, coefficient) pairs, as a dict accumulating c1 * c2 at
-    e1 + e2. The projection passes Fractions; only exp_powers passes ring
-    elements. Zero products are skipped, but sums that cancel stay as
-    zero entries. right is iterated once per left term, so it must not
-    be a one-shot iterator."""
+    e1 + e2: the ring-valued product of exp_powers (the projection
+    multiplies MPolys in z and 1/t instead). Zero products are skipped,
+    but sums that cancel stay as zero entries. right is iterated once
+    per left term, so it must not be a one-shot iterator."""
     out = {}
     for e1, c1 in left:
         for e2, c2 in right:
@@ -207,11 +208,13 @@ class UnfoldingData:
 def build_unfolding(base, N, mask=None, overrides=None, u_names=None):
     """Construct the truncated universal unfolding.
 
-    mask: 1-based basis indices that carry a parameter (default: all).
+    mask: 1-based basis indices that carry a parameter (default: all),
+        each at most once.
     overrides: {1-based index: callable(elem) -> elem} replacing the
         default linear coefficient u_j by a series in it (used for the
         exponentiated P^1 direction).
-    u_names: display names, default u1..u_mu keyed by basis position.
+    u_names: display names, one per parameter in basis order, default
+        u1..u_mu keyed by basis position.
     """
     mu = base.mu
     if mask is None:
@@ -220,8 +223,14 @@ def build_unfolding(base, N, mask=None, overrides=None, u_names=None):
         indices = sorted(i - 1 for i in mask)
         if any(i < 0 or i >= mu for i in indices):
             raise ValueError("mask index out of range")
+        for i, j in zip(indices, indices[1:]):
+            if i == j:
+                raise ValueError("mask index %d is repeated" % (i + 1))
     if u_names is None:
         u_names = ["u%d" % (i + 1) for i in indices]
+    elif len(u_names) != len(indices):
+        raise ValueError("expected %d u_names, one per parameter, got %d"
+                         % (len(indices), len(u_names)))
     nu = len(indices)
     coeffs = []
     override = False
@@ -377,17 +386,20 @@ def oscillating_projection(unf, classes, filtration, floor=None):
 class Projector:
     """The oscillating projection of product terms for one unfolding,
     opposite filtration and floor: the setup its callers share (the
-    Q_{l,n}, the cuts and the reductions met so far) and the one
-    reduce-and-accumulate kernel.
+    Q_{l,n} built so far, the cuts and the reductions met so far) and
+    the one reduce-and-accumulate kernel.
 
-    The work runs in u-monomial order (see the module docstring). A run
-    visits each alpha once, depth-first over non-decreasing index
-    sequences; P_alpha is built once per run, as P at alpha without its
-    last variable l times Q_{l,alpha_l}, the Q_{l,n} coming once per
-    Projector from their recurrence (see _series_terms). Each product
-    P_alpha h is reduced through the monomial cache into Fraction sums
-    per (t^k, phi_j) once, and those sums are spread over the
-    u-monomials beta of the term's coefficient with
+    P_alpha, the Q_{l,n} and the h of each product term are MPolys over
+    the z-variables and 1/t, the last exponent counting powers of 1/t
+    (Laurent MPolys in Laurent mode). The work runs in u-monomial order
+    (see the module docstring). A run visits each alpha once,
+    depth-first over non-decreasing index sequences; P_alpha is built
+    once per run, when the search takes alpha, as P at alpha without its
+    last variable l times Q_{l,alpha_l}, and Q_{l,n} is built from its
+    recurrence when the search first reaches it (see q). Each product
+    P_alpha h is reduced through the monomial cache, keyed by the
+    z-exponent, into Fraction sums per (t^k, phi_j) once, and those sums
+    are spread over the u-monomials beta of the term's coefficient with
     |alpha| + |beta| <= N into the u^(alpha+beta) slots, multiplied by
     r_beta unless it is 1. A product term given a key keeps its sum per
     alpha for the Projector's lifetime, so a later run that meets the
@@ -416,16 +428,36 @@ class Projector:
         self.scale, self.weights = (1, None) if unf.laurent else \
             _integer_scale(base.weights)
         self.skip = -math.inf if floor is None else floor - filtration.lift
-        # per variable l: the scaled degree step of one more phi_l / t, and
-        # Q_{l,n} for n = 0..N; one more u raises the degree of P_alpha by
-        # at most climb, so no alpha below a pruned one can pass
+        # per variable l the scaled degree step of one more phi_l / t; one
+        # more u raises the degree of P_alpha by at most climb, so no alpha
+        # below a pruned one can pass
         self.rises = [int(-d * self.scale) for d in unf.deg_u]
         self.climb = max([0] + self.rises)
-        self.qs = [_series_terms(list(base.basis[j].terms.items()), psi,
-                                 unf.N)
-                   for j, psi in zip(unf.indices, unf.series)]
+        # per variable l, phi_l / t and Q_{l,n} for n = 0, 1, ... as far
+        # as built
+        self.one = MPoly.constant(base.variables + ("1/t",), 1, unf.laurent)
+        self.phis = [self.one._like({e + (1,): c for e, c
+                                     in base.basis[j].terms.items()})
+                     for j in unf.indices]
+        self.qs = [[self.one] for _ in unf.indices]
         self.reductions = {}
         self.memo = {}
+
+    def q(self, l, n):
+        """Q_{l,n} of e^(psi_l(u_l) phi_l / t) = sum_n u_l^n Q_{l,n}, for
+        psi_l = sum_k p_k u_l^k, by the recurrence
+        Q_n = (phi_l / (n t)) sum_{k=1..n} k p_k Q_(n-k), the u^(n-1)
+        coefficient of d/du e^(psi phi/t) = psi'(u) (phi/t) e^(psi phi/t).
+        For psi_l = u_l it gives Q_n = (phi_l / t)^n / n!. The Q_{l,n}
+        are built as far as n when first asked for."""
+        qs = self.qs[l]
+        while len(qs) <= n:
+            m = len(qs)
+            qs.append(self.phis[l] * sum(
+                (qs[m - k] * Fraction(k * p, m)
+                 for k, p in self.unf.series[l].items() if k <= m),
+                self.one._like({})))
+        return qs[n]
 
     def product_term(self, t0, h, coeffs, sink, key=None):
         """The product term t^t0 * (sum_beta r_beta u^beta) * h, h and
@@ -440,7 +472,8 @@ class Projector:
         # the u-monomials of coeffs by size, None for a coefficient 1
         spread = sorted((sum(beta), beta, None if b == 1 else b)
                         for beta, b in coeffs.items())
-        return (t0, list(h.items()), spread, spread[0][0], cut, sink, key)
+        h = self.one._like({e + (0,): c for e, c in h.items()})
+        return (t0, h, spread, spread[0][0], cut, sink, key)
 
     def run(self, terms):
         """Add the projections of the product terms to their sinks."""
@@ -450,15 +483,15 @@ class Projector:
         N = unf.N
         depth = N - min(term[3] for term in terms)
         lowest = min(term[4] for term in terms)
-        # depth first over alpha as non-decreasing index sequences; each
-        # P_alpha maps m to the z-terms of its t^(-m) part, top is its
-        # scaled degree, and prefix is P at alpha with alpha_last set to 0
-        one = {0: {(0,) * unf.base.n: Fraction(1)}}
-        stack = [((0,) * unf.nu, 0, 0, 0, one, one)]
+        # depth first over alpha as non-decreasing index sequences, last
+        # being the last index raised; top is the scaled degree of
+        # P_alpha, and prefix is P at alpha with alpha_last set to 0
+        stack = [((0,) * unf.nu, 0, 0, 0, self.one)]
         while stack:
-            alpha, size, last, top, prefix, P = stack.pop()
+            alpha, size, last, top, prefix = stack.pop()
             if self.graded and top + (depth - size) * self.climb < lowest:
                 continue
+            P = prefix * self.q(last, alpha[last]) if size else prefix
             for t0, h, spread, least, cut, sink, key in terms:
                 if size + least > N or top < cut:
                     continue
@@ -490,34 +523,33 @@ class Projector:
                 for l in range(last, unf.nu):
                     # P at alpha + e_l is P at alpha without its u_l part
                     # times Q_{l,alpha_l+1}
-                    before = prefix if l == last else P
-                    n = alpha[l] + 1
-                    stack.append((alpha[:l] + (n,) + alpha[l + 1:], size + 1,
-                                  l, top + self.rises[l], before,
-                                  _times(before, self.qs[l][n])))
+                    stack.append((alpha[:l] + (alpha[l] + 1,) +
+                                  alpha[l + 1:], size + 1, l,
+                                  top + self.rises[l],
+                                  prefix if l == last else P))
 
     def _reduce(self, P, t0, h):
         """[t^t0 P h] as Fraction sums {(k, j): c} over the t-powers
-        k >= floor - lift, through the monomial cache."""
+        k >= floor - lift, through the monomial cache: a term
+        c z^e t^(-m) of P h adds c times the reduction of z^e, shifted
+        by t^(t0 - m)."""
         base, reductions, skip = self.unf.base, self.reductions, self.skip
         local = {}
-        for m, poly in P.items():
-            shift = t0 - m
-            for e, c in z_product(poly.items(), h).items():
-                if not c:
-                    continue
-                red = reductions.get(e)
-                if red is None:
-                    red = reductions[e] = _sparse(reduce_monomial(base, e))
-                for k, row in red:
-                    k += shift
-                    if k < skip:
-                        break
-                    for j, v in row:
-                        key = (k, j)
-                        prior = local.get(key)
-                        local[key] = c * v if prior is None \
-                            else prior + c * v
+        for e, c in (P * h).terms.items():
+            z = e[:-1]
+            red = reductions.get(z)
+            if red is None:
+                red = reductions[z] = _sparse(reduce_monomial(base, z))
+            shift = t0 - e[-1]
+            for k, row in red:
+                k += shift
+                if k < skip:
+                    break
+                for j, v in row:
+                    key = (k, j)
+                    prior = local.get(key)
+                    local[key] = c * v if prior is None \
+                        else prior + c * v
         return local
 
     def rows(self, slots):
@@ -541,56 +573,6 @@ def _sparse(reduced):
     """A reduced class as [(k, [(j, v) nonzero])], highest k first."""
     return [(k, [(j, v) for j, v in enumerate(vec) if v])
             for k, vec in sorted(reduced.coeffs.items(), reverse=True)]
-
-
-def _series_terms(phi, psi, N):
-    """[Q_0, ..., Q_N] of e^(psi(u) phi / t) = sum_n u^n Q_n, for
-    psi = sum_k p_k u^k given as {k: p_k}, by the recurrence
-    Q_n = (phi / (n t)) sum_{k=1..n} k p_k Q_(n-k), the u^(n-1)
-    coefficient of d/du e^(psi phi/t) = psi'(u) (phi/t) e^(psi phi/t).
-    For psi = u it gives Q_n = phi^n / (n! t^n). Each Q_n maps m to the
-    z-terms of its t^(-m) part."""
-    out = [{0: {(0,) * len(phi[0][0]): Fraction(1)}}]
-    for n in range(1, N + 1):
-        q = {}
-        for k, p in psi.items():
-            if k <= n:
-                factor = [(e, c * k * p / n) for e, c in phi]
-                for m, poly in out[n - k].items():
-                    _accumulate(q, m + 1, z_product(poly.items(), factor))
-        out.append(_nonzero(q))
-    return out
-
-
-def _times(a, b):
-    """The product of two polynomials in z and 1/t, each given as
-    {m: {z_exp: c}}, the z-terms of its t^(-m) part."""
-    out = {}
-    for m1, p1 in a.items():
-        for m2, p2 in b.items():
-            _accumulate(out, m1 + m2, z_product(p1.items(), p2.items()))
-    return _nonzero(out)
-
-
-def _accumulate(polys, key, part):
-    """polys[key] += part, for z-exponent -> c dicts."""
-    prior = polys.get(key)
-    if prior is None:
-        polys[key] = part
-    else:
-        for e, c in part.items():
-            c0 = prior.get(e)
-            prior[e] = c if c0 is None else c0 + c
-
-
-def _nonzero(polys):
-    """{key: {z_exp: c}} without its zero coefficients and empty parts."""
-    out = {}
-    for key, poly in polys.items():
-        poly = {e: c for e, c in poly.items() if c}
-        if poly:
-            out[key] = poly
-    return out
 
 
 def _dot(weights, exp):

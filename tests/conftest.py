@@ -134,6 +134,21 @@ def subs_values(poly, values):
     return total
 
 
+def count_products(monkeypatch):
+    """A list that gains one entry at each MPoly product until the
+    monkeypatch is undone: the work guards of the projection count its
+    products with it."""
+    calls = []
+    mul = MPoly.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(MPoly, "__mul__", counting)
+    return calls
+
+
 # --- the oscillating projection in ring order -------------------------
 
 def ring_order_projection(unf, classes, filtration, floor=None):

@@ -218,41 +218,56 @@ def test_c_slot_out_of_range_is_rejected(capsys, tmp_path, singularity,
     assert "out of range" in doc["error"]["message"]
 
 
-@pytest.mark.parametrize("command, fields", [
-    ("primitive-form", {"N": 2, "mask": ["x"]}),
-    ("primitive-form", {"N": 2, "mask": 3}),
-    ("primitive-form", {"N": 2, "c": [1]}),
-    ("pairing", {"pairs": [[1, 2]]}),
-    ("verify", {"N": 2, "rep": 5}),
-    ("verify", {"N": 2, "rep": ["x"]}),
-    ("primitive-form", {"N": -1}),
-    ("primitive-form", {"N": 1.5}),
-    ("pairing", {"pairs": [["z", "1"]], "t_order": [1]}),
-    ("pairing", {"pairs": [["z", "1"]], "t_order": -3}),
+# (command, fields, error type): the job fields a document may not
+# have, and the error document they give
+MALFORMED = [
+    ("primitive-form", {"N": 2, "mask": ["x"]}, "JobError"),
+    ("primitive-form", {"N": 2, "mask": 3}, "JobError"),
+    ("primitive-form", {"N": 2, "c": [1]}, "JobError"),
+    ("pairing", {"pairs": [[1, 2]]}, "JobError"),
+    ("verify", {"N": 2, "rep": 5}, "JobError"),
+    ("verify", {"N": 2, "rep": ["x"]}, "JobError"),
+    ("primitive-form", {"N": -1}, "JobError"),
+    ("primitive-form", {"N": 1.5}, "JobError"),
+    ("pairing", {"pairs": [["z", "1"]], "t_order": [1]}, "JobError"),
+    ("pairing", {"pairs": [["z", "1"]], "t_order": -3}, "JobError"),
     # "no" used to orthogonalize, "false" to exponentiate
     ("analyze", {"singularity": {"variables": ["z"], "f": "z^3",
-                                 "weights": ["1/3"], "orthogonalize": "no"}}),
+                                 "weights": ["1/3"], "orthogonalize": "no"}},
+     "JobError"),
     ("analyze", {"singularity": {"variables": ["z"], "f": "z^3",
-                                 "weights": ["1/3"], "orthogonalize": 0}}),
+                                 "weights": ["1/3"], "orthogonalize": 0}},
+     "JobError"),
     ("primitive-form", {"singularity": {"model": "p1", "q": "2"}, "N": 2,
-                        "exponentiate": "false"}),
+                        "exponentiate": "false"}, "JobError"),
     ("verify", {"singularity": {"model": "p1", "q": "2"}, "N": 2,
-                "exponentiate": 1}),
+                "exponentiate": 1}, "JobError"),
     # JSON true used to be read as the rational 1
-    ("primitive-form", {"singularity": {"model": "p1", "q": True}, "N": 2}),
+    ("primitive-form", {"singularity": {"model": "p1", "q": True}, "N": 2},
+     "JobError"),
     ("primitive-form", {"singularity": ELLIPTIC, "N": 2, "mask": [8],
-                        "c": {"8,1": True}}),
-    ("verify", {"N": 2, "rep": [{"t": 0, "z": "1", "coeff": True}]}),
-])
+                        "c": {"8,1": True}}, "JobError"),
+    ("verify", {"N": 2, "rep": [{"t": 0, "z": "1", "coeff": True}]},
+     "JobError"),
+    # a repeated basis index used to give the u_names ["u8", "u8"]
+    ("primitive-form", {"singularity": ELLIPTIC, "N": 3, "mask": [8, 8]},
+     "ValueError"),
+    ("verify", {"singularity": {"model": "p1", "q": "2"}, "N": 3,
+                "mask": [2, 2]}, "ValueError"),
+]
+
+
+@pytest.mark.parametrize("command, fields, error", MALFORMED, ids=[
+    "%s-fields%d" % (row[0], i) for i, row in enumerate(MALFORMED)])
 def test_malformed_job_fields_are_rejected(capsys, tmp_path, command,
-                                           fields):
+                                           fields, error):
     job = {"schema": SCHEMA, "command": command,
            "singularity": {"variables": ["z"], "f": "z^3",
                            "weights": ["1/3"]}, **fields}
     code, doc = run_cli(capsys, tmp_path, job)
     assert code == 2
     assert doc["ok"] is False
-    assert doc["error"]["type"] == "JobError"
+    assert doc["error"]["type"] == error
 
 
 def test_boolean_fields_accept_json_booleans(capsys, tmp_path):

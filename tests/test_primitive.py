@@ -17,7 +17,7 @@ from saitoforms.unfolding import (
 )
 
 from conftest import (
-    analyze_oracle_case, elliptic_g, elliptic_h, make_a,
+    analyze_oracle_case, count_products, elliptic_g, elliptic_h, make_a,
     ring_order_projection, series_reciprocal, series_sub,
 )
 
@@ -227,23 +227,16 @@ def test_verify_products_do_not_grow_with_ring_coefficient_terms(
     # each P_alpha h is formed once per product term and spread over the
     # u-monomials of its ring coefficient, not once per u-monomial
     unf = build_unfolding(elliptic, 12, mask=[8])
-    calls = []
-    z_product = unfolding.z_product
-
-    def counting(left, right):
-        calls.append(None)
-        return z_product(left, right)
-
-    monkeypatch.setattr(unfolding, "z_product", counting)
     one = MPoly.constant(elliptic.f.variables, 1)
+    ring = UnfoldRingElem(1, 12, {(n,): Fraction(1, n + 1)
+                                  for n in range(13)})
+    calls = count_products(monkeypatch)
     counts = []
-    for R in (unf.ring_one(),
-              UnfoldRingElem(1, 12, {(n,): Fraction(1, n + 1)
-                                     for n in range(13)})):
+    for R in (unf.ring_one(), ring):
         calls.clear()
         verify_primitive(unf, [(0, one, R)])
         counts.append(len(calls))
-    assert counts[1] <= counts[0]
+    assert 0 < counts[1] <= counts[0]
 
 
 def test_psi_with_a_constant_term_is_rejected():
@@ -332,17 +325,10 @@ def test_order_by_order_solve_builds_no_oscillator_matrices(
 
 
 def test_order_by_order_solve_makes_few_products(monkeypatch, e12):
-    # the mu rows of the A^(k) family took 71983 z_product calls at N = 8;
-    # the recursion projects zeta_+ alone and takes about 300
+    # the mu rows of the A^(k) family took 71983 products at N = 8; the
+    # recursion projects zeta_+ alone and takes a few hundred
     unf = build_unfolding(e12, 8)
-    calls = []
-    z_product = unfolding.z_product
-
-    def counting(left, right):
-        calls.append(None)
-        return z_product(left, right)
-
-    monkeypatch.setattr(unfolding, "z_product", counting)
+    calls = count_products(monkeypatch)
     primitive_form(unf)
     assert 0 < len(calls) <= 1000
 

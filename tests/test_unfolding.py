@@ -1,11 +1,14 @@
 import json
+import math
 import re
 from fractions import Fraction
 
 import pytest
 
-from saitoforms import P1MirrorData, UnfoldRingElem, unfolding
+from saitoforms import P1MirrorData, UnfoldRingElem, primitive, unfolding
 from saitoforms.brieskorn import ReducedClass, reduce_monomial
+from saitoforms.mpoly import MPoly
+from saitoforms.parsing import parse_poly
 from saitoforms.primitive import primitive_form
 from saitoforms.cli import main
 from saitoforms.unfolding import (
@@ -85,6 +88,18 @@ def test_masked_unfolding_variables(elliptic):
             for e in row:
                 for exp in e.terms:
                     assert len(exp) == 1
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"mask": [8, 2, 8]}, "mask index 8 is repeated"),
+    ({"mask": [8], "u_names": ["s", "t"]}, "expected 1 u_names, one per "
+     "parameter, got 2"),
+    ({"u_names": ["s"]}, "expected 8 u_names, one per parameter, got 1"),
+])
+def test_unreadable_parameter_names_are_rejected(elliptic, kwargs, message):
+    # a repeated index used to name two parameters u8 and print u8*u8^2
+    with pytest.raises(ValueError, match=message):
+        build_unfolding(elliptic, 3, **kwargs)
 
 
 def test_truncate_consistency(elliptic):
@@ -276,3 +291,75 @@ def test_cli_p1_exponentiated_job_runs(capsys, tmp_path, command):
         assert result == {"verified": True}
     else:
         assert result["records"][0]["terms"] == [{"u": "1", "value": "1"}]
+
+
+@pytest.mark.parametrize("mask, name", [([1], "u0"), ([2], "u1")])
+def test_cli_p1_masked_job_names_its_parameter(capsys, tmp_path, mask, name):
+    # the direction of basis index i is u{i-1}; the parent named the one
+    # parameter of a masked job with two names and failed
+    path = tmp_path / "job.json"
+    for command in ("primitive-form", "verify"):
+        path.write_text(json.dumps({"command": command, "N": 6,
+                                    "mask": mask, "singularity":
+                                    {"model": "p1", "q": "2"}}))
+        assert main(["--job", str(path)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        if command == "verify":
+            assert result == {"verified": True}
+        else:
+            assert result["u_names"] == [name]
+            for record in result["records"]:
+                for term in record["terms"]:
+                    parse_poly(term["u"], [name])
+
+
+def test_q_of_a_linear_coefficient_is_a_power(e6_cusp):
+    # for psi_l = u_l, Q_{l,n} = (phi_l / t)^n / n!
+    unf = build_unfolding(e6_cusp, 4)
+    projector = unfolding.Projector(unf, OppositeFiltration(e6_cusp))
+    variables = e6_cusp.variables + ("1/t",)
+    for l, j in enumerate(unf.indices):
+        phi_t = MPoly(variables, {e + (1,): c for e, c
+                                  in e6_cusp.basis[j].terms.items()})
+        for n in range(unf.N + 1):
+            assert projector.q(l, n) == \
+                phi_t ** n * Fraction(1, math.factorial(n))
+
+
+def test_q_of_an_override_is_its_exponential_series(p1_q2):
+    # psi = e^u - 1 on the P^1 mirror: Q_{2,n} is the u^n coefficient of
+    # e^(psi phi_2 / t) = sum_k (psi phi_2 / t)^k / k!, a Laurent MPoly
+    N = 5
+    unf = build_unfolding(p1_q2, N, u_names=["u0", "u1"],
+                          overrides={2: lambda u: exp_series(u) - 1})
+    projector = unfolding.Projector(unf, OppositeFiltration(p1_q2))
+    variables = ("z", "1/t", "u")
+    psi = MPoly(variables, {(0, 0, k): Fraction(1, math.factorial(k))
+                            for k in range(1, N + 1)})
+    x = psi * MPoly(variables, {e + (1, 0): c for e, c
+                                in p1_q2.basis[1].terms.items()}, True)
+    series = MPoly.zero(variables, True)
+    for k in range(N + 1):
+        series = series + x ** k * Fraction(1, math.factorial(k))
+    for n in range(N + 1):
+        q = projector.q(1, n)
+        assert q.laurent
+        assert q.terms == {e[:2]: c for e, c in series.terms.items()
+                           if e[2] == n}
+
+
+def test_q_is_built_as_far_as_the_search_reaches(monkeypatch, e12):
+    # the parent built Q_{l,n} for every l and n <= N up front, nu * N = 96
+    # of them on E12 at N = 8
+    projectors = []
+
+    class Recording(unfolding.Projector):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            projectors.append(self)
+
+    monkeypatch.setattr(primitive, "Projector", Recording)
+    unf = build_unfolding(e12, 8)
+    primitive_form(unf)
+    projector, = projectors
+    assert 0 < sum(len(qs) - 1 for qs in projector.qs) < unf.nu * unf.N
