@@ -131,7 +131,8 @@ def _reduce_poly(data, exp):
     """Reduction of the monomial z^exp, polynomial case: one division
     pass per t-power, applying the step rules on plain dicts (see the
     module docstring)."""
-    guard = int(data.weights.degree_of_exponent(exp)) + 2
+    weights = data.weights
+    guard = weights.scaled_degree(exp) // weights.den + 2
     rules = data.step_rules
     out = {}
     work = {exp: Fraction(1)}

@@ -123,8 +123,7 @@ def cmd_analyze(data, job, args):
     if data.mode == "poly":
         out["weights"] = [_fmt(q) for q in data.weights]
         out["anti_diagonal_residues"] = [
-            _fmt(data.classical_residue(data.basis[i] *
-                                        data.basis[data.mu - 1 - i]))
+            _fmt(data.pairing(data.basis[i], data.basis[data.mu - 1 - i]))
             for i in range(data.mu)]
     else:
         out["q"] = _fmt(data.q)
@@ -191,7 +190,8 @@ def cmd_verify(data, job, args):
     out = {"verified": report.ok}
     if not report.ok:
         out["mismatches"] = [
-            {"t": k, "basis": j, "defect": str(elem)}
+            {"t": k, "basis": j,
+             "defect": str(MPoly(unf.u_names, elem.terms))}
             for k, j, elem in report.mismatches]
     return out
 

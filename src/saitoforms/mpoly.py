@@ -9,9 +9,10 @@ the order. Monomial comparisons use graded reverse lexicographic
 (grevlex) order.
 """
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
-from operator import add, neg
+from operator import add, mul, neg
 
 
 class PolynomialError(Exception):
@@ -284,13 +285,19 @@ class MPoly:
 
 
 class WeightSystem:
-    """Rational weights q_i in (0, 1/2] for the variables of a polynomial."""
+    """Rational weights q_i in (0, 1/2] for the variables of a polynomial.
+
+    The weights are also kept as integer numerators `nums` over their least
+    common denominator `den`, so that a weighted degree is den times an
+    integer: scaled_degree."""
 
     def __init__(self, weights):
         self.weights = tuple(Fraction(q) for q in weights)
         for q in self.weights:
             if not (0 < q <= Fraction(1, 2)):
                 raise PolynomialError("weight %s outside (0, 1/2]" % q)
+        self.den = math.lcm(*(q.denominator for q in self.weights))
+        self.nums = tuple(int(q * self.den) for q in self.weights)
 
     def __len__(self):
         return len(self.weights)
@@ -301,15 +308,19 @@ class WeightSystem:
     def __getitem__(self, i):
         return self.weights[i]
 
+    def scaled_degree(self, exp):
+        """den times the weighted degree of exp, an int."""
+        return sum(map(mul, self.nums, exp))
+
     def degree_of_exponent(self, exp):
-        return sum(q * e for q, e in zip(self.weights, exp))
+        return Fraction(self.scaled_degree(exp), self.den)
 
     def weighted_degree(self, poly):
         """Weighted degree if poly is weighted homogeneous, else None.
         Zero polynomial reports None as well."""
-        degs = {self.degree_of_exponent(e) for e in poly.terms}
+        degs = {self.scaled_degree(e) for e in poly.terms}
         if len(degs) == 1:
-            return degs.pop()
+            return Fraction(degs.pop(), self.den)
         return None
 
     def central_charge(self):

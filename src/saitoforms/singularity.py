@@ -9,6 +9,7 @@ anti-diagonal.
 
 import math
 from fractions import Fraction
+from operator import add
 
 from . import linalg
 from .brieskorn import reduce_class, reduce_monomial, step_rules
@@ -52,7 +53,8 @@ class SingularityData:
     Attributes: f, weights, s, partials, groebner, std (standard
     monomials), mu, basis (Milnor basis, degree-sorted), degrees,
     basis_inv (per standard monomial, the nonzero (i, value) entries of
-    its row: its coordinates in the basis), residue_scale, and mono_cache,
+    its row: its coordinates in the basis, inverted one degree slice at a
+    time), residue_scale, and mono_cache,
     the Brieskorn-lattice reductions of monomials. The cached reductions
     hold coordinates in the installed basis, so installing a basis
     empties the cache.
@@ -95,29 +97,55 @@ class SingularityData:
 
     def _sorted_std(self):
         return sorted(self.std,
-                      key=lambda e: (self.weights.degree_of_exponent(e),
+                      key=lambda e: (self.weights.scaled_degree(e),
                                      grevlex_key(e)))
 
     def _install_basis(self, basis):
+        # Basis elements and standard monomials of one weighted degree span
+        # the same slice of the graded Milnor ring, so the basis matrix is
+        # block diagonal by degree: each block is inverted on its own.
         self.basis = list(basis)
+        ws = self.weights
         self.degrees = []
-        for phi in self.basis:
-            d = self.weights.weighted_degree(phi)
-            if d is None:
+        rows = {}
+        for i, phi in enumerate(self.basis):
+            degs = {ws.scaled_degree(e) for e in phi.terms}
+            if len(degs) != 1:
                 raise DegeneratePairing(
                     "basis element %s is not weighted homogeneous" % phi)
-            self.degrees.append(d)
-        mat = [[Fraction(0)] * self.mu for _ in range(self.mu)]
-        for i, phi in enumerate(self.basis):
-            for exp, c in phi.terms.items():
-                m = self.std_index.get(exp)
-                if m is None:
-                    raise DegeneratePairing(
-                        "basis element %s is not a combination of standard "
-                        "monomials" % phi)
-                mat[i][m] = c
-        self.basis_inv = [[(i, v) for i, v in enumerate(row) if v]
-                          for row in linalg.mat_inv(mat)]
+            d, = degs
+            rows.setdefault(d, []).append(i)
+            self.degrees.append(Fraction(d, ws.den))
+        cols = {}
+        for m, e in enumerate(self.std):
+            cols.setdefault(ws.scaled_degree(e), []).append(m)
+        self.basis_inv = [None] * self.mu
+        for d in sorted(rows.keys() | cols.keys()):
+            elems, monos = rows.get(d, []), cols.get(d, [])
+            if len(elems) != len(monos):
+                raise DegeneratePairing(
+                    "degree slice %s holds %d basis elements for %d "
+                    "standard monomials"
+                    % (Fraction(d, ws.den), len(elems), len(monos)))
+            place = {m: c for c, m in enumerate(monos)}
+            block = [[Fraction(0)] * len(monos) for _ in elems]
+            for r, i in enumerate(elems):
+                for exp, c in self.basis[i].terms.items():
+                    m = self.std_index.get(exp)
+                    if m is None:
+                        raise DegeneratePairing(
+                            "basis element %s is not a combination of "
+                            "standard monomials" % self.basis[i])
+                    block[r][place[m]] = c
+            try:
+                inv = linalg.mat_inv(block)
+            except linalg.SingularMatrix:
+                raise DegeneratePairing(
+                    "the basis elements of degree %s are linearly dependent"
+                    % Fraction(d, ws.den))
+            for m, row in zip(monos, inv):
+                self.basis_inv[m] = [(elems[r], v) for r, v in enumerate(row)
+                                     if v]
         self.mono_cache = {}
         for i in range(self.mu):
             if self.degrees[i] + self.degrees[self.mu - 1 - i] != self.s:
@@ -166,9 +194,21 @@ class SingularityData:
                 socle += c * vec[-1]
         return socle * self.residue_scale
 
+    def pairing(self, a, b):
+        """The residue pairing classical_residue(a * b), summed over the
+        term pairs of a and b from their monomials' reductions, without
+        building the product."""
+        socle = 0
+        for ea, ca in a.terms.items():
+            for eb, cb in b.terms.items():
+                vec = reduce_monomial(self, tuple(map(add, ea, eb))) \
+                    .coeffs.get(0)
+                if vec and vec[-1]:
+                    socle += ca * cb * vec[-1]
+        return socle * self.residue_scale if socle else Fraction(0)
+
     def residue_pairing_matrix(self):
-        return [[self.classical_residue(a * b) for b in self.basis]
-                for a in self.basis]
+        return [[self.pairing(a, b) for b in self.basis] for a in self.basis]
 
 
 class P1MirrorData:
@@ -264,8 +304,8 @@ def orthogonalize_basis(data):
 
 def _fix_slice_pair(data, lower, upper, new_basis):
     k = len(lower)
-    gram = [[data.classical_residue(new_basis[a] * new_basis[b])
-             for b in upper] for a in lower]
+    gram = [[data.pairing(new_basis[a], new_basis[b]) for b in upper]
+            for a in lower]
     # Anti-diagonal target: lower[r] pairs with upper[k-1-r].
     if all(bool(gram[a][b]) == (a + b == k - 1) for a in range(k)
            for b in range(k)):
@@ -294,11 +334,11 @@ def _fix_slice_pair(data, lower, upper, new_basis):
 def _fix_middle_slice(data, idxs, new_basis):
     k = len(idxs)
     if k == 1:
-        if not data.classical_residue(new_basis[idxs[0]] ** 2):
+        if not data.pairing(new_basis[idxs[0]], new_basis[idxs[0]]):
             raise DegeneratePairing("middle slice self-pairing vanishes")
         return
-    gram = [[data.classical_residue(new_basis[a] * new_basis[b])
-             for b in idxs] for a in idxs]
+    gram = [[data.pairing(new_basis[a], new_basis[b]) for b in idxs]
+            for a in idxs]
     if all(bool(gram[a][b]) == (a + b == k - 1) for a in range(k)
            for b in range(k)):
         return

@@ -425,8 +425,7 @@ class Projector:
         self.floor = floor
         self.graded = floor is not None and not unf.laurent and \
             not unf.override
-        self.scale, self.weights = (1, None) if unf.laurent else \
-            _integer_scale(base.weights)
+        self.scale = 1 if unf.laurent else base.weights.den
         self.skip = -math.inf if floor is None else floor - filtration.lift
         # per variable l the scaled degree step of one more phi_l / t; one
         # more u raises the degree of P_alpha by at most climb, so no alpha
@@ -467,8 +466,8 @@ class Projector:
         reduced sum per alpha."""
         # the smallest scaled deg(e) - m of a P_alpha term to keep
         cut = (self.floor - t0) * self.scale - \
-            max(_dot(self.weights, e) for e in h) if self.graded \
-            else -math.inf
+            max(map(self.unf.base.weights.scaled_degree, h)) \
+            if self.graded else -math.inf
         # the u-monomials of coeffs by size, None for a coefficient 1
         spread = sorted((sum(beta), beta, None if b == 1 else b)
                         for beta, b in coeffs.items())

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from saitoforms import linalg
 from saitoforms.brieskorn import ReducedClass, reduce_monomial
 from saitoforms.mpoly import MPoly
 from saitoforms.parsing import parse_poly
@@ -132,6 +133,18 @@ def subs_values(poly, values):
             c *= Fraction(values[name]) ** e
         total += c
     return total
+
+
+def dense_basis_inverse(data):
+    """basis_inv rebuilt from the whole mu x mu matrix of the basis in
+    standard-monomial coordinates by one inversion, as an oracle for the
+    inversion one degree slice at a time."""
+    mat = [[Fraction(0)] * data.mu for _ in range(data.mu)]
+    for i, phi in enumerate(data.basis):
+        for exp, c in phi.terms.items():
+            mat[i][data.std_index[exp]] = c
+    return [[(i, v) for i, v in enumerate(row) if v]
+            for row in linalg.mat_inv(mat)]
 
 
 def count_products(monkeypatch):

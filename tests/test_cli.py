@@ -299,3 +299,22 @@ def test_verify_reports_a_missing_constant_class(capsys, tmp_path):
     assert code == 0
     assert doc["result"] == {"verified": False, "mismatches": [
         {"t": 0, "basis": 1, "defect": "-1"}]}
+
+
+@pytest.mark.parametrize("singularity, mask, u, defect", [
+    # the socle direction of the elliptic cone alone: its one parameter
+    # is named u8, the positional ring name would be u1
+    ({"variables": ["z1", "z2", "z3"], "f": "1/3*z1^3+1/3*z2^3+1/3*z3^3",
+      "weights": ["1/3"] * 3}, [8], "u8", "-1/6*u8^3 + u8"),
+    # the P^1 mirror names its directions u0 and u1
+    ({"model": "p1", "q": "2"}, None, "u0", "u0"),
+], ids=["masked-cone", "p1"])
+def test_verify_names_defects_in_the_job_parameters(capsys, tmp_path,
+                                                    singularity, mask, u,
+                                                    defect):
+    job = {"schema": SCHEMA, "command": "verify", "singularity": singularity,
+           "N": 3, "mask": mask, "rep": [{"z": "1"}, {"z": "1", "u": u}]}
+    code, doc = run_cli(capsys, tmp_path, job)
+    assert code == 0
+    assert doc["result"] == {"verified": False, "mismatches": [
+        {"t": 0, "basis": 1, "defect": defect}]}

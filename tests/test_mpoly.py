@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,7 +9,7 @@ from saitoforms.mpoly import (
     monomial_div, monomial_divides, monomial_lcm, monomial_mul,
 )
 
-from conftest import subs_values
+from conftest import ORACLE_ZOO, monomials_up_to, subs_values
 
 
 def rand_poly(rng, variables, laurent=False, nterms=4, maxdeg=5):
@@ -105,6 +106,22 @@ def test_weight_system_degrees_and_charge():
     y = MPoly.variable("y", ("x", "y"))
     assert ws.weighted_degree(x ** 3 + y ** 7) == Fraction(1)
     assert ws.weighted_degree(x + y) is None
+
+
+ZOO_WEIGHTS = [weights for _, _, weights in ORACLE_ZOO] + [
+    ["3/8", "1/4"], ["1/4", "5/16", "3/8"], ["4/15", "1/5"], ["1/7", "1/9"]]
+
+
+@pytest.mark.parametrize("weights", ZOO_WEIGHTS, ids=" ".join)
+def test_weighted_degrees_are_integers_over_one_denominator(weights):
+    ws = WeightSystem([Fraction(q) for q in weights])
+    for e in monomials_up_to(SimpleNamespace(weights=ws), 3):
+        oracle = sum((q * k for q, k in zip(ws, e)), Fraction(0))
+        scaled = ws.scaled_degree(e)
+        assert type(scaled) is int
+        assert Fraction(scaled, ws.den) == ws.degree_of_exponent(e) == oracle
+        # the t-step bound of the reduction of z^e in brieskorn._reduce_poly
+        assert scaled // ws.den == int(oracle)
 
 
 def test_str_roundtrip_readable():

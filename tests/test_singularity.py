@@ -2,13 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import (ORACLE_ZOO, analyze_oracle_case, count_products,
+                      dense_basis_inverse)
+from saitoforms import linalg
 from saitoforms.brieskorn import _reduce_poly
 from saitoforms.mpoly import MPoly
 from saitoforms.parsing import parse_poly
 from saitoforms.singularity import (
     DegeneratePairing, EulerIdentityViolated, NonIsolatedSingularity,
     P1MirrorData, SingularityData, _hyperbolic_reduce, analyze, hessian_det,
-    validate,
+    orthogonalize_basis, validate,
 )
 
 
@@ -167,3 +170,66 @@ def test_orthogonalize_installs_only_a_changed_basis(monkeypatch, f, weights,
     assert data.mono_cache
     for exp, red in data.mono_cache.items():
         assert red == _reduce_poly(data, exp)
+
+
+@pytest.mark.parametrize("case", ORACLE_ZOO, ids=[c[0] for c in ORACLE_ZOO])
+def test_basis_inv_matches_the_dense_inverse(case):
+    data = analyze_oracle_case(case, orthogonalize=False)
+    assert data.basis_inv == dense_basis_inverse(data)
+    monomial_basis = data.basis
+    orthogonalize_basis(data)
+    assert data.basis_inv == dense_basis_inverse(data)
+    if case[0] in ("x^3*y + y^3*z + z^3*x", "x^6 + y^6 + x^3*y^3"):
+        # these slices are recombined, so a new basis was inverted
+        assert data.basis != monomial_basis
+
+
+@pytest.mark.parametrize("case", ORACLE_ZOO, ids=[c[0] for c in ORACLE_ZOO])
+def test_pairing_is_the_residue_of_the_product(case):
+    data = analyze_oracle_case(case)
+    for a in data.basis:
+        for b in data.basis:
+            assert data.pairing(a, b) == data.classical_residue(a * b)
+
+
+@pytest.mark.parametrize("slot, source, message", [
+    # degrees 0, 1/3, 1/3, 1/3, ...: z1 twice leaves the 1/3 slice singular
+    (2, 1, "the basis elements of degree 1/3 are linearly dependent"),
+    # an element of degree 2/3 in place of z1 leaves it not square
+    (1, 4, "degree slice 1/3 holds 2 basis elements for 3 standard "
+           "monomials"),
+])
+def test_install_basis_names_the_degree_of_a_bad_slice(slot, source,
+                                                       message):
+    data = analyze_oracle_case(ORACLE_ZOO[4], orthogonalize=False)
+    basis = list(data.basis)
+    basis[slot] = basis[source]
+    with pytest.raises(DegeneratePairing, match=message):
+        data._install_basis(basis)
+
+
+def test_residue_pairing_matrix_builds_no_products(monkeypatch):
+    data = analyze(parse_poly("x^7 + y^9", ("x", "y")),
+                   [Fraction(1, 7), Fraction(1, 9)])
+    calls = count_products(monkeypatch)
+    matrix = data.residue_pairing_matrix()
+    assert len(matrix) == data.mu == 48
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ORACLE_ZOO + [
+    ("x^7 + y^9", ("x", "y"), ["1/7", "1/9"])], ids=lambda c: c[0])
+def test_analyze_inverts_no_matrix_above_a_degree_slice(monkeypatch, case):
+    sizes = []
+    mat_inv = linalg.mat_inv
+
+    def recording(a):
+        sizes.append(len(a))
+        return mat_inv(a)
+
+    monkeypatch.setattr(linalg, "mat_inv", recording)
+    data = analyze_oracle_case(case)
+    slices = {}
+    for d in data.degrees:
+        slices[d] = slices.get(d, 0) + 1
+    assert sizes and max(sizes) <= max(slices.values())
