@@ -85,7 +85,11 @@ def _parse_c(job, args):
         raise JobError("'c' must be an object of \"i,j\": p/q entries, "
                        "got %r" % (spec,))
     for key, value in spec.items():
-        i, j = (int(p) for p in key.split(","))
+        try:
+            i, j = (int(p) for p in key.split(","))
+        except ValueError:
+            raise JobError("'c' keys must be \"i,j\" with integer i and j, "
+                           "got %r" % key)
         c[(i, j)] = _rat(value)
     for entry in args.set_c or []:
         try:

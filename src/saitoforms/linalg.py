@@ -13,8 +13,13 @@ def identity(n):
 
 
 def mat_inv(a):
-    """Inverse by Gauss-Jordan; raises SingularMatrix if not invertible."""
+    """Inverse by Gauss-Jordan; raises SingularMatrix if not invertible.
+    A 1 x 1 matrix is inverted by one exact division."""
     n = len(a)
+    if n == 1:
+        if not a[0][0]:
+            raise SingularMatrix("matrix is singular at column 0")
+        return [[1 / Fraction(a[0][0])]]
     work = [[Fraction(x) for x in row] + ident
             for row, ident in zip(a, identity(n))]
     for col in range(n):
@@ -22,8 +27,9 @@ def mat_inv(a):
         if piv is None:
             raise SingularMatrix("matrix is singular at column %d" % col)
         work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
+        if work[col][col] != 1:
+            inv = 1 / work[col][col]
+            work[col] = [x * inv for x in work[col]]
         for r in range(n):
             if r != col and work[r][col]:
                 c = work[r][col]

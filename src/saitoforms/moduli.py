@@ -11,23 +11,29 @@ constraints; an anti-diagonal coordinate with even gap whose quadratic
 source terms are all structurally absent is forced to vanish outright.
 """
 
-from fractions import Fraction
+import math
 
 FREE = "FREE"
 DETERMINED = "DETERMINED"
 AUTO_VANISHING = "AUTO-VANISHING"
 
 
+def _scaled(data):
+    """The degrees d_i and the central charge s as integers over one
+    common denominator: (scaled degrees, scaled s, den)."""
+    s = data.s
+    den = math.lcm(s.denominator, *(d.denominator for d in data.degrees))
+    return ([d.numerator * (den // d.denominator) for d in data.degrees],
+            s.numerator * (den // s.denominator), den)
+
+
 def admissible_pairs(data):
-    """1-based (i, j) with degree gap a positive integer."""
-    mu = data.mu
-    out = []
-    for i in range(1, mu + 1):
-        for j in range(1, mu + 1):
-            r = data.degrees[i - 1] - data.degrees[j - 1]
-            if r > 0 and r.denominator == 1:
-                out.append((i, j))
-    return out
+    """1-based (i, j) with degree gap d_i - d_j a positive integer. The
+    degrees are scaled to integers once, so each gap is an int test."""
+    degs, _, den = _scaled(data)
+    return [(i, j) for i, di in enumerate(degs, 1)
+            for j, dj in enumerate(degs, 1)
+            if di > dj and (di - dj) % den == 0]
 
 
 def dimension_D(data):
@@ -48,27 +54,23 @@ class Constraint:
         return "c%s [r=%d] %s%s" % (self.pair, self.r, self.status, extra)
 
 
-def _structural_source(data, i, j):
+def _structural_source(degs, s, den, i, j):
     """Whether the quadratic source sum of the anti-diagonal constraint
-    K_ij (i + j = mu + 1) has any structurally allowed term.
+    K_ij (i + j = mu + 1) has any structurally allowed term, on the
+    scaled degrees of _scaled.
 
     Terms range over j < k <= i, j < l <= i and need both basis-change
     slots admissible (or diagonal) and the pairing a_kl of integer
     nonnegative t-degree d_k + d_l - s.
     """
-    s = data.s
-    degs = data.degrees
-
     def slot_ok(p, r):
-        if p == r:
-            return True
         gap = degs[p - 1] - degs[r - 1]
-        return gap > 0 and gap.denominator == 1
+        return p == r or (gap > 0 and gap % den == 0)
 
     for k in range(j + 1, i + 1):
         for l in range(j + 1, i + 1):
             deg = degs[k - 1] + degs[l - 1] - s
-            if deg < 0 or deg.denominator != 1:
+            if deg < 0 or deg % den:
                 continue
             if slot_ok(i, k) and slot_ok(i, l):
                 return True
@@ -80,9 +82,10 @@ def y_constraints(data):
     AUTO-VANISHING, following the step-by-step solution of the pairing
     constraints."""
     mu = data.mu
+    degs, s, den = _scaled(data)
     out = []
     for i, j in admissible_pairs(data):
-        r = int(data.degrees[i - 1] - data.degrees[j - 1])
+        r = (degs[i - 1] - degs[j - 1]) // den
         if i + j < mu + 1:
             out.append(Constraint((i, j), r, FREE))
         elif i + j > mu + 1:
@@ -93,7 +96,7 @@ def y_constraints(data):
             out.append(Constraint((i, j), r, FREE,
                                   note="odd-gap anti-diagonal; the even "
                                        "pairing kills the constraint"))
-        elif _structural_source(data, i, j):
+        elif _structural_source(degs, s, den, i, j):
             out.append(Constraint((i, j), r, DETERMINED,
                                   note="even-gap anti-diagonal; fixed by "
                                        "lower-step quadratic terms"))

@@ -179,6 +179,11 @@ class _Parser:
 def parse_poly(text, variables, laurent=False):
     if not isinstance(text, str):
         raise ParseError("expected a polynomial string, got %r" % (text,), 0)
+    seen = set()
+    for name in variables:
+        if name in seen:
+            raise ParseError("variable %r is declared twice" % name, 0)
+        seen.add(name)
     return _Parser(text, variables, laurent).parse()
 
 

@@ -107,6 +107,7 @@ class SingularityData:
         self.basis = list(basis)
         ws = self.weights
         self.degrees = []
+        scaled = []
         rows = {}
         for i, phi in enumerate(self.basis):
             degs = {ws.scaled_degree(e) for e in phi.terms}
@@ -115,6 +116,7 @@ class SingularityData:
                     "basis element %s is not weighted homogeneous" % phi)
             d, = degs
             rows.setdefault(d, []).append(i)
+            scaled.append(d)
             self.degrees.append(Fraction(d, ws.den))
         cols = {}
         for m, e in enumerate(self.std):
@@ -147,8 +149,9 @@ class SingularityData:
                 self.basis_inv[m] = [(elems[r], v) for r, v in enumerate(row)
                                      if v]
         self.mono_cache = {}
+        top = self.s.numerator * (ws.den // self.s.denominator)
         for i in range(self.mu):
-            if self.degrees[i] + self.degrees[self.mu - 1 - i] != self.s:
+            if scaled[i] + scaled[self.mu - 1 - i] != top:
                 raise DegeneratePairing(
                     "degree duality d_%d + d_%d != s" % (i + 1, self.mu - i))
 
@@ -208,7 +211,20 @@ class SingularityData:
         return socle * self.residue_scale if socle else Fraction(0)
 
     def residue_pairing_matrix(self):
-        return [[self.pairing(a, b) for b in self.basis] for a in self.basis]
+        """The matrix of residue pairings res(phi_i phi_j) of the basis.
+
+        A basis element is weighted homogeneous (_install_basis checks
+        it), so res(phi_i phi_j) is zero by the grading unless
+        d_i + d_j = s. Only those entries are paired; every other entry
+        is Fraction(0) and is not reduced. The degrees are compared as
+        integers over the weights' common denominator."""
+        den = self.weights.den
+        scaled = [d.numerator * (den // d.denominator) for d in self.degrees]
+        top = self.s.numerator * (den // self.s.denominator)
+        zero = Fraction(0)
+        return [[self.pairing(a, b) if da + db == top else zero
+                 for b, db in zip(self.basis, scaled)]
+                for a, da in zip(self.basis, scaled)]
 
 
 class P1MirrorData:
@@ -291,12 +307,9 @@ def orthogonalize_basis(data):
     if new_basis != data.basis:
         data._install_basis(new_basis)
         data._finish_residue()
-    matrix = data.residue_pairing_matrix()
-    for i in range(mu):
-        for j in range(mu):
-            bad = (i + j != mu - 1 and matrix[i][j]) or \
-                  (i + j == mu - 1 and not matrix[i][j])
-            if bad:
+    for i, row in enumerate(data.residue_pairing_matrix()):
+        for j, x in enumerate(row):
+            if bool(x) != (i + j == mu - 1):
                 raise DegeneratePairing(
                     "orthogonalization failed at (%d, %d)" % (i + 1, j + 1))
     return data

@@ -221,8 +221,10 @@ def build_unfolding(base, N, mask=None, overrides=None, u_names=None):
         indices = list(range(mu))
     else:
         indices = sorted(i - 1 for i in mask)
-        if any(i < 0 or i >= mu for i in indices):
-            raise ValueError("mask index out of range")
+        for i in indices:
+            if not 0 <= i < mu:
+                raise ValueError("mask index %d out of range 1..%d"
+                                 % (i + 1, mu))
         for i, j in zip(indices, indices[1:]):
             if i == j:
                 raise ValueError("mask index %d is repeated" % (i + 1))

@@ -2,10 +2,15 @@
 own job code, so that a change to a name the benchmark imports fails
 here as well as in the benchmark."""
 
+import io
+import json
 import os
 import sys
+from contextlib import redirect_stdout
 
 import pytest
+
+from saitoforms.cli import main
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench")
@@ -55,3 +60,48 @@ def test_bench_job_passes_its_check(bench_modules, tmp_path, workload, name,
     assert job.check(out) == []
     if traced:
         assert sorted(job.counters(out)) == sorted(run.COUNTERS)
+
+
+# --- the CLI documents of the analysis zoo, byte for byte ----------------
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "zoo_cli_golden.json")
+
+
+def zoo_cli_stdout(workloads):
+    """{"command:name": stdout} of the analyze and moduli documents of
+    every singularity of the benchmark's analysis zoo, run in-process."""
+    out = {}
+    for sing in workloads.ZOO:
+        for command in ("analyze", "moduli"):
+            doc = json.dumps(workloads._cli_doc(command, sing.spec()))
+            buf = io.StringIO()
+            sys.stdin, stdin = io.StringIO(doc), sys.stdin
+            try:
+                with redirect_stdout(buf):
+                    status = main(["--job", "-"])
+            finally:
+                sys.stdin = stdin
+            assert status == 0, buf.getvalue()
+            out["%s:%s" % (command, sing.name)] = buf.getvalue()
+    return out
+
+
+def test_zoo_cli_documents_match_the_golden_stdout(bench_modules):
+    workloads, _, _ = bench_modules
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    got = zoo_cli_stdout(workloads)
+    assert sorted(got) == sorted(golden)
+    for key in golden:
+        assert got[key] == golden[key], key
+
+
+if __name__ == "__main__":
+    # Regenerate the golden file from the code on the import path:
+    #   PYTHONPATH=src python tests/test_bench_smoke.py
+    sys.path.insert(0, BENCH)
+    import workloads as _workloads
+    with open(GOLDEN, "w") as fh:
+        json.dump(zoo_cli_stdout(_workloads), fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -218,6 +218,39 @@ def test_c_slot_out_of_range_is_rejected(capsys, tmp_path, singularity,
     assert "out of range" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("key", ["1", "1,2,3", "a,b"])
+def test_malformed_c_key_is_named(capsys, tmp_path, key):
+    job = {"schema": SCHEMA, "command": "primitive-form",
+           "singularity": ELLIPTIC, "N": 2, "mask": [8], "c": {key: "1"}}
+    code, doc = run_cli(capsys, tmp_path, job)
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "JobError"
+    assert repr(key) in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("mask, index", [([0], 0), ([2, 9], 9)])
+def test_mask_index_out_of_range_is_named(capsys, tmp_path, mask, index):
+    job = {"schema": SCHEMA, "command": "primitive-form",
+           "singularity": CHAIN, "N": 2, "mask": mask}
+    code, doc = run_cli(capsys, tmp_path, job)
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "ValueError"
+    assert doc["error"]["message"] == \
+        "mask index %d out of range 1..3" % index
+
+
+def test_duplicated_variable_is_a_parse_error(capsys, tmp_path):
+    job = {"schema": SCHEMA, "command": "analyze",
+           "singularity": {"variables": ["x", "x"], "f": "x^3"}}
+    code, doc = run_cli(capsys, tmp_path, job)
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "ParseError"
+    assert "'x'" in doc["error"]["message"]
+
+
 # (command, fields, error type): the job fields a document may not
 # have, and the error document they give
 MALFORMED = [

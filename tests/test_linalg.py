@@ -34,6 +34,18 @@ def test_singular_raises():
         mat_inv([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
 
 
+def test_one_by_one_block_is_one_division():
+    assert mat_inv([[Fraction(-3, 4)]]) == [[Fraction(-4, 3)]]
+    assert mat_inv([[2]]) == [[Fraction(1, 2)]]
+
+
+@pytest.mark.parametrize("zero", [Fraction(0), 0])
+def test_one_by_one_singular_block_raises(zero):
+    with pytest.raises(SingularMatrix, match="^matrix is singular at "
+                                             "column 0$"):
+        mat_inv([[zero]])
+
+
 def test_solve_consistency():
     rng = random.Random(2)
     for _ in range(25):

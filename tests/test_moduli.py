@@ -1,11 +1,14 @@
 from fractions import Fraction
 
-from saitoforms.moduli import (
-    AUTO_VANISHING, FREE, admissible_pairs, dimension_D, moduli_report,
-    y_constraints,
-)
+import pytest
 
-from conftest import make_a
+from saitoforms.moduli import (
+    AUTO_VANISHING, DETERMINED, FREE, admissible_pairs, dimension_D,
+    moduli_report, y_constraints,
+)
+from saitoforms.singularity import P1MirrorData
+
+from conftest import ORACLE_ZOO, analyze_oracle_case, make_a
 
 
 def test_chain_points_rigid():
@@ -66,3 +69,68 @@ def test_report_counts_consistent(elliptic, quartic_pair):
         for c in rep.constraints:
             if c.status == AUTO_VANISHING:
                 assert c.note
+
+
+def _fraction_gap_constraints(data):
+    """(pair, r, status) of every coordinate with a positive integer
+    degree gap, classified from the Fraction degrees, as an oracle."""
+    mu, d, s = data.mu, data.degrees, data.s
+
+    def integer_gap(p, q):
+        r = d[p - 1] - d[q - 1]
+        return r > 0 and r.denominator == 1
+
+    def integer_t_degree(k, l):
+        deg = d[k - 1] + d[l - 1] - s
+        return deg >= 0 and deg.denominator == 1
+
+    out = []
+    for i in range(1, mu + 1):
+        for j in range(1, mu + 1):
+            if not integer_gap(i, j):
+                continue
+            r = int(d[i - 1] - d[j - 1])
+            if i + j != mu + 1:
+                status = FREE if i + j < mu + 1 else DETERMINED
+            elif r % 2:
+                status = FREE
+            elif any(integer_t_degree(k, l) and
+                     (k == i or integer_gap(i, k)) and
+                     (l == i or integer_gap(i, l))
+                     for k in range(j + 1, i + 1)
+                     for l in range(j + 1, i + 1)):
+                status = DETERMINED
+            else:
+                status = AUTO_VANISHING
+            out.append(((i, j), r, status))
+    return out
+
+
+# s = 2, so the anti-diagonal slot (81, 1) has the even gap 2
+QUARTIC_FOURFOLD = ("x^4 + y^4 + z^4 + w^4", ("x", "y", "z", "w"),
+                    ["1/4"] * 4)
+
+
+@pytest.mark.parametrize("case", ORACLE_ZOO + [QUARTIC_FOURFOLD, "p1"],
+                         ids=lambda c: c if c == "p1" else c[0])
+def test_constraints_match_the_fraction_gap_oracle(case):
+    data = P1MirrorData(2) if case == "p1" else analyze_oracle_case(case)
+    want = _fraction_gap_constraints(data)
+    assert admissible_pairs(data) == [pair for pair, _, _ in want]
+    assert [(c.pair, c.r, c.status) for c in y_constraints(data)] == want
+
+
+def test_gaps_are_compared_as_ints(monkeypatch, elliptic, quartic_pair):
+    calls = []
+    sub = Fraction.__sub__
+
+    def counting(self, other):
+        calls.append(None)
+        return sub(self, other)
+
+    monkeypatch.setattr(Fraction, "__sub__", counting)
+    assert admissible_pairs(elliptic) == [(8, 1)]
+    assert [c.pair for c in y_constraints(quartic_pair)] == \
+        admissible_pairs(quartic_pair)
+    monkeypatch.undo()
+    assert calls == []

@@ -54,6 +54,13 @@ def test_unknown_variable_rejected():
         parse_poly("x + w", ("x", "y"))
 
 
+def test_duplicated_variable_rejected():
+    with pytest.raises(ParseError, match="variable 'x' is declared twice"):
+        parse_poly("x^3", ("x", "x"))
+    with pytest.raises(ParseError, match="variable 'y' is declared twice"):
+        parse_poly("x + y", ("x", "y", "z", "y"))
+
+
 def test_error_reports_position():
     with pytest.raises(ParseError) as excinfo:
         parse_poly("x + * y", ("x", "y"))

@@ -233,3 +233,50 @@ def test_analyze_inverts_no_matrix_above_a_degree_slice(monkeypatch, case):
     for d in data.degrees:
         slices[d] = slices.get(d, 0) + 1
     assert sizes and max(sizes) <= max(slices.values())
+
+
+X7Y9 = ("x^7 + y^9", ("x", "y"), ["1/7", "1/9"])
+
+
+def _dense_pairing_matrix(data):
+    """Every residue res(phi_i phi_j), each reduced from the product."""
+    return [[data.classical_residue(a * b) for b in data.basis]
+            for a in data.basis]
+
+
+@pytest.mark.parametrize("case", ORACLE_ZOO + [X7Y9], ids=lambda c: c[0])
+def test_residue_pairing_matrix_matches_the_dense_residues(case):
+    # the off-degree entries are zero by the grading and are not reduced
+    # by residue_pairing_matrix; here each one is reduced
+    data = analyze_oracle_case(case, orthogonalize=False)
+    assert data.residue_pairing_matrix() == _dense_pairing_matrix(data)
+    orthogonalize_basis(data)
+    assert data.residue_pairing_matrix() == _dense_pairing_matrix(data)
+
+
+def test_analyze_reduces_no_product_of_degree_other_than_s():
+    # the pairing matrix of x^7 + y^9 needs the reduction of one monomial,
+    # x^5 y^7, the only one of degree s; the Hessian is a multiple of it
+    data = analyze_oracle_case(X7Y9)
+    assert len(data.mono_cache) <= 1
+
+
+def test_install_basis_runs_gauss_jordan_only_above_one_by_one(monkeypatch):
+    data = analyze_oracle_case(X7Y9, orthogonalize=False)
+    blocks, eliminations = [], []
+    mat_inv, identity = linalg.mat_inv, linalg.identity
+
+    def recording_inv(a):
+        blocks.append(len(a))
+        return mat_inv(a)
+
+    def recording_identity(n):
+        eliminations.append(n)
+        return identity(n)
+
+    monkeypatch.setattr(linalg, "mat_inv", recording_inv)
+    monkeypatch.setattr(linalg, "identity", recording_identity)
+    data._install_basis(data.basis)
+    # every degree slice of x^7 + y^9 holds one basis element
+    assert blocks == [1] * 48
+    assert eliminations == [n for n in blocks if n > 1]
