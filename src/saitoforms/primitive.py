@@ -118,8 +118,10 @@ def solve_primitive(unf, filtration):
     products to the pending degree d' + |alpha|. A product term that a
     part repeats from an earlier part is keyed by its (t-power, Phi_j,
     term of Phi_j), so its reduced sums are kept and the parts after it
-    only spread them. Each term t^k u^gamma Phi_j is checked where it is
-    placed: k <= a and, without overrides, k + d_j + deg(u^gamma) = 0.
+    only spread them. The Q_{l,n} that the runs build stay on the
+    unfolding, so a verify_primitive after the solve builds none again.
+    Each term t^k u^gamma Phi_j is checked where it is placed: k <= a
+    and, without overrides, k + d_j + deg(u^gamma) = 0.
     """
     base, N = unf.base, unf.N
     mu = base.mu

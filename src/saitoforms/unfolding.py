@@ -15,20 +15,24 @@ Q_{l,alpha_l}, a polynomial in z and 1/t with Fraction coefficients
 t^(-|alpha|) prod_l phi_l^alpha_l / alpha_l!. An input class is a sum
 of product terms t^t0 r h, r = sum_beta r_beta u^beta a ring element
 and h a polynomial in z with Fraction coefficients, and projects to
-sum u^(alpha+beta) r_beta [t^t0 P_alpha h]: each [P_alpha h] is one
-MPoly product, reduced once, and every coefficient is a plain
-Fraction until the ring entries are built, once, at the end. With a
-floor on the t-powers two cuts keep the work to what lands at or above
-it: a cut on the reduced t-powers of each product and, without
-overrides, an exact cut on alpha itself from the grading. A Projector
-holds this setup, so that the order-by-order solve of the primitive
-form can run it once per u-degree (see Projector).
+sum u^(alpha+beta) r_beta [t^t0 P_alpha h]: each [P_alpha h] is
+reduced once, and every coefficient is a plain Fraction until the ring
+entries are built, once, at the end. Every MPoly product computes
+something: the Q_{l,n} are built once per unfolding (UnfoldingData.q)
+and shared by all its projections, P_alpha is Q_{l,n} itself when
+alpha lies on one variable, and neither P_0 = 1 nor h = 1 is
+multiplied. With a floor
+on the t-powers two cuts keep the work to what lands at or above it: a
+cut on the reduced t-powers of each product and, without overrides, an
+exact cut on alpha itself from the grading. A Projector holds this
+setup, so that the order-by-order solve of the primitive form can run
+it once per u-degree (see Projector).
 """
 
 import math
 from fractions import Fraction
 from functools import cache
-from operator import add
+from operator import add, mul
 
 from . import linalg
 from .brieskorn import ReducedClass, reduce_monomial
@@ -176,6 +180,16 @@ class UnfoldingData:
                 term = coeff * c
                 self.f_diff[exp] = term if prior is None else prior + term
         self.laurent = base.mode == "laurent"
+        # degrees times scale are integers: the grading tests and the
+        # cuts of the projection compare them in ints
+        self.scale = 1 if self.laurent else base.weights.den
+        # the constant 1, phi_l / t and Q_{l,n} for n = 0, 1, ... as far
+        # as built, as MPolys over the z-variables and 1/t (see q)
+        self.one = MPoly.constant(base.variables + ("1/t",), 1, self.laurent)
+        self.phis = [self.one._like({e + (1,): c for e, c
+                                     in base.basis[j].terms.items()})
+                     for j in indices]
+        self.qs = [[self.one] for _ in indices]
         self._exp_powers = None
 
     def ring_zero(self):
@@ -187,6 +201,23 @@ class UnfoldingData:
     def u_degree(self, exp):
         """Graded weight of a u-monomial (sum alpha_l deg u_l)."""
         return sum(d * e for d, e in zip(self.deg_u, exp))
+
+    def q(self, l, n):
+        """Q_{l,n} of e^(psi_l(u_l) phi_l / t) = sum_n u_l^n Q_{l,n}, for
+        psi_l = sum_k p_k u_l^k, by the recurrence
+        Q_n = (phi_l / (n t)) sum_{k=1..n} k p_k Q_(n-k), the u^(n-1)
+        coefficient of d/du e^(psi phi/t) = psi'(u) (phi/t) e^(psi phi/t).
+        For psi_l = u_l it gives Q_n = (phi_l / t)^n / n!. The Q_{l,n}
+        depend on the unfolding alone: they are built as far as n when
+        first asked for and kept for every later projection."""
+        qs = self.qs[l]
+        while len(qs) <= n:
+            m = len(qs)
+            qs.append(self.phis[l] * sum(
+                (qs[m - k] * Fraction(k * p, m)
+                 for k, p in self.series[l].items() if k <= m),
+                self.one._like({})))
+        return qs[n]
 
     def exp_powers(self):
         """[(F-f)^k / k! as z-exp -> ring dicts, k = 0..N].
@@ -353,18 +384,19 @@ def grading(unf):
     """None with overrides. Otherwise on_grade(k, i, j, exp), 0-based i
     and j: whether t^k u^exp may stand at Phi_j in the projection of
     Phi_i, that is k + deg(u^exp) + d_j - d_i = 0, compared in integers
-    with a per-exponent memo. zeta_+ carries the grading of Phi_1."""
+    with a per-exponent memo, each degree times unf.scale. zeta_+
+    carries the grading of Phi_1."""
     if unf.override:
         return None
-    mu = unf.base.mu
-    scale, ints = _integer_scale(unf.base.degrees + unf.deg_u)
-    degrees, deg_u = ints[:mu], ints[mu:]
+    scale = unf.scale
+    degrees = [int(d * scale) for d in unf.base.degrees]
+    deg_u = [int(d * scale) for d in unf.deg_u]
     memo = {}
 
     def on_grade(k, i, j, exp):
         degree = memo.get(exp)
         if degree is None:
-            degree = memo[exp] = _dot(deg_u, exp)
+            degree = memo[exp] = sum(map(mul, deg_u, exp))
         return degree == degrees[i] - degrees[j] - k * scale
     return on_grade
 
@@ -387,20 +419,22 @@ def oscillating_projection(unf, classes, filtration, floor=None):
 
 class Projector:
     """The oscillating projection of product terms for one unfolding,
-    opposite filtration and floor: the setup its callers share (the
-    Q_{l,n} built so far, the cuts and the reductions met so far) and
-    the one reduce-and-accumulate kernel.
+    opposite filtration and floor: the setup its callers share (the cuts
+    and the reductions met so far) and the one reduce-and-accumulate
+    kernel. The Q_{l,n} belong to the unfolding (see UnfoldingData.q),
+    so every Projector of one unfolding reads one table.
 
     P_alpha, the Q_{l,n} and the h of each product term are MPolys over
     the z-variables and 1/t, the last exponent counting powers of 1/t
     (Laurent MPolys in Laurent mode). The work runs in u-monomial order
     (see the module docstring). A run visits each alpha once,
-    depth-first over non-decreasing index sequences; P_alpha is built
-    once per run, when the search takes alpha, as P at alpha without its
-    last variable l times Q_{l,alpha_l}, and Q_{l,n} is built from its
-    recurrence when the search first reaches it (see q). Each product
-    P_alpha h is reduced through the monomial cache, keyed by the
-    z-exponent, into Fraction sums per (t^k, phi_j) once, and those sums
+    depth-first over non-decreasing index sequences, and takes P_alpha
+    when the search reaches alpha: Q_{l,alpha_l} itself when alpha lies
+    on one variable l, otherwise P at alpha without its last variable l
+    times Q_{l,alpha_l}. P_alpha is not kept past its subtree. Each
+    product P_alpha h, formed only when neither factor is the constant
+    1, is reduced through the monomial cache, keyed by the z-exponent,
+    into Fraction sums per (t^k, phi_j) once, and those sums
     are spread over the u-monomials beta of the term's coefficient with
     |alpha| + |beta| <= N into the u^(alpha+beta) slots, multiplied by
     r_beta unless it is 1. A product term given a key keeps its sum per
@@ -421,44 +455,19 @@ class Projector:
     """
 
     def __init__(self, unf, filtration, floor=None):
-        base = unf.base
         self.unf = unf
         self.filtration = filtration
         self.floor = floor
         self.graded = floor is not None and not unf.laurent and \
             not unf.override
-        self.scale = 1 if unf.laurent else base.weights.den
         self.skip = -math.inf if floor is None else floor - filtration.lift
         # per variable l the scaled degree step of one more phi_l / t; one
         # more u raises the degree of P_alpha by at most climb, so no alpha
         # below a pruned one can pass
-        self.rises = [int(-d * self.scale) for d in unf.deg_u]
+        self.rises = [int(-d * unf.scale) for d in unf.deg_u]
         self.climb = max([0] + self.rises)
-        # per variable l, phi_l / t and Q_{l,n} for n = 0, 1, ... as far
-        # as built
-        self.one = MPoly.constant(base.variables + ("1/t",), 1, unf.laurent)
-        self.phis = [self.one._like({e + (1,): c for e, c
-                                     in base.basis[j].terms.items()})
-                     for j in unf.indices]
-        self.qs = [[self.one] for _ in unf.indices]
         self.reductions = {}
         self.memo = {}
-
-    def q(self, l, n):
-        """Q_{l,n} of e^(psi_l(u_l) phi_l / t) = sum_n u_l^n Q_{l,n}, for
-        psi_l = sum_k p_k u_l^k, by the recurrence
-        Q_n = (phi_l / (n t)) sum_{k=1..n} k p_k Q_(n-k), the u^(n-1)
-        coefficient of d/du e^(psi phi/t) = psi'(u) (phi/t) e^(psi phi/t).
-        For psi_l = u_l it gives Q_n = (phi_l / t)^n / n!. The Q_{l,n}
-        are built as far as n when first asked for."""
-        qs = self.qs[l]
-        while len(qs) <= n:
-            m = len(qs)
-            qs.append(self.phis[l] * sum(
-                (qs[m - k] * Fraction(k * p, m)
-                 for k, p in self.unf.series[l].items() if k <= m),
-                self.one._like({})))
-        return qs[n]
 
     def product_term(self, t0, h, coeffs, sink, key=None):
         """The product term t^t0 * (sum_beta r_beta u^beta) * h, h and
@@ -467,13 +476,17 @@ class Projector:
         coordinates, or nowhere where that is None. A key memoizes its
         reduced sum per alpha."""
         # the smallest scaled deg(e) - m of a P_alpha term to keep
-        cut = (self.floor - t0) * self.scale - \
+        cut = (self.floor - t0) * self.unf.scale - \
             max(map(self.unf.base.weights.scaled_degree, h)) \
             if self.graded else -math.inf
         # the u-monomials of coeffs by size, None for a coefficient 1
         spread = sorted((sum(beta), beta, None if b == 1 else b)
                         for beta, b in coeffs.items())
-        h = self.one._like({e + (0,): c for e, c in h.items()})
+        # the constant h = 1 stands as unf.one, which _reduce does not
+        # multiply by
+        one = self.unf.one
+        h = one if h == {(0,) * self.unf.base.n: 1} else \
+            one._like({e + (0,): c for e, c in h.items()})
         return (t0, h, spread, spread[0][0], cut, sink, key)
 
     def run(self, terms):
@@ -481,18 +494,23 @@ class Projector:
         if not terms:
             return
         unf, memo = self.unf, self.memo
-        N = unf.N
+        N, one = unf.N, unf.one
         depth = N - min(term[3] for term in terms)
         lowest = min(term[4] for term in terms)
         # depth first over alpha as non-decreasing index sequences, last
         # being the last index raised; top is the scaled degree of
         # P_alpha, and prefix is P at alpha with alpha_last set to 0
-        stack = [((0,) * unf.nu, 0, 0, 0, self.one)]
+        stack = [((0,) * unf.nu, 0, 0, 0, one)]
         while stack:
             alpha, size, last, top, prefix = stack.pop()
             if self.graded and top + (depth - size) * self.climb < lowest:
                 continue
-            P = prefix * self.q(last, alpha[last]) if size else prefix
+            if size:
+                q = unf.q(last, alpha[last])
+                # on one variable P_alpha is Q_{l,alpha_l} itself
+                P = q if prefix is one else prefix * q
+            else:
+                P = one
             for t0, h, spread, least, cut, sink, key in terms:
                 if size + least > N or top < cut:
                     continue
@@ -531,12 +549,14 @@ class Projector:
 
     def _reduce(self, P, t0, h):
         """[t^t0 P h] as Fraction sums {(k, j): c} over the t-powers
-        k >= floor - lift, through the monomial cache: a term
-        c z^e t^(-m) of P h adds c times the reduction of z^e, shifted
-        by t^(t0 - m)."""
+        k >= floor - lift, through the monomial cache, with no product
+        when P or h is the constant 1: a term c z^e t^(-m) of P h adds c
+        times the reduction of z^e, shifted by t^(t0 - m)."""
         base, reductions, skip = self.unf.base, self.reductions, self.skip
+        one = self.unf.one
+        product = P if h is one else h if P is one else P * h
         local = {}
-        for e, c in (P * h).terms.items():
+        for e, c in product.terms.items():
             z = e[:-1]
             red = reductions.get(z)
             if red is None:
@@ -574,13 +594,3 @@ def _sparse(reduced):
     """A reduced class as [(k, [(j, v) nonzero])], highest k first."""
     return [(k, [(j, v) for j, v in enumerate(vec) if v])
             for k, vec in sorted(reduced.coeffs.items(), reverse=True)]
-
-
-def _dot(weights, exp):
-    return sum(w * e for w, e in zip(weights, exp))
-
-
-def _integer_scale(values):
-    """The least common denominator L of rational values, and [v * L]."""
-    scale = math.lcm(*(Fraction(v).denominator for v in values))
-    return scale, [int(v * scale) for v in values]

@@ -1,4 +1,8 @@
+import io
 import json
+import os
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -351,3 +355,69 @@ def test_verify_names_defects_in_the_job_parameters(capsys, tmp_path,
     assert code == 0
     assert doc["result"] == {"verified": False, "mismatches": [
         {"t": 0, "basis": 1, "defect": defect}]}
+
+
+# --- the primitive-form and verify documents, byte for byte --------------
+
+PRIMITIVE_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "primitive_cli_golden.json")
+
+# each job with a rep that is not its primitive form, so that the
+# defects of its verify document print part of the projection
+PRIMITIVE_JOBS = {
+    "E12/N6": ({"singularity": {"variables": ["x", "y"], "f": "x^3 + y^7",
+                                "weights": ["1/3", "1/7"]}, "N": 6},
+               [{"z": "1"}, {"t": 1, "z": "y"}]),
+    "elliptic-socle/N12/c81=1": (
+        {"singularity": {"variables": ["z1", "z2", "z3"],
+                         "f": "1/3*z1^3 + 1/3*z2^3 + 1/3*z3^3",
+                         "weights": ["1/3", "1/3", "1/3"]},
+         "N": 12, "mask": [8], "c": {"8,1": "1"}},
+        [{"z": "1"}, {"t": 1, "z": "z1*z2*z3", "u": "u8"}]),
+    "p1-q2/N8": ({"singularity": {"model": "p1", "q": "2"}, "N": 8},
+                 [{"z": "1"}, {"t": 1, "z": "z"}]),
+    "W12/N4": ({"singularity": {"variables": ["x", "y"], "f": "x^4 + y^5",
+                                "weights": ["1/4", "1/5"]}, "N": 4},
+               [{"z": "1"}, {"t": 1, "z": "x*y"}]),
+}
+
+
+def primitive_cli_stdout():
+    """{"command:job": stdout} of the primitive-form document of each
+    job in PRIMITIVE_JOBS and of two verify documents: of the solved
+    primitive form and of the job's other rep ("verify-rep")."""
+    out = {}
+    for name, (job, rep) in PRIMITIVE_JOBS.items():
+        for key, command, extra in (
+                ("primitive-form", "primitive-form", {}),
+                ("verify", "verify", {}),
+                ("verify-rep", "verify", {"rep": rep})):
+            doc = json.dumps(dict(job, schema=SCHEMA, command=command,
+                                  **extra))
+            buf = io.StringIO()
+            sys.stdin, stdin = io.StringIO(doc), sys.stdin
+            try:
+                with redirect_stdout(buf):
+                    status = main(["--job", "-"])
+            finally:
+                sys.stdin = stdin
+            assert status == 0, buf.getvalue()
+            out["%s:%s" % (key, name)] = buf.getvalue()
+    return out
+
+
+def test_primitive_cli_documents_match_the_golden_stdout():
+    with open(PRIMITIVE_GOLDEN) as fh:
+        golden = json.load(fh)
+    got = primitive_cli_stdout()
+    assert sorted(got) == sorted(golden)
+    for key in golden:
+        assert got[key] == golden[key], key
+
+
+if __name__ == "__main__":
+    # Regenerate the golden file from the code on the import path:
+    #   PYTHONPATH=src python tests/test_cli.py
+    with open(PRIMITIVE_GOLDEN, "w") as fh:
+        json.dump(primitive_cli_stdout(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

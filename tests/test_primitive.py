@@ -225,18 +225,58 @@ def test_primitive_form_and_verify_never_build_exp_powers(
 def test_verify_products_do_not_grow_with_ring_coefficient_terms(
         monkeypatch, elliptic):
     # each P_alpha h is formed once per product term and spread over the
-    # u-monomials of its ring coefficient, not once per u-monomial
-    unf = build_unfolding(elliptic, 12, mask=[8])
-    one = MPoly.constant(elliptic.f.variables, 1)
+    # u-monomials of its ring coefficient, not once per u-monomial; h is
+    # not the constant 1, which is not multiplied at all, and each count
+    # starts from a fresh unfolding with no Q_{l,n} built
+    z1 = MPoly(elliptic.f.variables, {(1, 0, 0): 1})
     ring = UnfoldRingElem(1, 12, {(n,): Fraction(1, n + 1)
                                   for n in range(13)})
     calls = count_products(monkeypatch)
     counts = []
-    for R in (unf.ring_one(), ring):
+    for R in (None, ring):
+        unf = build_unfolding(elliptic, 12, mask=[8])
         calls.clear()
-        verify_primitive(unf, [(0, one, R)])
+        verify_primitive(unf, [(0, z1, R or unf.ring_one())])
         counts.append(len(calls))
     assert 0 < counts[1] <= counts[0]
+
+
+@pytest.mark.parametrize("c", [None, {(8, 1): Fraction(1)}],
+                         ids=["c0", "c81=1"])
+def test_socle_solve_multiplies_only_to_build_q(monkeypatch, elliptic, c):
+    # on one parameter P_alpha is Q_{1,|alpha|} itself, and zeta_+ lies
+    # on Phi_1 = 1, so its products are multiplied by nothing: the solve
+    # makes only the two products of each Q_{1,n} recurrence step, and
+    # the verify after it reads the same table and makes none
+    N = 60
+    unf = build_unfolding(elliptic, N, mask=[8])
+    calls = count_products(monkeypatch)
+    pf = primitive_form(unf, c=c)
+    assert len(calls) <= 2 * N
+    calls.clear()
+    assert verify_primitive(unf, pf, c=c)
+    assert calls == []
+
+
+def test_verify_reuses_the_q_of_the_solve(monkeypatch, p1_q2):
+    # the Q_{l,n} belong to the unfolding: a verify after the solve adds
+    # none to the table and makes fewer products than on a fresh one
+    def unfold():
+        return build_unfolding(p1_q2, 20, u_names=["u0", "u1"],
+                               overrides={2: lambda u: exp_series(u) - 1})
+
+    unf = unfold()
+    pf = primitive_form(unf)
+    built = [len(qs) for qs in unf.qs]
+    assert built[1] > 1
+    calls = count_products(monkeypatch)
+    counts = []
+    for target in (unf, unfold()):
+        calls.clear()
+        assert verify_primitive(target, pf)
+        counts.append(len(calls))
+    assert [len(qs) for qs in unf.qs] == built
+    assert counts[0] < counts[1]
 
 
 def test_psi_with_a_constant_term_is_rejected():

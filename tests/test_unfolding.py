@@ -5,15 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from saitoforms import P1MirrorData, UnfoldRingElem, primitive, unfolding
+from saitoforms import P1MirrorData, UnfoldRingElem, unfolding
 from saitoforms.brieskorn import ReducedClass, reduce_monomial
 from saitoforms.mpoly import MPoly
 from saitoforms.parsing import parse_poly
-from saitoforms.primitive import primitive_form
+from saitoforms.primitive import primitive_form, verify_primitive
 from saitoforms.cli import main
 from saitoforms.unfolding import (
     GradingViolation, InvalidOverride, OppositeFiltration, build_unfolding,
-    exp_series, oscillating_projection, oscillator_matrices, positive_bound,
+    exp_series, grading, oscillating_projection, oscillator_matrices,
+    positive_bound,
 )
 
 from conftest import (
@@ -77,6 +78,33 @@ def test_grading_of_entries(e6_cusp):
                         assert k + unf.u_degree(exp) + d[j] - d[i] == 0
                         seen += 1
     assert seen > 100
+
+
+def test_p1_without_an_override_keeps_its_grading(p1_q2):
+    # in Laurent mode the grading reads degrees at scale 1: d = (0, 1),
+    # deg u0 = 1, deg u1 = 0; only an override drops it
+    unf = build_unfolding(p1_q2, 4, u_names=["u0", "u1"])
+    on_grade = grading(unf)
+    assert on_grade is not None
+    osc = full_oscillator_family(unf)
+    d = p1_q2.degrees
+    seen = 0
+    for k, m in osc.matrices.items():
+        for i in range(2):
+            for j in range(2):
+                for exp in m[i][j].terms:
+                    want = k + unf.u_degree(exp) + d[j] - d[i] == 0
+                    assert on_grade(k, i, j, exp) == want
+                    seen += want
+    assert seen > 10
+    # u0 in A^(0)_11 and u1 at t^-1 in A_11 are off grade
+    assert not on_grade(0, 0, 0, (1, 0))
+    assert not on_grade(-1, 0, 0, (0, 1))
+    assert on_grade(-1, 0, 0, (1, 0))
+    assert grading(build_unfolding(
+        p1_q2, 4, overrides={2: lambda u: exp_series(u) - 1})) is None
+    # the solve checks each term of zeta_+ against it
+    assert verify_primitive(unf, primitive_form(unf))
 
 
 def test_masked_unfolding_variables(elliptic):
@@ -316,13 +344,12 @@ def test_cli_p1_masked_job_names_its_parameter(capsys, tmp_path, mask, name):
 def test_q_of_a_linear_coefficient_is_a_power(e6_cusp):
     # for psi_l = u_l, Q_{l,n} = (phi_l / t)^n / n!
     unf = build_unfolding(e6_cusp, 4)
-    projector = unfolding.Projector(unf, OppositeFiltration(e6_cusp))
     variables = e6_cusp.variables + ("1/t",)
     for l, j in enumerate(unf.indices):
         phi_t = MPoly(variables, {e + (1,): c for e, c
                                   in e6_cusp.basis[j].terms.items()})
         for n in range(unf.N + 1):
-            assert projector.q(l, n) == \
+            assert unf.q(l, n) == \
                 phi_t ** n * Fraction(1, math.factorial(n))
 
 
@@ -332,7 +359,6 @@ def test_q_of_an_override_is_its_exponential_series(p1_q2):
     N = 5
     unf = build_unfolding(p1_q2, N, u_names=["u0", "u1"],
                           overrides={2: lambda u: exp_series(u) - 1})
-    projector = unfolding.Projector(unf, OppositeFiltration(p1_q2))
     variables = ("z", "1/t", "u")
     psi = MPoly(variables, {(0, 0, k): Fraction(1, math.factorial(k))
                             for k in range(1, N + 1)})
@@ -342,24 +368,15 @@ def test_q_of_an_override_is_its_exponential_series(p1_q2):
     for k in range(N + 1):
         series = series + x ** k * Fraction(1, math.factorial(k))
     for n in range(N + 1):
-        q = projector.q(1, n)
+        q = unf.q(1, n)
         assert q.laurent
         assert q.terms == {e[:2]: c for e, c in series.terms.items()
                            if e[2] == n}
 
 
-def test_q_is_built_as_far_as_the_search_reaches(monkeypatch, e12):
-    # the parent built Q_{l,n} for every l and n <= N up front, nu * N = 96
-    # of them on E12 at N = 8
-    projectors = []
-
-    class Recording(unfolding.Projector):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            projectors.append(self)
-
-    monkeypatch.setattr(primitive, "Projector", Recording)
+def test_q_is_built_as_far_as_the_search_reaches(e12):
+    # building Q_{l,n} for every l and n <= N up front would make
+    # nu * N = 96 of them on E12 at N = 8; the unfolding keeps the table
     unf = build_unfolding(e12, 8)
     primitive_form(unf)
-    projector, = projectors
-    assert 0 < sum(len(qs) - 1 for qs in projector.qs) < unf.nu * unf.N
+    assert 0 < sum(len(qs) - 1 for qs in unf.qs) < unf.nu * unf.N
