@@ -6,29 +6,29 @@ Laurent (punctured-line) case. Iterating this rule writes any class
 uniquely as sum_k t^k (combination of Milnor basis elements).
 
 Polynomial case: each element g_k = sum_i row_k[i] * df/dz_i of the monic
-Groebner basis of the partials gives one step rule (step_rules). Dividing
-the t^k polynomial by the basis, a quotient term q z^s of g_k cancels
-q z^s g_k there and, by the rule above, adds
--sum_i d/dz_i (q z^s row_k[i]) to the t^(k+1) polynomial: for each term
-c z^r of row_k[i] that is -q c (s_i + r_i) z^(s + r - e_i). The
-remainder of the division gives the t^k coordinates. Each pass lowers
-the weighted degree by one, so a monomial of weighted degree d needs at
-most int(d) + 1 passes. The first pass is the division of the monomial
-itself, so the t^0 part of a reduction is its Jacobian-ring normal form:
-SingularityData reads classical residues from it.
+Groebner basis of the partials gives one step rule (step_rules). A
+standard monomial is its basis coordinates at t^0. Any other z^e is z^s
+times the leading monomial of some g_k, so
+    [z^e] = sum (-n/d) [z^(s+te)] + t sum (-n m/d) [z^(s+r-e_i)]
+over the terms (n/d) z^te of g_k below the leading one and the terms
+(n/d) z^r of row_k[i], m = s_i + r_i. The first sum goes down the
+monomial order at the same weighted degree, the second one degree
+lower: the t^0 part is the Jacobian-ring normal form, from which
+SingularityData reads residues, and the t-power is at most the degree.
+Of the rules that divide z^e the one of least quotient s, sorted in
+descending order, is taken: on Fermat-type bases that walks toward
+balanced exponents, where other monomials' reductions meet.
 
-Reductions take Fraction coefficients. The reduction is linear, so
-per-monomial results are cached and scaled as needed; callers with
-unfolding-ring coefficients (oscillating_projection, verify_class_equal)
-take product terms, a z-polynomial times a ring element, and spread
-the reduction of the z-polynomial over the u-monomials of the ring
-element.
+Every class a reduction visits is cached per monomial in
+data.mono_cache. The reduction is linear, so callers scale cached
+classes; callers with unfolding-ring coefficients (oscillating_projection,
+verify_class_equal) take product terms, a z-polynomial times a ring
+element, and spread the reduction of the z-polynomial over the
+u-monomials of the ring element.
 """
 
 from fractions import Fraction
 from operator import add, sub
-
-from .mpoly import grevlex_key
 
 
 class ReductionGuardError(Exception):
@@ -112,10 +112,10 @@ def reduce_monomial(data, exp):
     cached = data.mono_cache.get(exp)
     if cached is None:
         if data.mode == "laurent":
-            cached = _reduce_laurent_poly(data, exp)
+            _fill_laurent(data, exp[0])
         else:
-            cached = _reduce_poly(data, exp)
-        data.mono_cache[exp] = cached
+            _fill_poly(data, exp)
+        cached = data.mono_cache[exp]
     return cached
 
 
@@ -127,99 +127,84 @@ def reduce_class(data, h):
     return out.compress()
 
 
-def _reduce_poly(data, exp):
-    """Reduction of the monomial z^exp, polynomial case: one division
-    pass per t-power, applying the step rules on plain dicts (see the
-    module docstring)."""
-    weights = data.weights
-    guard = weights.scaled_degree(exp) // weights.den + 2
-    rules = data.step_rules
-    out = {}
-    work = {exp: Fraction(1)}
-    k = 0
-    while work:
+def _rule_step(data, e):
+    """[z^e] as (exponent, coefficient, t-power) triples by the rule of
+    least sorted quotient; None for a standard monomial."""
+    best = None
+    for lead, tail, steps in data.step_rules:
+        s = tuple(map(sub, e, lead))
+        if min(s) >= 0:
+            key = sorted(s, reverse=True)
+            if best is None or key < best[0]:
+                best = key, s, tail, steps
+    if best is None:
+        return None
+    _, s, tail, steps = best
+    parts = [(tuple(map(add, s, te)), Fraction(n, d), 0)
+             for te, n, d in tail]
+    for i, ri, down, n, d in steps:
+        m = s[i] + ri
+        if m:
+            parts.append((tuple(map(add, s, down)), Fraction(n * m, d), 1))
+    return parts
+
+
+def _fill_poly(data, exp):
+    """Cache [z^exp] and the classes its rule steps reach, depth first
+    on a stack whose entries carry their t-power below z^exp."""
+    cache = data.mono_cache
+    guard = data.weights.scaled_degree(exp) // data.weights.den + 2
+    pending = {}
+    stack = [(exp, 0)]
+    while stack:
+        e, k = stack[-1]
+        if e in cache:
+            stack.pop()
+            continue
+        parts = pending.pop(e, None)
+        if parts is not None:
+            stack.pop()
+            out = ReducedClass(data.mu)
+            for t, c, shift in parts:
+                out.add_scaled(cache[t], c, shift)
+            cache[e] = out.compress()
+            continue
         if k > guard:
             raise ReductionGuardError(
                 "t-reduction of the monomial %r did not terminate within "
                 "%d steps" % (exp, guard))
-        rem = {}
-        nxt = {}
-        while work:
-            e = max(work, key=grevlex_key)
-            q = work.pop(e)
-            qn, qd = q.numerator, q.denominator
-            for lead, tail, steps in rules:
-                s = tuple(map(sub, e, lead))
-                if min(s) < 0:
-                    continue
-                for te, n, d in tail:
-                    t = tuple(map(add, s, te))
-                    c = Fraction(qn * n, qd * d)
-                    prior = work.get(t)
-                    if prior is not None:
-                        c = prior + c
-                    if c:
-                        work[t] = c
-                    else:
-                        del work[t]
-                for i, ri, down, n, d in steps:
-                    m = s[i] + ri
-                    if m:
-                        t = tuple(map(add, s, down))
-                        c = Fraction(qn * n * m, qd * d)
-                        prior = nxt.get(t)
-                        nxt[t] = c if prior is None else prior + c
-                break
-            else:
-                rem[e] = q
-        if rem:
-            out[k] = data.coords(rem)
-        work = {e: c for e, c in nxt.items() if c}
-        k += 1
-    return ReducedClass(data.mu, out)
+        parts = _rule_step(data, e)
+        if parts is None:
+            stack.pop()
+            cache[e] = ReducedClass(data.mu, {0: data.coords({e: 1})})
+            continue
+        pending[e] = parts
+        for t, _, shift in parts:
+            if t in pending:
+                raise ReductionGuardError(
+                    "the step rules lead the monomial %r back to itself"
+                    % (t,))
+            if t not in cache:
+                stack.append((t, k + shift))
 
 
-def _reduce_laurent_poly(data, exp):
-    """Reduction for f = z + q/z with lam = z.
-
-    Derived from [z^k f'(z)] = -t [z d/dz z^(k-1)]:
+def _fill_laurent(data, e):
+    """Cache [z^j] for j out to e, for f = z + q/z with lam = z.
+    From [z^k f'(z)] = -t [z d/dz z^(k-1)]:
         [z^k]    = q [z^(k-2)] - (k-1) t [z^(k-1)]         (k >= 1)
         [z^(-m)] = (1/q)[z^(2-m)] - ((m-1)/q) t [z^(1-m)]  (m >= 2)
-    terminating on the span of {1, 1/z}."""
+    from the classes of 1 and 1/z, cached from the start."""
+    cache = data.mono_cache
     q = data.q
-    work = {(exp[0], 0): Fraction(1)}
-    out = {}
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 100000:
-            raise ReductionGuardError("Laurent reduction runaway")
-        (e, k) = max(work, key=lambda ek: abs(ek[0]))
-        c = work.pop((e, k))
-        if not c:
+    step = 1 if e > 0 else -1
+    for j in range(step, e + step, step):
+        if (j,) in cache:
             continue
-        if e in (0, -1):
-            vec = out.setdefault(k, [Fraction(0)] * 2)
-            if e == 0:
-                vec[0] += c
-            else:
-                vec[1] += c / q   # basis element is q/z
-            continue
-        if e >= 1:
-            _bump(work, (e - 2, k), q * c)
-            if e != 1:
-                _bump(work, (e - 1, k + 1), -(e - 1) * c)
+        out = ReducedClass(2)
+        if j > 0:
+            out.add_scaled(cache[(j - 2,)], q)
+            out.add_scaled(cache[(j - 1,)], 1 - j, 1)
         else:
-            m = -e
-            _bump(work, (2 - m, k), c / q)
-            _bump(work, (1 - m, k + 1), -Fraction(m - 1) * c / q)
-    return ReducedClass(2, out)
-
-
-def _bump(work, key, c):
-    if c:
-        v = work.get(key, 0) + c
-        if v:
-            work[key] = v
-        else:
-            work.pop(key, None)
+            out.add_scaled(cache[(j + 2,)], 1 / q)
+            out.add_scaled(cache[(j + 1,)], (j + 1) / q, 1)
+        cache[(j,)] = out.compress()

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import add
 
 from . import linalg
-from .brieskorn import reduce_class, reduce_monomial, step_rules
+from .brieskorn import ReducedClass, reduce_class, reduce_monomial, step_rules
 from .groebner import buchberger_with_cofactors, divide, standard_monomials
 from .mpoly import MPoly, WeightSystem, grevlex_key
 
@@ -54,10 +54,10 @@ class SingularityData:
     monomials), mu, basis (Milnor basis, degree-sorted), degrees,
     basis_inv (per standard monomial, the nonzero (i, value) entries of
     its row: its coordinates in the basis, inverted one degree slice at a
-    time), residue_scale, and mono_cache,
-    the Brieskorn-lattice reductions of monomials. The cached reductions
-    hold coordinates in the installed basis, so installing a basis
-    empties the cache.
+    time), residue_scale, and mono_cache, the Brieskorn-lattice
+    reductions of every monomial a reduction has visited. The cached
+    reductions hold coordinates in the installed basis, so installing a
+    basis empties the cache.
     """
 
     mode = "poly"
@@ -247,7 +247,9 @@ class P1MirrorData:
         self.basis = [MPoly.constant(("z",), 1, laurent=True),
                       MPoly(("z",), {(-1,): q}, laurent=True)]
         self.degrees = [Fraction(0), Fraction(1)]
-        self.mono_cache = {}
+        self.mono_cache = {
+            (0,): ReducedClass(2, {0: [Fraction(1), Fraction(0)]}),
+            (-1,): ReducedClass(2, {0: [Fraction(0), 1 / q]})}
 
 
 def hessian_det(f):

@@ -5,6 +5,7 @@ import pytest
 
 from saitoforms import linalg
 from saitoforms.brieskorn import ReducedClass, reduce_monomial
+from saitoforms.groebner import divide
 from saitoforms.mpoly import MPoly
 from saitoforms.parsing import parse_poly
 from saitoforms.singularity import P1MirrorData, analyze
@@ -105,6 +106,30 @@ def monomials_up_to(data, degree):
                  for k in range(int(degree / q) + 1)]
     return [e for e in found
             if data.weights.degree_of_exponent(e) <= degree]
+
+
+def reference_reduction(data, exp):
+    """Reduction of z^exp by the cofactor algorithm, as an oracle for
+    brieskorn.reduce_monomial: divide by the Groebner basis, turn the
+    quotients into cofactors over the partials through the basis rows,
+    and continue with -sum_i d/dz_i cofactor_i."""
+    basis = [g for g, _ in data.groebner]
+    current = MPoly.monomial(data.variables, exp)
+    out = {}
+    k = 0
+    while current:
+        quotients, rem = divide(current, basis)
+        if rem:
+            out[k] = data.coords(rem.terms)
+        nxt = MPoly.zero(data.variables)
+        for i in range(data.n):
+            cofactor = MPoly.zero(data.variables)
+            for q, (_, row) in zip(quotients, data.groebner):
+                cofactor = cofactor + q * row[i]
+            nxt = nxt - cofactor.diff(i)
+        current = nxt
+        k += 1
+    return ReducedClass(data.mu, out)
 
 
 # --- small exact helpers only the tests use ---------------------------

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from saitoforms.brieskorn import ReducedClass, reduce_class, reduce_monomial
-from saitoforms.groebner import divide
+from saitoforms.brieskorn import (ReducedClass, ReductionGuardError,
+                                  reduce_class, reduce_monomial)
 from saitoforms.mpoly import MPoly
-from saitoforms.singularity import orthogonalize_basis
+from saitoforms.singularity import P1MirrorData, orthogonalize_basis
 
 from conftest import (ORACLE_ZOO, analyze_oracle_case, make_a,
-                      monomials_up_to)
+                      monomials_up_to, reference_reduction)
 
 
 def test_chain_point_z4():
@@ -112,36 +112,64 @@ def test_reduced_class_arithmetic():
     assert ReducedClass(2).is_zero()
 
 
-def _reference_reduction(data, exp):
-    """Reduction of z^exp by the cofactor algorithm: divide by the
-    Groebner basis, turn the quotients into cofactors over the partials
-    through the basis rows, and continue with -sum_i d/dz_i cofactor_i."""
-    basis = [g for g, _ in data.groebner]
-    current = MPoly.monomial(data.variables, exp)
-    out = {}
-    k = 0
-    while current:
-        quotients, rem = divide(current, basis)
-        if rem:
-            out[k] = data.coords(rem.terms)
-        nxt = MPoly.zero(data.variables)
-        for i in range(data.n):
-            cofactor = MPoly.zero(data.variables)
-            for q, (_, row) in zip(quotients, data.groebner):
-                cofactor = cofactor + q * row[i]
-            nxt = nxt - cofactor.diff(i)
-        current = nxt
-        k += 1
-    return ReducedClass(data.mu, out)
-
-
 @pytest.mark.parametrize("case", ORACLE_ZOO, ids=[c[0] for c in ORACLE_ZOO])
 def test_reduce_monomial_matches_cofactor_reference(case):
     data = analyze_oracle_case(case)
     sample = monomials_up_to(data, data.s + 3)
     rng = random.Random(len(sample))
     for exp in rng.sample(sample, min(len(sample), 25)):
-        assert reduce_monomial(data, exp) == _reference_reduction(data, exp)
+        assert reduce_monomial(data, exp) == reference_reduction(data, exp)
+    # and so do the intermediate monomials the reductions cached
+    for exp, red in data.mono_cache.items():
+        assert red == reference_reduction(data, exp)
+
+
+def test_elliptic_socle_sweep_reuses_the_cached_monomials():
+    # (n, n, n) steps by z1^2, z2^2, z3^2 to (n-3, n-3, n-3), which the
+    # sweep reduced three steps before: three new entries per n
+    data = analyze_oracle_case(ORACLE_ZOO[4])
+    for n in range(1, 61):
+        reduce_monomial(data, (n, n, n))
+    assert len(data.mono_cache) <= 3 * 60 + 8
+
+
+def test_laurent_powers_add_one_entry_each():
+    data = P1MirrorData(2)
+    for k in range(1, 41):
+        before = len(data.mono_cache)
+        reduce_monomial(data, (k,))
+        assert len(data.mono_cache) == before + 1
+
+
+def test_deep_monomials_reduce_without_recursion():
+    # [phi8^k] = -t^3 (k-2)^3 [phi8^(k-3)] with phi8 = z1 z2 z3, down to 1
+    data = analyze_oracle_case(ORACLE_ZOO[4])
+    socle = 1
+    for k in range(300, 0, -3):
+        socle *= -(k - 2) ** 3
+    assert reduce_monomial(data, (300, 300, 300)).coeffs == {
+        300: [Fraction(socle)] + [Fraction(0)] * 7}
+    # on P^1 the t^0 part of [z^(2m)] is q^m, and of [z^(-2m)] is q^(-m)
+    p1 = P1MirrorData(2)
+    for k in (300, -300):
+        red = reduce_monomial(p1, (k,))
+        assert red.coeffs[0] == [Fraction(2) ** (k // 2), 0]
+
+
+@pytest.mark.parametrize("rule, message", [
+    # a tail term back at the leading monomial: z^4 needs itself
+    (((2,), [((2,), -1, 1)], []),
+     r"lead the monomial \(4,\) back to itself"),
+    # a step term up in degree: the t-power outruns the degree of z^4
+    (((2,), [], [(0, 0, (3,), -1, 1)]),
+     r"monomial \(4,\) did not terminate within 3 steps"),
+])
+def test_broken_step_rules_raise_instead_of_hanging(monkeypatch, rule,
+                                                    message):
+    data = make_a(2)
+    monkeypatch.setattr(data, "step_rules", [rule])
+    with pytest.raises(ReductionGuardError, match=message):
+        reduce_monomial(data, (4,))
 
 
 BASIS_CHANGING = [c for c in ORACLE_ZOO

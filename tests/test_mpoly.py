@@ -120,7 +120,7 @@ def test_weighted_degrees_are_integers_over_one_denominator(weights):
         scaled = ws.scaled_degree(e)
         assert type(scaled) is int
         assert Fraction(scaled, ws.den) == ws.degree_of_exponent(e) == oracle
-        # the t-step bound of the reduction of z^e in brieskorn._reduce_poly
+        # the t-power bound of the reduction of z^e in brieskorn._fill_poly
         assert scaled // ws.den == int(oracle)
 
 
