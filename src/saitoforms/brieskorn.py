@@ -19,12 +19,19 @@ Of the rules that divide z^e the one of least quotient s, sorted in
 descending order, is taken: on Fermat-type bases that walks toward
 balanced exponents, where other monomials' reductions meet.
 
+A class is stored as sparse rows {k: {j: c}} of its nonzero entries
+(ReducedClass.rows). In the polynomial case row k of [z^e] lies in the
+one degree slice deg(e) - k by the grading, so it holds few entries,
+and adding scaled classes walks those entries only. A standard
+monomial's class is a copy of its basis_inv row. ReducedClass.coeffs is
+a dense view for readers outside the library's loops.
+
 Every class a reduction visits is cached per monomial in
-data.mono_cache. The reduction is linear, so callers scale cached
-classes; callers with unfolding-ring coefficients (oscillating_projection,
-verify_class_equal) take product terms, a z-polynomial times a ring
-element, and spread the reduction of the z-polynomial over the
-u-monomials of the ring element.
+data.mono_cache, the one store of reductions. The reduction is linear,
+so callers scale cached classes; callers with unfolding-ring
+coefficients (oscillating_projection, verify_class_equal) take product
+terms, a z-polynomial times a ring element, and spread the reduction of
+the z-polynomial over the u-monomials of the ring element.
 """
 
 from fractions import Fraction
@@ -37,52 +44,73 @@ class ReductionGuardError(Exception):
 
 class ReducedClass:
     """Finite sum_k t^k v_k with v_k coordinate vectors in the Milnor
-    basis. Coefficient entries are Fractions or ring elements."""
+    basis, stored as sparse rows {k: {j: c}} with no zero entry and no
+    empty row once compressed. Entries are Fractions or ring elements.
+    coeffs is a read-only dense view of the rows."""
 
-    __slots__ = ("mu", "coeffs")
+    __slots__ = ("mu", "rows")
 
-    def __init__(self, mu, coeffs=None):
+    def __init__(self, mu, rows=None):
+        """rows {k: {j: c}} are copied, without their zero entries."""
         self.mu = mu
-        self.coeffs = {}
-        if coeffs:
-            for k, vec in coeffs.items():
-                vec = list(vec)
-                if any(vec):
-                    self.coeffs[k] = vec
+        self.rows = _nonzero(rows) if rows else {}
+
+    @property
+    def coeffs(self):
+        """{k: [c_0, ..., c_{mu-1}]}, each gap the zero of the row's
+        entries (0 * entry: a Fraction, or the ring's zero)."""
+        out = {}
+        for k, row in self.rows.items():
+            if row:
+                vec = [0 * next(iter(row.values()))] * self.mu
+                for j, c in row.items():
+                    vec[j] = c
+                out[k] = vec
+        return out
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.rows
 
     def add_scaled(self, other, scale=1, t_shift=0):
         """self += scale * t^t_shift * other (in place)."""
-        for k, vec in other.coeffs.items():
-            tgt = self.coeffs.setdefault(k + t_shift,
-                                         [Fraction(0)] * self.mu)
-            for i, c in enumerate(vec):
-                if c:
-                    tgt[i] += scale * c
+        rows = self.rows
+        for k, row in other.rows.items():
+            tgt = rows.get(k + t_shift)
+            if tgt is None:
+                rows[k + t_shift] = {j: scale * c for j, c in row.items()}
+                continue
+            for j, c in row.items():
+                prior = tgt.get(j)
+                tgt[j] = scale * c if prior is None else prior + scale * c
         return self
 
     def compress(self):
-        for k in [k for k, vec in self.coeffs.items() if not any(vec)]:
-            del self.coeffs[k]
+        self.rows = _nonzero(self.rows)
         return self
 
     def __eq__(self, other):
-        a = {k: vec for k, vec in self.coeffs.items() if any(vec)}
-        b = {k: vec for k, vec in other.coeffs.items() if any(vec)}
-        return a == b
+        return _nonzero(self.rows) == _nonzero(other.rows)
 
     def __str__(self):
         parts = []
-        for k in sorted(self.coeffs):
-            vec = self.coeffs[k]
-            body = ", ".join("phi%d: %s" % (i + 1, c)
-                             for i, c in enumerate(vec) if c)
-            parts.append("t^%d [%s]" % (k, body))
+        for k in sorted(self.rows):
+            body = ", ".join("phi%d: %s" % (j + 1, c)
+                             for j, c in sorted(self.rows[k].items()) if c)
+            if body:
+                parts.append("t^%d [%s]" % (k, body))
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
+
+
+def _nonzero(rows):
+    """rows without their zero entries and empty rows."""
+    out = {}
+    for k, row in rows.items():
+        row = {j: c for j, c in row.items() if c}
+        if row:
+            out[k] = row
+    return out
 
 
 def step_rules(groebner):
@@ -176,7 +204,8 @@ def _fill_poly(data, exp):
         parts = _rule_step(data, e)
         if parts is None:
             stack.pop()
-            cache[e] = ReducedClass(data.mu, {0: data.coords({e: 1})})
+            cache[e] = ReducedClass(
+                data.mu, {0: dict(data.basis_inv[data.std_index[e]])})
             continue
         pending[e] = parts
         for t, _, shift in parts:

@@ -132,17 +132,15 @@ def solve_primitive(unf, filtration):
     pending = [{} for _ in range(N + 1)]   # phi coordinates, per u-degree
     found = [[{} for _ in range(mu)] for _ in range(a + 1)]
     met = set()
-    part = {0: [unf.ring_one()]}
+    part = {0: {0: unf.ring_one()}}
     for d in range(N + 1):
         if d:
-            part = projector.rows(pending[d]).coeffs
+            part = projector.rows(pending[d]).rows
             pending[d] = None
         sink = [None] + pending[d + 1:]
         terms = []
-        for k, vec in part.items():
-            for j, elem in enumerate(vec):
-                if not elem:
-                    continue
+        for k, row in part.items():
+            for j, elem in sorted(row.items()):
                 if d:
                     elem = -elem
                 _check_term(k, j, elem, a, on_grade)
@@ -214,9 +212,11 @@ def verify_primitive(unf, rep, c=None):
     projected, = oscillating_projection(unf, [_as_t_rpolys(unf, rep)],
                                         filtration, floor=0)
     mismatches = []
-    zero = [unf.ring_zero()] * unf.base.mu
-    for k in sorted(set(projected.coeffs) | {0}):
-        for j, value in enumerate(projected.coeffs.get(k, zero)):
+    zero = unf.ring_zero()
+    for k in sorted(set(projected.rows) | {0}):
+        row = projected.rows.get(k, {})
+        for j in range(unf.base.mu):
+            value = row.get(j, zero)
             want = 1 if (k == 0 and j == 0) else 0
             if value != want:
                 mismatches.append((k, j + 1, value - want))

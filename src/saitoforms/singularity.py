@@ -13,7 +13,7 @@ from operator import add
 
 from . import linalg
 from .brieskorn import ReducedClass, reduce_class, reduce_monomial, step_rules
-from .groebner import buchberger_with_cofactors, divide, standard_monomials
+from .groebner import buchberger_with_cofactors, standard_monomials
 from .mpoly import MPoly, WeightSystem, grevlex_key
 
 
@@ -55,9 +55,11 @@ class SingularityData:
     basis_inv (per standard monomial, the nonzero (i, value) entries of
     its row: its coordinates in the basis, inverted one degree slice at a
     time), residue_scale, and mono_cache, the Brieskorn-lattice
-    reductions of every monomial a reduction has visited. The cached
-    reductions hold coordinates in the installed basis, so installing a
-    basis empties the cache.
+    reductions of every monomial a reduction has visited, as
+    ReducedClasses of sparse rows: the one store of reductions, which
+    every reader (residues, pairings, the oscillating projection)
+    shares. The cached reductions hold coordinates in the installed
+    basis, so installing a basis empties the cache.
     """
 
     mode = "poly"
@@ -167,47 +169,32 @@ class SingularityData:
             raise DegeneratePairing("Hessian reduces to zero; pairing degenerate")
         self.residue_scale = Fraction(self.mu) / coords[-1]
 
-    # -- quotient-ring arithmetic -------------------------------------
-
-    def normal_form(self, h):
-        """Remainder of h on division by the Groebner basis."""
-        return divide(h, [g for g, _ in self.groebner])[1]
-
-    def coords(self, terms):
-        """Coordinates in the Milnor basis of a fully reduced polynomial,
-        given by its terms {exponent: coefficient}."""
-        out = [Fraction(0)] * self.mu
-        for exp, c in terms.items():
-            m = self.std_index.get(exp)
-            if m is None:
-                raise ValueError("%s is not reduced"
-                                 % MPoly(self.variables, terms))
-            for i, v in self.basis_inv[m]:
-                out[i] += c * v
-        return out
+    # -- residues ------------------------------------------------------
 
     def classical_residue(self, g):
         """Grothendieck residue, normalized so the Hessian has residue mu:
         the socle (last) coordinate of the t^0 part of the reduced class of
         g, which is the normal form of g."""
+        top = self.mu - 1
         socle = 0
         for exp, c in g.terms.items():
-            vec = reduce_monomial(self, exp).coeffs.get(0)
-            if vec:
-                socle += c * vec[-1]
+            row = reduce_monomial(self, exp).rows.get(0)
+            if row and top in row:
+                socle += c * row[top]
         return socle * self.residue_scale
 
     def pairing(self, a, b):
         """The residue pairing classical_residue(a * b), summed over the
         term pairs of a and b from their monomials' reductions, without
         building the product."""
+        top = self.mu - 1
         socle = 0
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
-                vec = reduce_monomial(self, tuple(map(add, ea, eb))) \
-                    .coeffs.get(0)
-                if vec and vec[-1]:
-                    socle += ca * cb * vec[-1]
+                row = reduce_monomial(self, tuple(map(add, ea, eb))) \
+                    .rows.get(0)
+                if row and top in row:
+                    socle += ca * cb * row[top]
         return socle * self.residue_scale if socle else Fraction(0)
 
     def residue_pairing_matrix(self):
@@ -248,8 +235,8 @@ class P1MirrorData:
                       MPoly(("z",), {(-1,): q}, laurent=True)]
         self.degrees = [Fraction(0), Fraction(1)]
         self.mono_cache = {
-            (0,): ReducedClass(2, {0: [Fraction(1), Fraction(0)]}),
-            (-1,): ReducedClass(2, {0: [Fraction(0), 1 / q]})}
+            (0,): ReducedClass(2, {0: {0: Fraction(1)}}),
+            (-1,): ReducedClass(2, {0: {1: 1 / q}})}
 
 
 def hessian_det(f):

@@ -351,10 +351,8 @@ def oscillator_matrices(unf, c=None):
     matrices = {}
     zero = unf.ring_zero()
     for i, row in enumerate(rows):
-        for k, vec in row.coeffs.items():
-            for j, elem in enumerate(vec):
-                if not elem:
-                    continue
+        for k, entries in row.rows.items():
+            for j, elem in sorted(entries.items()):
                 if k > a:
                     raise GradingViolation(
                         "t^%d term beyond the bound a=%d at A[%d][%d]"
@@ -420,7 +418,7 @@ def oscillating_projection(unf, classes, filtration, floor=None):
 class Projector:
     """The oscillating projection of product terms for one unfolding,
     opposite filtration and floor: the setup its callers share (the cuts
-    and the reductions met so far) and the one reduce-and-accumulate
+    and the memo of keyed product terms) and the one reduce-and-accumulate
     kernel. The Q_{l,n} belong to the unfolding (see UnfoldingData.q),
     so every Projector of one unfolding reads one table.
 
@@ -433,8 +431,9 @@ class Projector:
     on one variable l, otherwise P at alpha without its last variable l
     times Q_{l,alpha_l}. P_alpha is not kept past its subtree. Each
     product P_alpha h, formed only when neither factor is the constant
-    1, is reduced through the monomial cache, keyed by the z-exponent,
-    into Fraction sums per (t^k, phi_j) once, and those sums
+    1, is reduced through the monomial cache of the base point
+    (base.mono_cache, read through reduce_monomial) into Fraction sums
+    per (t^k, phi_j) once, and those sums
     are spread over the u-monomials beta of the term's coefficient with
     |alpha| + |beta| <= N into the u^(alpha+beta) slots, multiplied by
     r_beta unless it is 1. A product term given a key keeps its sum per
@@ -466,7 +465,6 @@ class Projector:
         # below a pruned one can pass
         self.rises = [int(-d * unf.scale) for d in unf.deg_u]
         self.climb = max([0] + self.rises)
-        self.reductions = {}
         self.memo = {}
 
     def product_term(self, t0, h, coeffs, sink, key=None):
@@ -552,21 +550,17 @@ class Projector:
         k >= floor - lift, through the monomial cache, with no product
         when P or h is the constant 1: a term c z^e t^(-m) of P h adds c
         times the reduction of z^e, shifted by t^(t0 - m)."""
-        base, reductions, skip = self.unf.base, self.reductions, self.skip
+        base, skip = self.unf.base, self.skip
         one = self.unf.one
         product = P if h is one else h if P is one else P * h
         local = {}
         for e, c in product.terms.items():
-            z = e[:-1]
-            red = reductions.get(z)
-            if red is None:
-                red = reductions[z] = _sparse(reduce_monomial(base, z))
             shift = t0 - e[-1]
-            for k, row in red:
+            for k, row in reduce_monomial(base, e[:-1]).rows.items():
                 k += shift
                 if k < skip:
-                    break
-                for j, v in row:
+                    continue
+                for j, v in row.items():
                     key = (k, j)
                     prior = local.get(key)
                     local[key] = c * v if prior is None \
@@ -586,11 +580,5 @@ class Projector:
                 # gamma has |gamma| <= N and every c is a Fraction
                 elem = zero._like({g: c for g, c in poly.items() if c})
                 if elem:
-                    rows.setdefault(k, [zero] * self.unf.base.mu)[j] = elem
+                    rows.setdefault(k, {})[j] = elem
         return ReducedClass(self.unf.base.mu, rows)
-
-
-def _sparse(reduced):
-    """A reduced class as [(k, [(j, v) nonzero])], highest k first."""
-    return [(k, [(j, v) for j, v in enumerate(vec) if v])
-            for k, vec in sorted(reduced.coeffs.items(), reverse=True)]

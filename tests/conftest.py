@@ -108,6 +108,25 @@ def monomials_up_to(data, degree):
             if data.weights.degree_of_exponent(e) <= degree]
 
 
+def normal_form(data, h):
+    """Remainder of h on division by the Groebner basis of data."""
+    return divide(h, [g for g, _ in data.groebner])[1]
+
+
+def coords(data, terms):
+    """Coordinates in the Milnor basis of data of a fully reduced
+    polynomial, given by its terms {exponent: coefficient}."""
+    out = [Fraction(0)] * data.mu
+    for exp, c in terms.items():
+        m = data.std_index.get(exp)
+        if m is None:
+            raise ValueError("%s is not reduced"
+                             % MPoly(data.variables, terms))
+        for i, v in data.basis_inv[m]:
+            out[i] += c * v
+    return out
+
+
 def reference_reduction(data, exp):
     """Reduction of z^exp by the cofactor algorithm, as an oracle for
     brieskorn.reduce_monomial: divide by the Groebner basis, turn the
@@ -120,7 +139,7 @@ def reference_reduction(data, exp):
     while current:
         quotients, rem = divide(current, basis)
         if rem:
-            out[k] = data.coords(rem.terms)
+            out[k] = dict(enumerate(coords(data, rem.terms)))
         nxt = MPoly.zero(data.variables)
         for i in range(data.n):
             cofactor = MPoly.zero(data.variables)
@@ -229,8 +248,8 @@ def ring_order_projection(unf, classes, filtration, floor=None):
                 for j, w in enumerate(filtration.inv[l]):
                     if x and w:
                         row = upper.setdefault(k + filtration.t_power(l, j),
-                                               [unf.ring_zero()] * mu)
-                        row[j] = row[j] + x * w
+                                               {})
+                        row[j] = row.get(j, unf.ring_zero()) + x * w
         out.append(ReducedClass(mu, {k: row for k, row in upper.items()
                                      if floor is None or k >= floor}))
     return out

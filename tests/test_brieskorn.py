@@ -102,14 +102,19 @@ def test_laurent_negative_recurrence(p1_q2):
 
 
 def test_reduced_class_arithmetic():
-    a = ReducedClass(2, {0: [Fraction(1), Fraction(0)]})
-    b = ReducedClass(2, {1: [Fraction(0), Fraction(3)]})
+    a = ReducedClass(2, {0: {0: Fraction(1)}})
+    b = ReducedClass(2, {1: {1: Fraction(3)}, 2: {0: Fraction(0)}})
     a.add_scaled(b, scale=Fraction(1, 3), t_shift=2)
     a.compress()
     assert a.coeffs == {0: [Fraction(1), Fraction(0)],
                         3: [Fraction(0), Fraction(1)]}
+    assert b.rows == {1: {1: Fraction(3)}}
     assert not a.is_zero()
     assert ReducedClass(2).is_zero()
+    # a cancelled entry and the row it empties are compressed away
+    a.add_scaled(b, scale=Fraction(-1, 3), t_shift=2)
+    assert a == ReducedClass(2, {0: {0: Fraction(1)}})
+    assert a.compress().rows == {0: {0: Fraction(1)}}
 
 
 @pytest.mark.parametrize("case", ORACLE_ZOO, ids=[c[0] for c in ORACLE_ZOO])
@@ -122,6 +127,57 @@ def test_reduce_monomial_matches_cofactor_reference(case):
     # and so do the intermediate monomials the reductions cached
     for exp, red in data.mono_cache.items():
         assert red == reference_reduction(data, exp)
+
+
+@pytest.mark.parametrize("case", ORACLE_ZOO, ids=[c[0] for c in ORACLE_ZOO])
+def test_cached_classes_are_sparse_rows_on_their_degree_slices(case):
+    # row k of [z^e] lies in the degree slice deg(e) - k and stores only
+    # its nonzero entries; the dense view is the reference reduction
+    data = analyze_oracle_case(case)
+    den = data.weights.den
+    scaled = [int(d * den) for d in data.degrees]
+    for exp in monomials_up_to(data, data.s + 2):
+        reduce_monomial(data, exp)
+    for exp, red in data.mono_cache.items():
+        top = data.weights.scaled_degree(exp)
+        for k, row in red.rows.items():
+            assert row, (exp, k)
+            for j, c in row.items():
+                assert c, (exp, k, j)
+                assert scaled[j] == top - k * den, (exp, k, j)
+        ref = reference_reduction(data, exp)
+        dense = {k: [row.get(j, Fraction(0)) for j in range(data.mu)]
+                 for k, row in ref.rows.items()}
+        view = red.coeffs
+        assert view == dense, exp
+        assert all(type(c) is Fraction for vec in view.values() for c in vec)
+
+
+def test_mutating_a_class_leaves_the_cache_and_basis_inverse_alone():
+    # a class handed out, or built from cached classes, must not share
+    # its row dicts with mono_cache: a write to it would corrupt every
+    # later reduction
+    data = analyze_oracle_case(ORACLE_ZOO[6])
+    sample = monomials_up_to(data, data.s + 1)
+    for exp in sample:
+        reduce_monomial(data, exp)
+
+    def snapshot():
+        return ({exp: {k: dict(row) for k, row in red.rows.items()}
+                 for exp, red in data.mono_cache.items()},
+                [list(row) for row in data.basis_inv])
+
+    before = snapshot()
+    for exp in data.std + sample:
+        handed = reduce_class(data, MPoly.monomial(data.variables, exp))
+        built = ReducedClass(data.mu).add_scaled(reduce_monomial(data, exp))
+        for red in (handed, built):
+            for row in red.rows.values():
+                for j in row:
+                    row[j] += 7
+                row[data.mu - 1] = Fraction(5)
+            red.rows.setdefault(0, {})[0] = Fraction(-3)
+    assert snapshot() == before
 
 
 def test_elliptic_socle_sweep_reuses_the_cached_monomials():

@@ -381,8 +381,9 @@ def _corrupt_reductions(monkeypatch, t_power):
         red = reduce_monomial(base, exp)
         if not any(exp):
             return red
-        out = ReducedClass(base.mu, red.coeffs)
-        out.coeffs.setdefault(t_power, [Fraction(0)] * base.mu)[0] += 1
+        out = ReducedClass(base.mu, red.rows)
+        row = out.rows.setdefault(t_power, {})
+        row[0] = row.get(0, Fraction(0)) + 1
         return out
 
     monkeypatch.setattr(unfolding, "reduce_monomial", corrupted)

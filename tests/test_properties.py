@@ -11,7 +11,8 @@ from saitoforms.primitive import assemble_psi, neumann_solve, primitive_form
 from saitoforms.residue_series import pairing_univariate_Am, pairing_univariate_p1
 from saitoforms.unfolding import build_unfolding, oscillator_matrices
 
-from conftest import full_oscillator_family, in_row_space, make_a
+from conftest import (coords, full_oscillator_family, in_row_space, make_a,
+                      normal_form)
 
 
 def _monomials_of_degree(data, d):
@@ -279,6 +280,6 @@ def test_classical_residue_is_socle_coordinate(e12, e13, elliptic):
                                                 rng.randrange(1, 4)))
             samples.append(g)
         for g in samples:
-            rem = data.normal_form(g)
+            rem = normal_form(data, g)
             assert data.classical_residue(g) == \
-                data.coords(rem.terms)[-1] * data.residue_scale
+                coords(data, rem.terms)[-1] * data.residue_scale
