@@ -3,8 +3,8 @@
 This global model mirrors the projective line. Its state space has the
 basis {1, q/z}, and with the exponentiated unfolding coefficient
 e^(u1) - 1 the constant class 1 is exactly primitive at every order.
-We also print higher residue pairings computed from exact residues at
-z = 0 and z = infinity.
+We also print higher residue pairings, read off the Brieskorn reduction
+with the pairing eta of the basis.
 """
 
 from fractions import Fraction

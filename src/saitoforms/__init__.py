@@ -1,13 +1,15 @@
 """Exact perturbative primitive forms for weighted-homogeneous
 singularities: Milnor-basis analysis, Brieskorn-lattice reduction,
 oscillator matrices, the primitive form solved order by order in u,
-moduli of opposite filtrations, and univariate higher residue pairings."""
+moduli of opposite filtrations, and Saito's higher residue pairing K of
+any analyzed singularity or of the P^1 mirror, read off the Brieskorn
+reduction."""
 
 from .mpoly import MPoly, TruncationMismatch, WeightSystem
-from .singularity import (DegeneratePairing, EulerIdentityViolated,
+from .singularity import (K, DegeneratePairing, EulerIdentityViolated,
                           NonIsolatedSingularity, P1MirrorData,
                           SingularityData, analyze, orthogonalize_basis,
-                          validate)
+                          pairing_univariate, validate)
 from .brieskorn import ReducedClass, ReductionGuardError, reduce_class
 from .unfolding import (GradingViolation, InvalidOverride,
                         OppositeFiltration, UnfoldingData, UnfoldRingElem,
@@ -15,7 +17,6 @@ from .unfolding import (GradingViolation, InvalidOverride,
 from .primitive import (PrimitiveForm, primitive_form, verify_class_equal,
                         verify_primitive)
 from .moduli import ModuliReport, dimension_D, moduli_report, y_constraints
-from .residue_series import higher_residue_Am, pairing_univariate
 
 __all__ = [
     "MPoly", "TruncationMismatch", "WeightSystem", "SingularityData",
@@ -30,5 +31,5 @@ __all__ = [
     "PrimitiveForm", "primitive_form", "verify_primitive",
     "verify_class_equal",
     "ModuliReport", "dimension_D", "moduli_report", "y_constraints",
-    "higher_residue_Am", "pairing_univariate",
+    "K", "pairing_univariate",
 ]

@@ -15,8 +15,7 @@ from .brieskorn import ReductionGuardError
 from .mpoly import MPoly, PolynomialError, WeightSystem
 from .parsing import ParseError, parse_poly, parse_rational
 from .primitive import primitive_form, verify_primitive
-from .residue_series import pairing_univariate
-from .singularity import (DegeneratePairing, EulerIdentityViolated,
+from .singularity import (K, DegeneratePairing, EulerIdentityViolated,
                           NonIsolatedSingularity, P1MirrorData, analyze)
 from .unfolding import (GradingViolation, UnfoldRingElem, build_unfolding,
                         exp_series)
@@ -227,26 +226,15 @@ def cmd_pairing(data, job, args):
         raise JobError("pairing needs 'pairs': [[expr, expr], ...], got %r"
                        % (pairs,))
     if data.mode == "laurent":
-        kwargs = {"q": data.q}
         variables, laurent = ("z", "q"), True
-        lead = 1
     else:
-        if data.n != 1:
-            raise JobError("pairing supports univariate models only")
-        kwargs = {"m": data.mu}
         variables, laurent = data.variables, False
-        # f = c z^(m+1) has f' = lead z^m; the A_m kernel takes lead = 1
-        (exp, c), = data.f.terms.items()
-        lead = exp[0] * c
-    values = []
-    for a_text, b_text in pairs:
-        a = _subst_q(parse_poly(a_text, variables, laurent), data)
-        b = _subst_q(parse_poly(b_text, variables, laurent), data)
-        series = pairing_univariate(a, b, t_order, **kwargs)
-        series = {r: v / lead ** (r + 1) for r, v in series.items()}
-        values.append({"a": a_text, "b": b_text,
-                       "series": {str(k): _fmt(v)
-                                  for k, v in sorted(series.items())}})
+    classes = [[_subst_q(parse_poly(text, variables, laurent), data)
+                for text in pair] for pair in pairs]
+    values = [{"a": a_text, "b": b_text,
+               "series": {str(k): _fmt(v) for k, v in series.items()}}
+              for (a_text, b_text), series
+              in zip(pairs, K(data, classes, t_order))]
     return {"t_order": t_order, "values": values}
 
 
@@ -259,9 +247,8 @@ def _subst_q(poly, data):
         e_z, e_q = exp
         if e_q < 0:
             raise JobError("negative powers of q are not supported")
-        value = c * data.q ** e_q
-        out[e_z] = out.get(e_z, Fraction(0)) + value
-    return {e: c for e, c in out.items() if c}
+        out[(e_z,)] = out.get((e_z,), 0) + c * data.q ** e_q
+    return MPoly(data.variables, out, laurent=True)
 
 
 COMMANDS = {

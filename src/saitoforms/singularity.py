@@ -2,9 +2,10 @@
 
 Validates the Euler identity, computes the Jacobian-ring data (Groebner
 basis with cofactors, Milnor number, degree-sorted basis), the
-Grothendieck residue normalized so that the Hessian has residue mu, and
-an orthogonalized basis whose residue pairing matrix is exactly
-anti-diagonal.
+Grothendieck residue normalized so that the Hessian has residue mu, an
+orthogonalized basis whose residue pairing matrix is exactly
+anti-diagonal, and Saito's higher residue pairing K read off the
+Brieskorn reduction.
 """
 
 import math
@@ -238,6 +239,11 @@ class P1MirrorData:
             (0,): ReducedClass(2, {0: {0: Fraction(1)}}),
             (-1,): ReducedClass(2, {0: {1: 1 / q}})}
 
+    def residue_pairing_matrix(self):
+        """The pairing of the basis {1, q/z}: K(1, q/z) = -1, and the
+        other basis pairings vanish."""
+        return [[Fraction(0), Fraction(-1)], [Fraction(-1), Fraction(0)]]
+
 
 def hessian_det(f):
     n = len(f.variables)
@@ -276,7 +282,8 @@ def orthogonalize_basis(data):
     anti-diagonal: res(phi_i phi_j) = 0 unless i + j = mu + 1.
 
     Mutates and returns data. A basis that no slice changes stays
-    installed, with its warm reduction cache."""
+    installed, with its warm reduction cache; a changed one is installed
+    and its whole pairing matrix checked."""
     mu, s = data.mu, data.s
     slices = {}
     for i, d in enumerate(data.degrees):
@@ -293,15 +300,59 @@ def orthogonalize_basis(data):
             raise DegeneratePairing(
                 "degree slice %s has no partner slice of matching size" % d)
         _fix_slice_pair(data, lower, upper, new_basis)
-    if new_basis != data.basis:
-        data._install_basis(new_basis)
-        data._finish_residue()
+    if new_basis == data.basis:
+        # Each slice's Gram test has just checked every degree-s entry of
+        # this basis, and the entries off degree s vanish by the grading.
+        return data
+    data._install_basis(new_basis)
+    data._finish_residue()
     for i, row in enumerate(data.residue_pairing_matrix()):
         for j, x in enumerate(row):
             if bool(x) != (i + j == mu - 1):
                 raise DegeneratePairing(
                     "orthogonalization failed at (%d, %d)" % (i + 1, j + 1))
     return data
+
+
+# -- higher residue pairing --------------------------------------------
+
+
+def K(data, pairs, t_order):
+    """Saito's higher residue pairing K(a, b) of each pair (a, b) of
+    polynomials (Laurent ones on the P^1 mirror), as {t_power: value}
+    without zero values, through t^t_order.
+
+    K is sesquilinear, K(t a, b) = t K(a, b) = -K(a, t b), and on the
+    weighted-homogeneous basis it is the residue pairing eta. So with the
+    reduced classes a = sum_k t^k a_k and b = sum_l t^l b_l,
+        K(a, b) = sum_{k,l} t^k (-t)^l a_k^T eta b_l,
+    and K(a, b)(t) = K(b, a)(-t). eta is read once for all the pairs."""
+    eta = [{j: x for j, x in enumerate(row) if x}
+           for row in data.residue_pairing_matrix()]
+    out = []
+    for a, b in pairs:
+        b_rows = reduce_class(data, b).rows.items()
+        series = {}
+        for k, a_row in reduce_class(data, a).rows.items():
+            for l, b_row in b_rows:
+                if k + l <= t_order:
+                    series[k + l] = series.get(k + l, 0) + (-1) ** l * sum(
+                        c * x * b_row[j] for i, c in a_row.items()
+                        for j, x in eta[i].items() if j in b_row)
+        out.append({r: v for r, v in sorted(series.items()) if v})
+    return out
+
+
+def pairing_univariate(a, b, t_order, m=None, q=None):
+    """K(a, b) on the chain model z^(m+1)/(m+1) (pass m) or on the P^1
+    mirror z + q/z (pass q), for a and b given as {power: coeff}."""
+    if (m is None) == (q is None):
+        raise ValueError("specify exactly one of m (A_m) or q (P^1 mirror)")
+    data = P1MirrorData(q) if m is None else analyze(
+        MPoly(("z",), {(m + 1,): Fraction(1, m + 1)}), [Fraction(1, m + 1)])
+    a, b = (MPoly(data.variables, {(e,): c for e, c in h.items()},
+                  laurent=m is None) for h in (a, b))
+    return K(data, [(a, b)], t_order)[0]
 
 
 def _fix_slice_pair(data, lower, upper, new_basis):

@@ -11,14 +11,12 @@ from saitoforms.mpoly import MPoly
 from saitoforms.primitive import (
     primitive_form, verify_class_equal, verify_primitive,
 )
-from saitoforms.residue_series import (
-    higher_residue_Am, pairing_univariate_p1, pairing_univariate_Am,
-)
 from saitoforms.singularity import P1MirrorData, analyze
 from saitoforms.unfolding import build_unfolding
 
 from conftest import (
-    elliptic_g, elliptic_h, make_a, make_a_normalized, series_reciprocal,
+    elliptic_g, elliptic_h, higher_residue_Am, make_a, make_a_normalized,
+    pairing_univariate_Am, pairing_univariate_p1, series_reciprocal,
     series_sub,
 )
 

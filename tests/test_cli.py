@@ -91,12 +91,33 @@ def test_primitive_form_masked_with_set_c(capsys, tmp_path):
 def test_pairing_global_model(capsys, tmp_path):
     job = {"schema": SCHEMA, "command": "pairing",
            "singularity": {"model": "p1", "q": "2"}, "t_order": 6,
-           "pairs": [["1", "q*z^-1"], ["1", "1"]]}
+           "pairs": [["1", "q*z^-1"], ["1", "1"], ["z^2", "1"]]}
     code, doc = run_cli(capsys, tmp_path, job)
     assert code == 0
     values = doc["result"]["values"]
     assert values[0]["series"] == {"0": "-1"}
     assert values[1]["series"] == {}
+    # [z^2] = q [1] - t [z] and [z] = [q/z], so K(z^2, 1) = -t K(q/z, 1)
+    # = t: Saito's convention K(t a, b) = t K(a, b)
+    assert values[2]["series"] == {"1": "1"}
+
+
+def test_pairing_of_a_two_variable_singularity(capsys, tmp_path):
+    # the t^0 part of K(phi_i, phi_(mu+1-i)) is the residue pairing that
+    # analyze reports
+    e12 = {"variables": ["x", "y"], "f": "x^3 + y^7",
+           "weights": ["1/3", "1/7"]}
+    code, doc = run_cli(capsys, tmp_path, {
+        "schema": SCHEMA, "command": "analyze", "singularity": e12})
+    assert code == 0
+    basis = doc["result"]["basis"]
+    residues = doc["result"]["anti_diagonal_residues"]
+    code, doc = run_cli(capsys, tmp_path, {
+        "schema": SCHEMA, "command": "pairing", "singularity": e12,
+        "pairs": [[a, b] for a, b in zip(basis, reversed(basis))]})
+    assert code == 0
+    assert [value["series"] for value in doc["result"]["values"]] == \
+        [{"0": r} for r in residues]
 
 
 def test_verify_roundtrip(capsys, tmp_path):

@@ -8,11 +8,11 @@ from saitoforms.brieskorn import reduce_class
 from saitoforms.linalg import row_space_basis
 from saitoforms.mpoly import MPoly
 from saitoforms.primitive import assemble_psi, neumann_solve, primitive_form
-from saitoforms.residue_series import pairing_univariate_Am, pairing_univariate_p1
 from saitoforms.unfolding import build_unfolding, oscillator_matrices
 
 from conftest import (coords, full_oscillator_family, in_row_space, make_a,
-                      normal_form)
+                      normal_form, pairing_univariate_Am,
+                      pairing_univariate_p1)
 
 
 def _monomials_of_degree(data, d):

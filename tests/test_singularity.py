@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,37 @@ def test_orthogonalize_installs_only_a_changed_basis(monkeypatch, f, weights,
     assert data.mono_cache
     for exp, red in data.mono_cache.items():
         assert red == reference_reduction(data, exp)
+
+
+@pytest.mark.parametrize("case, changed, i, message", [
+    # E12: no slice changes the basis; the Gram test of the slice pair
+    # sees the wrong entry
+    (("x^3 + y^7", ("x", "y"), ["1/3", "1/7"]), False, 1, "degenerate"),
+    # P8 in Hesse form: the upper slice of degree 2/3 is permuted, so its
+    # Gram block holds every entry of the new basis
+    (("x^3 + y^3 + z^3 + x*y*z", ("x", "y", "z"), ["1/3"] * 3), True, 1,
+     "degenerate"),
+    # x^6 + y^6 + x^3 y^3: phi_18 = -54 y^5 is a recombination, paired
+    # first by the whole-matrix test of the installed basis
+    (("x^6 + y^6 + x^3*y^3", ("x", "y"), ["1/6"] * 2), True, 7,
+     "orthogonalization failed at (8, 18)"),
+])
+def test_orthogonalize_catches_one_wrong_pairing(monkeypatch, case, changed,
+                                                 i, message):
+    clean = analyze_oracle_case(case)
+    monomial = analyze_oracle_case(case, orthogonalize=False)
+    assert (clean.basis != monomial.basis) == changed
+    j = clean.mu - 1 - i
+    wrong = {(clean.basis[i], clean.basis[j]),
+             (clean.basis[j], clean.basis[i])}
+    pairing = SingularityData.pairing
+
+    def one_wrong_entry(self, a, b):
+        return Fraction(0) if (a, b) in wrong else pairing(self, a, b)
+
+    monkeypatch.setattr(SingularityData, "pairing", one_wrong_entry)
+    with pytest.raises(DegeneratePairing, match=re.escape(message)):
+        analyze_oracle_case(case)
 
 
 @pytest.mark.parametrize("case", ORACLE_ZOO, ids=[c[0] for c in ORACLE_ZOO])

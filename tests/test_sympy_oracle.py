@@ -9,11 +9,10 @@ from fractions import Fraction
 import pytest
 
 from saitoforms.mpoly import MPoly, grevlex_key
-from saitoforms.residue_series import (pairing_univariate_Am,
-                                       pairing_univariate_p1)
 
 from conftest import (ORACLE_ZOO, analyze_oracle_case, monomials_up_to,
-                      normal_form)
+                      normal_form, pairing_univariate_Am,
+                      pairing_univariate_p1)
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import grevlex  # noqa: E402
