@@ -52,15 +52,18 @@ class SingularityData:
     """Everything downstream modules need about one singularity.
 
     Attributes: f, weights, s, partials, groebner, std (standard
-    monomials), mu, basis (Milnor basis, degree-sorted), degrees,
-    basis_inv (per standard monomial, the nonzero (i, value) entries of
-    its row: its coordinates in the basis, inverted one degree slice at a
-    time), residue_scale, and mono_cache, the Brieskorn-lattice
+    monomials), mu, basis (Milnor basis, degree-sorted), degrees, the
+    integer grading that every degree test downstream compares (den, the
+    weights' common denominator; scaled, den times each degree d_i; top,
+    den times s), basis_inv (per standard monomial, the nonzero (i, value)
+    entries of its row: its coordinates in the basis, inverted one degree
+    slice at a time), residue_scale, and mono_cache, the Brieskorn-lattice
     reductions of every monomial a reduction has visited, as
     ReducedClasses of sparse rows: the one store of reductions, which
     every reader (residues, pairings, the oscillating projection)
     shares. The cached reductions hold coordinates in the installed
-    basis, so installing a basis empties the cache.
+    basis, so installing a basis empties the cache; it also sets the
+    grading anew.
     """
 
     mode = "poly"
@@ -109,8 +112,9 @@ class SingularityData:
         # block diagonal by degree: each block is inverted on its own.
         self.basis = list(basis)
         ws = self.weights
+        self.den = ws.den
         self.degrees = []
-        scaled = []
+        self.scaled = scaled = []
         rows = {}
         for i, phi in enumerate(self.basis):
             degs = {ws.scaled_degree(e) for e in phi.terms}
@@ -152,7 +156,7 @@ class SingularityData:
                 self.basis_inv[m] = [(elems[r], v) for r, v in enumerate(row)
                                      if v]
         self.mono_cache = {}
-        top = self.s.numerator * (ws.den // self.s.denominator)
+        self.top = top = self.s.numerator * (ws.den // self.s.denominator)
         for i in range(self.mu):
             if scaled[i] + scaled[self.mu - 1 - i] != top:
                 raise DegeneratePairing(
@@ -175,27 +179,21 @@ class SingularityData:
     def classical_residue(self, g):
         """Grothendieck residue, normalized so the Hessian has residue mu:
         the socle (last) coordinate of the t^0 part of the reduced class of
-        g, which is the normal form of g."""
-        top = self.mu - 1
-        socle = 0
-        for exp, c in g.terms.items():
-            row = reduce_monomial(self, exp).rows.get(0)
-            if row and top in row:
-                socle += c * row[top]
-        return socle * self.residue_scale
+        g, which is the normal form of g: the pairing of g with 1."""
+        return self.pairing(g, MPoly.constant(self.variables, 1))
 
     def pairing(self, a, b):
         """The residue pairing classical_residue(a * b), summed over the
         term pairs of a and b from their monomials' reductions, without
         building the product."""
-        top = self.mu - 1
+        last = self.mu - 1
         socle = 0
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
                 row = reduce_monomial(self, tuple(map(add, ea, eb))) \
                     .rows.get(0)
-                if row and top in row:
-                    socle += ca * cb * row[top]
+                if row and last in row:
+                    socle += ca * cb * row[last]
         return socle * self.residue_scale if socle else Fraction(0)
 
     def residue_pairing_matrix(self):
@@ -205,20 +203,18 @@ class SingularityData:
         it), so res(phi_i phi_j) is zero by the grading unless
         d_i + d_j = s. Only those entries are paired; every other entry
         is Fraction(0) and is not reduced. The degrees are compared as
-        integers over the weights' common denominator."""
-        den = self.weights.den
-        scaled = [d.numerator * (den // d.denominator) for d in self.degrees]
-        top = self.s.numerator * (den // self.s.denominator)
+        the ints scaled and top."""
         zero = Fraction(0)
-        return [[self.pairing(a, b) if da + db == top else zero
-                 for b, db in zip(self.basis, scaled)]
-                for a, da in zip(self.basis, scaled)]
+        return [[self.pairing(a, b) if da + db == self.top else zero
+                 for b, db in zip(self.basis, self.scaled)]
+                for a, da in zip(self.basis, self.scaled)]
 
 
 class P1MirrorData:
     """Landau-Ginzburg mirror of the projective line: f = z + q/z on the
     punctured line, volume form dz/z. Plays the role of SingularityData
-    for the Laurent reduction rules; mu = 2, basis {1, q/z}."""
+    for the Laurent reduction rules; mu = 2, basis {1, q/z} of degrees 0
+    and 1, so its integer grading is den = 1, scaled = [0, 1], top = 1."""
 
     mode = "laurent"
 
@@ -235,6 +231,7 @@ class P1MirrorData:
         self.basis = [MPoly.constant(("z",), 1, laurent=True),
                       MPoly(("z",), {(-1,): q}, laurent=True)]
         self.degrees = [Fraction(0), Fraction(1)]
+        self.den, self.scaled, self.top = 1, [0, 1], 1
         self.mono_cache = {
             (0,): ReducedClass(2, {0: {0: Fraction(1)}}),
             (-1,): ReducedClass(2, {0: {1: 1 / q}})}
@@ -284,21 +281,22 @@ def orthogonalize_basis(data):
     Mutates and returns data. A basis that no slice changes stays
     installed, with its warm reduction cache; a changed one is installed
     and its whole pairing matrix checked."""
-    mu, s = data.mu, data.s
+    mu, top = data.mu, data.top
     slices = {}
-    for i, d in enumerate(data.degrees):
+    for i, d in enumerate(data.scaled):
         slices.setdefault(d, []).append(i)
     new_basis = list(data.basis)
     for d, lower in sorted(slices.items()):
-        if 2 * d > s:
+        if 2 * d > top:
             continue
-        if 2 * d == s:
+        if 2 * d == top:
             _fix_middle_slice(data, lower, new_basis)
             continue
-        upper = slices.get(s - d)
+        upper = slices.get(top - d)
         if upper is None or len(upper) != len(lower):
             raise DegeneratePairing(
-                "degree slice %s has no partner slice of matching size" % d)
+                "degree slice %s has no partner slice of matching size"
+                % Fraction(d, data.den))
         _fix_slice_pair(data, lower, upper, new_basis)
     if new_basis == data.basis:
         # Each slice's Gram test has just checked every degree-s entry of

@@ -108,10 +108,11 @@ class OppositeFiltration:
             value = Fraction(value)
             if not value:
                 continue
-            r = base.degrees[i - 1] - base.degrees[j - 1]
-            if r.denominator != 1 or r <= 0:
+            gap = base.scaled[i - 1] - base.scaled[j - 1]
+            if gap <= 0 or gap % base.den:
                 raise GradingViolation(
-                    "c[%d,%d] requires degree gap in Z_>0, got %s" % (i, j, r))
+                    "c[%d,%d] requires degree gap in Z_>0, got %s"
+                    % (i, j, Fraction(gap, base.den)))
             self.c[(i, j)] = value
             mat[i - 1][j - 1] = value
         self.mat = mat
@@ -125,11 +126,11 @@ class OppositeFiltration:
 
     def t_power(self, i, j):
         """Integer t-exponent attached to the (i, j) matrix slot."""
-        r = self.base.degrees[i] - self.base.degrees[j]
-        if r.denominator != 1:
+        gap = self.base.scaled[i] - self.base.scaled[j]
+        if gap % self.base.den:
             raise GradingViolation("non-integer t-power between phi_%d and "
                                    "phi_%d" % (i + 1, j + 1))
-        return int(r)
+        return gap // self.base.den
 
     def upper(self, i):
         """Phi_i (0-based i) as (t_power, {z_exp: coefficient}) terms over
@@ -180,9 +181,6 @@ class UnfoldingData:
                 term = coeff * c
                 self.f_diff[exp] = term if prior is None else prior + term
         self.laurent = base.mode == "laurent"
-        # degrees times scale are integers: the grading tests and the
-        # cuts of the projection compare them in ints
-        self.scale = 1 if self.laurent else base.weights.den
         # the constant 1, phi_l / t and Q_{l,n} for n = 0, 1, ... as far
         # as built, as MPolys over the z-variables and 1/t (see q)
         self.one = MPoly.constant(base.variables + ("1/t",), 1, self.laurent)
@@ -382,20 +380,20 @@ def grading(unf):
     """None with overrides. Otherwise on_grade(k, i, j, exp), 0-based i
     and j: whether t^k u^exp may stand at Phi_j in the projection of
     Phi_i, that is k + deg(u^exp) + d_j - d_i = 0, compared in integers
-    with a per-exponent memo, each degree times unf.scale. zeta_+
-    carries the grading of Phi_1."""
+    with a per-exponent memo, each degree times base.den: the scaled
+    degrees base.scaled, and den - scaled[l] for deg u_l = 1 - d_l.
+    zeta_+ carries the grading of Phi_1."""
     if unf.override:
         return None
-    scale = unf.scale
-    degrees = [int(d * scale) for d in unf.base.degrees]
-    deg_u = [int(d * scale) for d in unf.deg_u]
+    den, degrees = unf.base.den, unf.base.scaled
+    deg_u = [den - degrees[l] for l in unf.indices]
     memo = {}
 
     def on_grade(k, i, j, exp):
         degree = memo.get(exp)
         if degree is None:
             degree = memo[exp] = sum(map(mul, deg_u, exp))
-        return degree == degrees[i] - degrees[j] - k * scale
+        return degree == degrees[i] - degrees[j] - k * den
     return on_grade
 
 
@@ -463,7 +461,7 @@ class Projector:
         # per variable l the scaled degree step of one more phi_l / t; one
         # more u raises the degree of P_alpha by at most climb, so no alpha
         # below a pruned one can pass
-        self.rises = [int(-d * unf.scale) for d in unf.deg_u]
+        self.rises = [unf.base.scaled[j] - unf.base.den for j in unf.indices]
         self.climb = max([0] + self.rises)
         self.memo = {}
 
@@ -474,8 +472,9 @@ class Projector:
         coordinates, or nowhere where that is None. A key memoizes its
         reduced sum per alpha."""
         # the smallest scaled deg(e) - m of a P_alpha term to keep
-        cut = (self.floor - t0) * self.unf.scale - \
-            max(map(self.unf.base.weights.scaled_degree, h)) \
+        base = self.unf.base
+        cut = (self.floor - t0) * base.den - \
+            max(map(base.weights.scaled_degree, h)) \
             if self.graded else -math.inf
         # the u-monomials of coeffs by size, None for a coefficient 1
         spread = sorted((sum(beta), beta, None if b == 1 else b)

@@ -37,6 +37,8 @@ JOBS = [
     # the only zoo singularity whose orthogonalized basis is not monomial
     ("milnor-zoo", "library:x6+y6+x3y3"),
     ("milnor-zoo", "analyze:x6+y6+x3y3"),
+    # D = 1 against the literature
+    ("milnor-zoo", "moduli:X9"),
     # the pairing kernels against the product formula and the P^1 values;
     # 5*z^4 is a chain model that is not normalized
     ("milnor-zoo", "pairing:p1-q2"),

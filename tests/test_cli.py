@@ -59,6 +59,28 @@ def test_moduli_elliptic_with_constraint(capsys, tmp_path):
     assert frees == [{"pair": [8, 1], "r": 1, "status": "FREE"}]
 
 
+def test_moduli_p1_mirror(capsys, tmp_path):
+    # the mirror's grading is den = 1, scaled = [0, 1]: the one slot (2, 1)
+    # has gap 1 and lies on the anti-diagonal with an odd gap
+    job = {"schema": SCHEMA, "command": "moduli",
+           "singularity": {"model": "p1", "q": "2"}}
+    code, doc = run_cli(capsys, tmp_path, job)
+    assert code == 0
+    assert doc["result"] == {
+        "dimension": 1,
+        "constraints": [{"pair": [2, 1], "r": 1, "status": "FREE"}]}
+
+
+def test_analyze_p1_mirror(capsys, tmp_path):
+    job = {"schema": SCHEMA, "command": "analyze",
+           "singularity": {"model": "p1", "q": "2"}}
+    code, doc = run_cli(capsys, tmp_path, job)
+    assert code == 0
+    assert doc["result"] == {"mu": 2, "central_charge": "1",
+                             "degrees": ["0", "1"], "basis": ["1", "2*z^-1"],
+                             "q": "2"}
+
+
 def test_primitive_form_chain_trivial(capsys, tmp_path):
     job = {"schema": SCHEMA, "command": "primitive-form",
            "singularity": {"variables": ["z"], "f": "z^4",

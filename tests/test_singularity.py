@@ -149,6 +149,33 @@ def test_p1_mirror_shape():
     assert data.mode == "laurent"
 
 
+def _assert_integer_grading(data):
+    assert len(data.scaled) == data.mu
+    assert all(type(d) is int for d in data.scaled + [data.den, data.top])
+    for d, degree in zip(data.scaled, data.degrees):
+        assert Fraction(d, data.den) == degree
+    assert Fraction(data.top, data.den) == data.s
+
+
+@pytest.mark.parametrize("case", ORACLE_ZOO + [
+    ("x^4 + y^4 + z^4 + w^4", ("x", "y", "z", "w"), ["1/4"] * 4), "p1"],
+    ids=lambda c: c if c == "p1" else c[0])
+def test_integer_grading_matches_the_degrees(case):
+    if case == "p1":
+        _assert_integer_grading(P1MirrorData(2))
+        return
+    data = analyze_oracle_case(case, orthogonalize=False)
+    _assert_integer_grading(data)
+    monomial_basis = data.basis
+    orthogonalize_basis(data)
+    _assert_integer_grading(data)
+    if case[0] in ("x^3*y + y^3*z + z^3*x", "x^6 + y^6 + x^3*y^3"):
+        # a new basis was installed, with its grading
+        assert data.basis != monomial_basis
+        for phi, d in zip(data.basis, data.scaled):
+            assert {data.weights.scaled_degree(e) for e in phi.terms} == {d}
+
+
 @pytest.mark.parametrize("f, weights, installs", [
     # E6: the degree-sorted monomial basis is already anti-diagonal
     ("x^3 + y^4", [Fraction(1, 3), Fraction(1, 4)], 1),

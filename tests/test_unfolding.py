@@ -81,7 +81,7 @@ def test_grading_of_entries(e6_cusp):
 
 
 def test_p1_without_an_override_keeps_its_grading(p1_q2):
-    # in Laurent mode the grading reads degrees at scale 1: d = (0, 1),
+    # in Laurent mode the grading reads degrees over den = 1: d = (0, 1),
     # deg u0 = 1, deg u1 = 0; only an override drops it
     unf = build_unfolding(p1_q2, 4, u_names=["u0", "u1"])
     on_grade = grading(unf)
@@ -148,6 +148,27 @@ def test_opposite_filtration_validation(elliptic):
     assert filt.t_power(7, 0) == 1
     with pytest.raises(Exception):
         OppositeFiltration(elliptic, {(1, 8): Fraction(1)})
+
+
+# elliptic degrees: 0, 1/3 (x3), 2/3 (x3), 1
+@pytest.mark.parametrize("c, gap", [({(8, 2): 1}, "2/3"),
+                                    ({(1, 8): 1}, "-1"),
+                                    ({(2, 5): 1}, "-1/3"),
+                                    ({(2, 4): 1}, "0")])
+def test_opposite_filtration_names_the_rejected_gap(elliptic, c, gap):
+    (i, j), = c
+    with pytest.raises(GradingViolation) as err:
+        OppositeFiltration(elliptic, c)
+    assert str(err.value) == \
+        "c[%d,%d] requires degree gap in Z_>0, got %s" % (i, j, gap)
+
+
+def test_t_power_rejects_a_non_integer_gap(elliptic):
+    filt = OppositeFiltration(elliptic)
+    assert filt.t_power(7, 0) == 1 and filt.t_power(0, 7) == -1
+    with pytest.raises(GradingViolation) as err:
+        filt.t_power(7, 1)
+    assert str(err.value) == "non-integer t-power between phi_8 and phi_2"
 
 
 def test_upper_basis_reduces_to_unit_vectors(elliptic):
