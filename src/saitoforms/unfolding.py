@@ -34,7 +34,6 @@ from fractions import Fraction
 from functools import cache
 from operator import add, mul
 
-from . import linalg
 from .brieskorn import ReducedClass, reduce_monomial
 from .mpoly import MPoly
 
@@ -94,13 +93,21 @@ def z_product(left, right):
 
 class OppositeFiltration:
     """Basis change Phi_i = phi_i + sum_j c_ij t^(r(i,j)) phi_j for a
-    point c of the moduli of good opposite filtrations."""
+    point c of the moduli of good opposite filtrations.
+
+    Both the basis change and its inverse are kept as sparse rows, one
+    {j: coefficient} dict per 0-based i in ascending j: rows[i] is
+    {i: 1} plus the nonzero c slots of Phi_i. Every slot lowers the
+    degree, so the change is unipotent and its inverse is built row by
+    row in ascending degree by back-substitution,
+    inverse[i] = e_i - sum_(j != i) c_ij inverse[j], each inverse[j]
+    already built."""
 
     def __init__(self, base, c=None):
         self.base = base
         mu = base.mu
         self.c = {}
-        mat = linalg.identity(mu)
+        rows = [{i: Fraction(1)} for i in range(mu)]
         for (i, j), value in (c or {}).items():
             if not (1 <= i <= mu and 1 <= j <= mu):
                 raise ValueError("c slot (%d, %d) out of range 1..%d"
@@ -114,12 +121,25 @@ class OppositeFiltration:
                     "c[%d,%d] requires degree gap in Z_>0, got %s"
                     % (i, j, Fraction(gap, base.den)))
             self.c[(i, j)] = value
-            mat[i - 1][j - 1] = value
-        self.mat = mat
-        self.inv = linalg.mat_inv(mat)
+            rows[i - 1][j - 1] = value
+        inverse = rows
+        if self.c:
+            rows = [dict(sorted(row.items())) for row in rows]
+            inverse = [None] * mu
+            for i in sorted(range(mu), key=base.scaled.__getitem__):
+                out = {i: Fraction(1)}
+                for j, value in rows[i].items():
+                    if j != i:
+                        for k, w in inverse[j].items():
+                            prior = out.get(k)
+                            out[k] = -value * w if prior is None \
+                                else prior - value * w
+                inverse[i] = {k: w for k, w in sorted(out.items()) if w}
+        self.rows = rows
+        self.inverse = inverse
         # the largest t-power that coords_to_upper adds
-        self.lift = max(self.t_power(l, j) for l in range(mu)
-                        for j in range(mu) if self.inv[l][j])
+        self.lift = max(self.t_power(l, j) for l, row in enumerate(inverse)
+                        for j in row)
 
     def is_trivial(self):
         return not self.c
@@ -135,27 +155,20 @@ class OppositeFiltration:
     def upper(self, i):
         """Phi_i (0-based i) as (t_power, {z_exp: coefficient}) terms over
         the Milnor basis."""
-        out = []
-        for j, value in enumerate(self.mat[i]):
-            if value:
-                out.append((self.t_power(i, j),
-                            {e: value * c
-                             for e, c in self.base.basis[j].terms.items()}))
-        return out
+        return [(self.t_power(i, j),
+                 {e: value * c for e, c in self.base.basis[j].terms.items()})
+                for j, value in self.rows[i].items()]
 
     def coords_to_upper(self, slots):
         """Rewrite {(k, l): {gamma: c}}, the u^gamma coefficients of
         t^k phi_l, into Phi coordinates: right-multiplication by the
         inverse basis change, whose (l, j) slot carries t^(d_l - d_j)."""
-        mu = self.base.mu
         out = {}
         for (k, l), poly in slots.items():
-            for j in range(mu):
-                w = self.inv[l][j]
-                if w:
-                    tgt = out.setdefault((k + self.t_power(l, j), j), {})
-                    for gamma, c in poly.items():
-                        tgt[gamma] = tgt.get(gamma, 0) + c * w
+            for j, w in self.inverse[l].items():
+                tgt = out.setdefault((k + self.t_power(l, j), j), {})
+                for gamma, c in poly.items():
+                    tgt[gamma] = tgt.get(gamma, 0) + c * w
         return out
 
 
@@ -174,12 +187,6 @@ class UnfoldingData:
         self.series = [{exp[pos]: c for exp, c in coeff.terms.items()}
                        for pos, coeff in enumerate(coeffs)]
         self.deg_u = [1 - base.degrees[j] for j in indices]
-        self.f_diff = {}              # z-exponent -> ring element, F - f
-        for j, coeff in zip(indices, coeffs):
-            for exp, c in base.basis[j].terms.items():
-                prior = self.f_diff.get(exp)
-                term = coeff * c
-                self.f_diff[exp] = term if prior is None else prior + term
         self.laurent = base.mode == "laurent"
         # the constant 1, phi_l / t and Q_{l,n} for n = 0, 1, ... as far
         # as built, as MPolys over the z-variables and 1/t (see q)
@@ -211,10 +218,17 @@ class UnfoldingData:
         qs = self.qs[l]
         while len(qs) <= n:
             m = len(qs)
-            qs.append(self.phis[l] * sum(
-                (qs[m - k] * Fraction(k * p, m)
-                 for k, p in self.series[l].items() if k <= m),
-                self.one._like({})))
+            # the sum over k in one dict, then one product with phi_l / t
+            total = {}
+            for k, p in self.series[l].items():
+                if k <= m:
+                    scale = Fraction(k * p, m)
+                    for e, c in qs[m - k].terms.items():
+                        prior = total.get(e)
+                        total[e] = c * scale if prior is None \
+                            else prior + c * scale
+            qs.append(self.phis[l] * self.one._like(
+                {e: c for e, c in total.items() if c}))
         return qs[n]
 
     def exp_powers(self):
@@ -222,12 +236,18 @@ class UnfoldingData:
 
         No library code reads this table: oscillating_projection expands
         e^((F-f)/t) by u-monomial instead. Only the benchmark's traced
-        mode times it and counts its terms."""
+        mode times it and counts its terms, so F - f itself, as z-exp ->
+        ring element, is built here on the first call."""
         if self._exp_powers is None:
+            f_diff = {}
+            for j, coeff in zip(self.indices, self.coeffs):
+                for exp, c in self.base.basis[j].terms.items():
+                    prior = f_diff.get(exp)
+                    term = coeff * c
+                    f_diff[exp] = term if prior is None else prior + term
             powers = [{tuple([0] * self.base.n): self.ring_one()}]
-            f_diff = self.f_diff.items()
             for k in range(1, self.N + 1):
-                nxt = z_product(powers[-1].items(), f_diff)
+                nxt = z_product(powers[-1].items(), f_diff.items())
                 inv_k = Fraction(1, k)
                 powers.append({e: c * inv_k for e, c in nxt.items() if c})
             self._exp_powers = powers

@@ -92,6 +92,18 @@ ORACLE_ZOO = [
 ]
 
 
+# mu = 81, s = 2: the anti-diagonal slot (81, 1) has the even gap 2, and
+# an opposite filtration can chain the degree-2 row through a degree-1
+# row down to degree 0.
+QUARTIC_FOURFOLD = ("x^4 + y^4 + z^4 + w^4", ("x", "y", "z", "w"),
+                    ["1/4"] * 4)
+
+
+@pytest.fixture(scope="session")
+def quartic_fourfold():
+    return analyze_oracle_case(QUARTIC_FOURFOLD)
+
+
 def analyze_oracle_case(case, orthogonalize=True):
     f, variables, weights = case
     return analyze(parse_poly(f, variables),
@@ -245,8 +257,8 @@ def ring_order_projection(unf, classes, filtration, floor=None):
         upper = {}
         for k, vec in acc.coeffs.items():
             for l, x in enumerate(vec):
-                for j, w in enumerate(filtration.inv[l]):
-                    if x and w:
+                for j, w in filtration.inverse[l].items():
+                    if x:
                         row = upper.setdefault(k + filtration.t_power(l, j),
                                                {})
                         row[j] = row.get(j, unf.ring_zero()) + x * w

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from saitoforms import linalg
 from saitoforms.moduli import (
     DETERMINED, FREE, admissible_pairs, dimension_D, moduli_report,
     y_constraints,
@@ -10,7 +9,9 @@ from saitoforms.moduli import (
 from saitoforms.singularity import P1MirrorData
 from saitoforms.unfolding import OppositeFiltration
 
-from conftest import ORACLE_ZOO, analyze_oracle_case, make_a
+from conftest import (
+    ORACLE_ZOO, QUARTIC_FOURFOLD, analyze_oracle_case, make_a,
+)
 
 # The status the oracle below gives an even-gap anti-diagonal slot with no
 # structurally allowed source term. y_constraints has no such status, so
@@ -112,11 +113,6 @@ def _fraction_gap_constraints(data):
     return out
 
 
-# s = 2, so the anti-diagonal slot (81, 1) has the even gap 2
-QUARTIC_FOURFOLD = ("x^4 + y^4 + z^4 + w^4", ("x", "y", "z", "w"),
-                    ["1/4"] * 4)
-
-
 @pytest.mark.parametrize("case", ORACLE_ZOO + [QUARTIC_FOURFOLD, "p1"],
                          ids=lambda c: c if c == "p1" else c[0])
 def test_constraints_match_the_fraction_gap_oracle(case):
@@ -126,7 +122,8 @@ def test_constraints_match_the_fraction_gap_oracle(case):
     assert [(c.pair, c.r, c.status) for c in y_constraints(data)] == want
 
 
-def test_gaps_are_compared_as_ints(monkeypatch, elliptic, quartic_pair):
+def test_gaps_are_compared_as_ints(monkeypatch, elliptic, quartic_pair,
+                                  quartic_fourfold):
     calls = []
     sub = Fraction.__sub__
 
@@ -134,16 +131,28 @@ def test_gaps_are_compared_as_ints(monkeypatch, elliptic, quartic_pair):
         calls.append(None)
         return sub(self, other)
 
+    def subtractions(build):
+        start = len(calls)
+        build()
+        return len(calls) - start
+
     monkeypatch.setattr(Fraction, "__sub__", counting)
     assert admissible_pairs(elliptic) == [(8, 1)]
     assert [c.pair for c in y_constraints(quartic_pair)] == \
         admissible_pairs(quartic_pair)
     moduli_calls = len(calls)
-    # an opposite filtration tests its gaps and t-powers as ints too: its
-    # only Fraction subtractions are those of inverting its basis change
-    filtration = OppositeFiltration(elliptic, {(8, 1): 1})
-    building = len(calls)
-    linalg.mat_inv(filtration.mat)
+    # an opposite filtration tests its gaps and t-powers as ints too, and
+    # its only Fraction subtractions are those of the back-substitution
+    # that inverts its basis change: none when c is trivial, none for the
+    # one slot (8, 1), whose inverse row -e_1 + e_8 meets no entry twice,
+    # and one per degree-1 row that the socle row chains through down to
+    # degree 0 on the fourfold, where the inverse's (81, 1) entry is
+    # -c(81,1) + c(81,32) c(32,1) + c(81,33) c(33,1)
+    trivial = subtractions(lambda: OppositeFiltration(elliptic))
+    one_slot = subtractions(
+        lambda: OppositeFiltration(elliptic, {(8, 1): 1}))
+    chained = subtractions(lambda: OppositeFiltration(
+        quartic_fourfold, {(81, 1): 1, (81, 32): 2, (81, 33): 3,
+                           (32, 1): 5, (33, 1): 7}))
     monkeypatch.undo()
-    assert moduli_calls == 0
-    assert building > 0 and len(calls) == 2 * building
+    assert (moduli_calls, trivial, one_slot, chained) == (0, 0, 0, 2)

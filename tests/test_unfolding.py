@@ -1,11 +1,12 @@
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from saitoforms import P1MirrorData, UnfoldRingElem, unfolding
+from saitoforms import P1MirrorData, UnfoldRingElem, linalg, unfolding
 from saitoforms.brieskorn import ReducedClass, reduce_monomial
 from saitoforms.mpoly import MPoly
 from saitoforms.parsing import parse_poly
@@ -18,6 +19,7 @@ from saitoforms.unfolding import (
 )
 
 from conftest import (
+    ORACLE_ZOO, QUARTIC_FOURFOLD, analyze_oracle_case, count_products,
     full_oscillator_family, make_a, phi_classes, ring_order_projection,
 )
 
@@ -181,6 +183,106 @@ def test_upper_basis_reduces_to_unit_vectors(elliptic):
     rows = oscillating_projection(unf, phi_classes(unf, filt), filt)
     for i, row in enumerate(rows):
         assert row == ReducedClass(mu, {0: {i: Fraction(1)}})
+
+
+def _dense(rows, mu):
+    return [[row.get(j, Fraction(0)) for j in range(mu)] for row in rows]
+
+
+@pytest.mark.parametrize("case", ORACLE_ZOO + [QUARTIC_FOURFOLD],
+                         ids=lambda case: case[0])
+def test_sparse_inverse_is_the_dense_inverse(case):
+    data = analyze_oracle_case(case)
+    mu, scaled, den = data.mu, data.scaled, data.den
+    slots = [(i + 1, j + 1) for i in range(mu) for j in range(mu)
+             if scaled[i] > scaled[j] and (scaled[i] - scaled[j]) % den == 0]
+    # below central charge 1 (A2, E6) there is no slot and c is trivial
+    rng = random.Random(len(slots))
+    chained = 0
+    for _ in range(3):
+        c = {slot: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+             for slot in slots if rng.random() < 0.6}
+        filt = OppositeFiltration(data, c)
+        mat = linalg.identity(mu)
+        for (i, j), value in c.items():
+            mat[i - 1][j - 1] = value
+        inv = linalg.mat_inv(mat)
+        assert _dense(filt.rows, mu) == mat
+        assert _dense(filt.inverse, mu) == inv
+        for row in filt.rows + filt.inverse:
+            assert list(row) == sorted(row) and all(row.values())
+        assert filt.lift == max(filt.t_power(l, j) for l in range(mu)
+                                for j in range(mu) if inv[l][j])
+        for i in range(mu):
+            assert filt.upper(i) == [
+                (filt.t_power(i, j),
+                 {e: mat[i][j] * x for e, x in data.basis[j].terms.items()})
+                for j in range(mu) if mat[i][j]]
+        # an inverse entry past first order is a product of chained slots
+        chained += any(inv[i][j] != -mat[i][j] for i in range(mu)
+                       for j in range(mu) if i != j)
+    if case is QUARTIC_FOURFOLD:
+        assert chained
+
+
+# the ADE points of the benchmark's full unfoldings: A2..A5, D5, E6, E7, E8
+ADE = [("z^%d" % n, ("z",), ["1/%d" % n]) for n in range(3, 7)] + [
+    ("x^2*y + y^4", ("x", "y"), ["3/8", "1/4"]),
+    ("x^3 + y^4", ("x", "y"), ["1/3", "1/4"]),
+    ("x^3 + x*y^3", ("x", "y"), ["1/3", "2/9"]),
+    ("x^3 + y^5", ("x", "y"), ["1/3", "1/5"]),
+]
+
+
+def test_solve_and_verify_invert_no_dense_matrix(monkeypatch, elliptic):
+    cases = [(analyze_oracle_case(case), None) for case in ADE] + \
+        [(elliptic, {(8, 1): 1})]
+
+    def refuse(a):
+        raise AssertionError("dense inverse of a %d x %d matrix"
+                             % (len(a), len(a)))
+
+    monkeypatch.setattr(linalg, "mat_inv", refuse)
+    for data, c in cases:
+        unf = build_unfolding(data, 3)
+        pf = primitive_form(unf, c)
+        assert verify_primitive(unf, pf, c=c)
+
+
+def test_build_unfolding_multiplies_nothing(monkeypatch, e12, elliptic):
+    calls = count_products(monkeypatch)
+    build_unfolding(e12, 6)
+    build_unfolding(elliptic, 6, mask=[8])
+    build_unfolding(elliptic, 6)
+    assert not calls
+
+
+@pytest.mark.parametrize("name, N, mask", [("e6_cusp", 3, None),
+                                           ("elliptic-exp", 4, [8]),
+                                           ("p1", 4, None)])
+def test_exp_powers_are_the_powers_of_f_diff(request, name, N, mask):
+    # (F-f)^k / k! as one MPoly in the z-variables and u, F - f being
+    # sum_l psi_l(u_l) phi_l, against the ring-valued table, which builds
+    # F - f on its first call
+    unf = _window_unfolding(request, name, N, mask)
+    base, nu = unf.base, unf.nu
+    names = base.variables + tuple(unf.u_names)
+    f_diff = MPoly(names, {}, unf.laurent)
+    for j, coeff in zip(unf.indices, unf.coeffs):
+        f_diff = f_diff + MPoly(names, {
+            e + u: c * v for e, c in base.basis[j].terms.items()
+            for u, v in coeff.terms.items()}, unf.laurent)
+    power = MPoly.constant(names, 1, unf.laurent)
+    table = unf.exp_powers()
+    assert len(table) == N + 1
+    for k, ring_power in enumerate(table):
+        if k:
+            power = power * f_diff * Fraction(1, k)
+            power = MPoly(names, {e: c for e, c in power.terms.items()
+                                  if sum(e[base.n:]) <= N}, unf.laurent)
+        assert {e + u: v for e, elem in ring_power.items()
+                for u, v in elem.terms.items()} == power.terms
+    assert unf.exp_powers() is table
 
 
 @pytest.mark.parametrize("c", [{(0, 1): 1}, {(8, 0): 1}, {(9, 1): 1},
