@@ -29,9 +29,10 @@ a dense view for readers outside the library's loops.
 Every class a reduction visits is cached per monomial in
 data.mono_cache, the one store of reductions. The reduction is linear,
 so callers scale cached classes; callers with unfolding-ring
-coefficients (oscillating_projection, verify_class_equal) take product
-terms, a z-polynomial times a ring element, and spread the reduction of
-the z-polynomial over the u-monomials of the ring element.
+coefficients take product terms, a z-polynomial times a ring element:
+oscillating_projection spreads the reduction of the z-polynomial over
+the u-monomials of the ring element, and verify_class_equal scales it by
+the ring element, into a class with ring entries.
 """
 
 from fractions import Fraction

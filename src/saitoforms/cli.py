@@ -200,14 +200,13 @@ def cmd_verify(data, job, args):
 
 
 def _parse_rep(rep_spec, data, unf):
-    laurent = data.mode == "laurent"
     if not _is_list_of(rep_spec, dict):
         raise JobError("'rep' must be a list of term objects, got %r"
                        % (rep_spec,))
     terms = []
     for entry in rep_spec:
         t0 = _int(entry.get("t", 0), "a 'rep' term's t")
-        poly = parse_poly(entry.get("z", "1"), data.variables, laurent)
+        poly = _parse_class(entry.get("z", "1"), data)
         coeff = unf.ring_one()
         if "u" in entry:
             upoly = parse_poly(entry["u"], unf.u_names)
@@ -225,12 +224,8 @@ def cmd_pairing(data, job, args):
             _is_list_of(pair, str) and len(pair) == 2 for pair in pairs):
         raise JobError("pairing needs 'pairs': [[expr, expr], ...], got %r"
                        % (pairs,))
-    if data.mode == "laurent":
-        variables, laurent = ("z", "q"), True
-    else:
-        variables, laurent = data.variables, False
-    classes = [[_subst_q(parse_poly(text, variables, laurent), data)
-                for text in pair] for pair in pairs]
+    classes = [[_parse_class(text, data) for text in pair]
+               for pair in pairs]
     values = [{"a": a_text, "b": b_text,
                "series": {str(k): _fmt(v) for k, v in series.items()}}
               for (a_text, b_text), series
@@ -238,10 +233,16 @@ def cmd_pairing(data, job, args):
     return {"t_order": t_order, "values": values}
 
 
+def _parse_class(text, data):
+    """A polynomial in the singularity's variables; on the P^1 mirror a
+    Laurent polynomial in z that may name the symbolic q."""
+    if data.mode != "laurent":
+        return parse_poly(text, data.variables)
+    return _subst_q(parse_poly(text, ("z", "q"), True), data)
+
+
 def _subst_q(poly, data):
     """Replace the symbolic mirror parameter q by its value."""
-    if data.mode != "laurent":
-        return poly
     out = {}
     for exp, c in poly.terms.items():
         e_z, e_q = exp

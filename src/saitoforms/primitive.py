@@ -75,22 +75,27 @@ def neumann_solve(psi, unf):
 
 
 class PrimitiveForm:
-    """zeta_+ expansion, stored as g-blocks in the Phi(c) basis."""
+    """zeta_+ as one class over the unfolding: zeta, a ReducedClass whose
+    rows {q: {j: g^(q)_j}} hold the nonzero ring coefficients of
+    t^q Phi_j, 0-based j, q = 0..a."""
 
-    def __init__(self, unf, filtration, a, blocks):
+    def __init__(self, unf, filtration, a, zeta):
         self.unf = unf
         self.filtration = filtration
         self.a = a
-        self.blocks = blocks          # blocks[q][j], q = 0..a
+        self.zeta = zeta
 
     def records(self):
         """[(t_power, basis_index_1based, ring_elem)] in Phi coords."""
-        out = []
-        for q, vec in enumerate(self.blocks):
-            for j, elem in enumerate(vec):
-                if not elem.is_zero():
-                    out.append((q, j + 1, elem))
-        return out
+        return _entries(self.zeta)
+
+
+def _entries(cls):
+    """The nonzero entries of a class as (t_power, basis_index_1based,
+    entry), by t-power, then basis index."""
+    rows = cls.rows
+    return [(k, j + 1, rows[k][j]) for k in sorted(rows)
+            for j in sorted(rows[k])]
 
 
 def primitive_form(unf, c=None, osc=None):
@@ -103,10 +108,10 @@ def primitive_form(unf, c=None, osc=None):
             OppositeFiltration(unf.base, c)
         return solve_primitive(unf, filtration)
     mu = unf.base.mu
-    psi = assemble_psi(osc)
-    g = neumann_solve(psi, unf)
-    blocks = [g[q * mu:(q + 1) * mu] for q in range(osc.a + 1)]
-    return PrimitiveForm(unf, osc.filtration, osc.a, blocks)
+    g = neumann_solve(assemble_psi(osc), unf)
+    zeta = ReducedClass(mu, {q: dict(enumerate(g[q * mu:(q + 1) * mu]))
+                             for q in range(osc.a + 1)})
+    return PrimitiveForm(unf, osc.filtration, osc.a, zeta)
 
 
 def solve_primitive(unf, filtration):
@@ -130,8 +135,7 @@ def solve_primitive(unf, filtration):
     uppers = [list(enumerate(filtration.upper(j))) for j in range(mu)]
     on_grade = grading(unf)
     pending = [{} for _ in range(N + 1)]   # phi coordinates, per u-degree
-    found = [[{} for _ in range(mu)] for _ in range(a + 1)]
-    met = set()
+    collected = {}  # (k, j) -> the u-terms of t^k Phi_j over all parts
     part = {0: {0: unf.ring_one()}}
     for d in range(N + 1):
         if d:
@@ -144,23 +148,24 @@ def solve_primitive(unf, filtration):
                 if d:
                     elem = -elem
                 _check_term(k, j, elem, a, on_grade)
-                found[k][j].update(elem.terms)
                 # a term in one part only, as on the P^1 mirror, keeps
                 # nothing
-                repeat = (k, j) in met
-                met.add((k, j))
+                repeat = (k, j) in collected
+                collected.setdefault((k, j), {}).update(elem.terms)
                 for n, (t0, h) in uppers[j]:
                     terms.append(projector.product_term(
                         k + t0, h, elem.terms, sink,
                         (k, j, n) if repeat else None))
         projector.run(terms)
     zero = unf.ring_zero()
-    blocks = [[zero._like(terms) for terms in vec] for vec in found]
-    return PrimitiveForm(unf, filtration, a, blocks)
+    zeta = ReducedClass(mu)
+    for (k, j), terms in collected.items():
+        zeta.rows.setdefault(k, {})[j] = zero._like(terms)
+    return PrimitiveForm(unf, filtration, a, zeta)
 
 
 def _check_term(k, j, elem, a, on_grade):
-    """A part t^k elem Phi_j of zeta_+ (0-based j) lies in the blocks
+    """A part t^k elem Phi_j of zeta_+ (0-based j) lies at the t-powers
     0..a and, with a grading test, carries the grading of Phi_1."""
     if k > a:
         raise GradingViolation(
@@ -197,8 +202,9 @@ def _as_t_rpolys(unf, rep):
     list of (t_power, MPoly, ring_elem) product terms.
     """
     if isinstance(rep, PrimitiveForm):
-        return [(q + t0, h, elem) for q, j, elem in rep.records()
-                for t0, h in rep.filtration.upper(j - 1)]
+        upper = rep.filtration.upper
+        return [(q + t0, h, elem) for q, row in rep.zeta.rows.items()
+                for j, elem in row.items() for t0, h in upper(j)]
     if isinstance(rep, MPoly):
         rep = [(0, rep, unf.ring_one())]
     return [(t0, poly.terms, elem) for t0, poly, elem in rep]
@@ -206,37 +212,29 @@ def _as_t_rpolys(unf, rep):
 
 def verify_primitive(unf, rep, c=None):
     """Check the defining property: the nonnegative-t part of
-    e^((F-f)/t) * rep equals the constant class Phi_1."""
+    e^((F-f)/t) * rep equals the constant class Phi_1. The mismatches
+    are the nonzero entries of that part minus Phi_1, by t-power, then
+    basis index."""
     filtration = c if isinstance(c, OppositeFiltration) else \
         OppositeFiltration(unf.base, c)
     projected, = oscillating_projection(unf, [_as_t_rpolys(unf, rep)],
                                         filtration, floor=0)
-    mismatches = []
-    zero = unf.ring_zero()
-    for k in sorted(set(projected.rows) | {0}):
-        row = projected.rows.get(k, {})
-        for j in range(unf.base.mu):
-            value = row.get(j, zero)
-            want = 1 if (k == 0 and j == 0) else 0
-            if value != want:
-                mismatches.append((k, j + 1, value - want))
+    mismatches = _entries(projected.add_scaled(
+        ReducedClass(unf.base.mu, {0: {0: unf.ring_one()}}), -1).compress())
     return VerifyReport(not mismatches, mismatches)
 
 
 def verify_class_equal(unf, rep_a, rep_b):
     """Equality of two candidate classes in the Brieskorn lattice over
-    the truncated parameter ring (compares canonical reductions). Each
-    z-monomial of a product term is reduced once and spread over the
-    u-monomials of the term's ring coefficient, so the difference is kept
-    as one class with Fraction entries per u-monomial."""
-    diff = {}
-    for rep, sign in ((rep_a, 1), (rep_b, -1)):
+    the truncated parameter ring: each side is reduced to one class with
+    ring entries, every z-monomial of a product term reduced once and
+    scaled by the term's ring coefficient, and the two are compared.
+    Coefficients are elements of the unfolding ring."""
+    sides = []
+    for rep in (rep_a, rep_b):
+        side = ReducedClass(unf.base.mu)
         for t0, h, coeff in _as_t_rpolys(unf, rep):
             for exp, c in h.items():
-                red = reduce_monomial(unf.base, exp)
-                for beta, b in coeff.terms.items():
-                    part = diff.get(beta)
-                    if part is None:
-                        part = diff[beta] = ReducedClass(unf.base.mu)
-                    part.add_scaled(red, sign * c * b, t0)
-    return all(part.compress().is_zero() for part in diff.values())
+                side.add_scaled(reduce_monomial(unf.base, exp), coeff * c, t0)
+        sides.append(side)
+    return sides[0] == sides[1]

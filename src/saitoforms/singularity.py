@@ -32,19 +32,20 @@ class DegeneratePairing(Exception):
 
 def validate(f, weights):
     """Check weights lie in (0,1/2] and the Euler identity
-    sum(q_i z_i df/dz_i) == f holds exactly. Returns the central charge
+    sum(q_i z_i df/dz_i) == f holds exactly. The identity multiplies each
+    term of f by its weighted degree, so it holds when every term has
+    degree 1, scaled degree den. Returns the central charge
     s = sum(1 - 2 q_i)."""
     if not isinstance(weights, WeightSystem):
         weights = WeightSystem(weights)
     if len(weights) != len(f.variables):
         raise EulerIdentityViolated("need one weight per variable")
-    euler = MPoly.zero(f.variables)
-    for i, q in enumerate(weights):
-        zi = MPoly.variable(f.variables[i], f.variables)
-        euler = euler + q * zi * f.diff(i)
-    if euler != f:
-        raise EulerIdentityViolated(
-            "sum(q_i z_i d_i f) - f = %s != 0" % (euler - f))
+    for exp, c in f.sorted_terms():
+        if weights.scaled_degree(exp) != weights.den:
+            raise EulerIdentityViolated(
+                "sum(q_i z_i d_i f) != f: the term %s has weighted degree "
+                "%s, not 1" % (f._like({exp: c}),
+                               weights.degree_of_exponent(exp)))
     return weights.central_charge()
 
 

@@ -61,7 +61,11 @@ def UnfoldRingElem(nvars, order, terms=None):
 
 
 def exp_series(elem):
-    """exp(elem) in the truncated ring; elem must have zero constant term."""
+    """exp(elem) in the truncated ring; elem must have a truncation order
+    and zero constant term."""
+    if elem.order is None:
+        raise ValueError("exp of an element with no truncation order: "
+                         "the series would not end")
     if elem.constant_term():
         raise ValueError("exp of an element with nonzero constant term")
     out = power = MPoly.constant(elem.variables, 1, order=elem.order)
@@ -265,6 +269,9 @@ def build_unfolding(base, N, mask=None, overrides=None, u_names=None):
     u_names: display names, one per parameter in basis order, default
         u1..u_mu keyed by basis position.
     """
+    if isinstance(N, bool) or not isinstance(N, int) or N < 0:
+        raise ValueError("the truncation order N must be a nonnegative "
+                         "integer, got %r" % (N,))
     mu = base.mu
     if mask is None:
         indices = list(range(mu))

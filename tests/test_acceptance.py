@@ -118,7 +118,7 @@ def test_simple_elliptic_reciprocal_period_family(elliptic):
         pf = primitive_form(unf, c=c)
         assert all((q, j) == (0, 1) for q, j, _ in pf.records())
         oracle = series_reciprocal(oracle_series, N)
-        comp = {e[0]: v for e, v in pf.blocks[0][0].terms.items()}
+        comp = {e[0]: v for e, v in pf.zeta.rows[0][0].terms.items()}
         for k in range(N + 1):
             assert comp.get(k, 0) == oracle.get(k, 0)
         assert verify_primitive(unf, pf, c=c)

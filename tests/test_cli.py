@@ -400,6 +400,25 @@ def test_verify_names_defects_in_the_job_parameters(capsys, tmp_path,
         {"t": 0, "basis": 1, "defect": defect}]}
 
 
+def test_p1_verify_rep_reads_the_symbolic_q(capsys, tmp_path):
+    # a rep's "z" names q as the pairing's classes do: q*z^-1 is the
+    # basis element phi_2 = 2/z at q = 2
+    docs = []
+    for z in ("q*z^-1", "2*z^-1", "q^2*z^-1 - q*z^-1"):
+        job = {"schema": SCHEMA, "command": "verify", "N": 3,
+               "singularity": {"model": "p1", "q": "2"},
+               "rep": [{"z": "1"}, {"t": 1, "z": z}]}
+        code, doc = run_cli(capsys, tmp_path, job)
+        assert code == 0, doc
+        docs.append(doc)
+    assert docs[0] == docs[1] == docs[2]
+    assert [(m["t"], m["basis"]) for m in docs[0]["result"]["mismatches"]] \
+        == [(0, 1), (0, 2), (1, 2)]
+    job["rep"] = [{"z": "q^-1*z"}]
+    code, doc = run_cli(capsys, tmp_path, job)
+    assert code == 2 and doc["error"]["type"] == "JobError"
+
+
 # --- the primitive-form and verify documents, byte for byte --------------
 
 PRIMITIVE_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),

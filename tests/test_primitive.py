@@ -44,7 +44,7 @@ def test_elliptic_socle_family_reciprocal(elliptic):
     pf = primitive_form(unf)
     assert all((q, j) == (0, 1) for q, j, _ in pf.records())
     oracle = series_reciprocal(elliptic_g(N), N)
-    comp = _series_of(pf.blocks[0][0])
+    comp = _series_of(pf.zeta.rows[0][0])
     assert all(comp.get(k, 0) == oracle.get(k, 0) for k in range(N + 1))
     assert verify_primitive(unf, pf)
 
@@ -55,7 +55,7 @@ def test_elliptic_socle_family_nontrivial_splitting(elliptic):
     c = {(8, 1): Fraction(1)}
     pf = primitive_form(unf, c=c)
     oracle = series_reciprocal(series_sub(elliptic_g(N), elliptic_h(N)), N)
-    comp = _series_of(pf.blocks[0][0])
+    comp = _series_of(pf.zeta.rows[0][0])
     assert all(comp.get(k, 0) == oracle.get(k, 0) for k in range(N + 1))
     assert verify_primitive(unf, pf, c=c)
 
@@ -158,6 +158,51 @@ def test_verify_lists_mismatches_by_t_then_basis(e12):
     assert keys == sorted(keys)
     assert report.mismatches == \
         verify_primitive(unf, _e12_rep(unf, late_first=False)).mismatches
+
+
+def _mismatches_by_scan(unf, rep, c):
+    # every j at every t-power of the projection and at t^0, each as
+    # value - want: verify_primitive's list before it read the residual
+    filtration = OppositeFiltration(unf.base, c)
+    projected, = oscillating_projection(unf, [_as_t_rpolys(unf, rep)],
+                                        filtration, floor=0)
+    out = []
+    zero = unf.ring_zero()
+    for k in sorted(set(projected.rows) | {0}):
+        row = projected.rows.get(k, {})
+        for j in range(unf.base.mu):
+            value = row.get(j, zero)
+            want = 1 if (k, j) == (0, 0) else 0
+            if value != want:
+                out.append((k, j + 1, value - want))
+    return out
+
+
+@pytest.mark.parametrize("case", ["e12-rep", "socle-wrong-c", "p1-rep",
+                                  "a2-2u1"])
+def test_verify_mismatches_are_the_scan_of_the_projection(
+        e12, elliptic, p1_q2, case):
+    c = None
+    if case == "e12-rep":
+        unf = build_unfolding(e12, 4)
+        rep = _e12_rep(unf, late_first=True)
+    elif case == "socle-wrong-c":
+        unf = build_unfolding(elliptic, 7, mask=[8])
+        rep = primitive_form(unf, c={(8, 1): Fraction(1)})
+    elif case == "p1-rep":
+        # the CLI's verify-rep job on the P^1 mirror: 1 + t z
+        unf = build_unfolding(p1_q2, 8, u_names=["u0", "u1"],
+                              overrides={2: lambda u: exp_series(u) - 1})
+        one = unf.ring_one()
+        rep = [(0, MPoly.constant(("z",), 1, laurent=True), one),
+               (1, MPoly(("z",), {(1,): 1}, laurent=True), one)]
+    else:
+        unf = build_unfolding(make_a(2), 3)
+        u1 = UnfoldRingElem(unf.nu, unf.N, {(1,) + (0,) * (unf.nu - 1): 2})
+        rep = [(0, MPoly.constant(("z",), 1), u1)]
+    report = verify_primitive(unf, rep, c=c)
+    assert not report
+    assert report.mismatches == _mismatches_by_scan(unf, rep, c)
 
 
 def _e12_mislabeled(unf):

@@ -1,5 +1,8 @@
+import itertools
+import random
 import re
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -29,6 +32,49 @@ def test_euler_identity_enforced():
     x, y = _xy()
     with pytest.raises(EulerIdentityViolated):
         validate(x ** 3 + y ** 7, [Fraction(1, 3), Fraction(1, 5)])
+
+
+def test_euler_error_names_the_first_term_off_degree_one():
+    x, y = _xy()
+    with pytest.raises(EulerIdentityViolated,
+                       match=re.escape("the term y^7 has weighted degree "
+                                       "7/5, not 1")):
+        validate(x ** 3 + y ** 7 + x * y, [Fraction(1, 3), Fraction(1, 5)])
+
+
+def test_euler_identity_term_by_term_matches_the_polynomial_identity():
+    # the term test accepts exactly the f with sum(q_i z_i d_i f) == f,
+    # built from MPoly products, and names the first term of f, in print
+    # order, that the identity does not fix
+    rng = random.Random(23)
+    v = ("x", "y", "z")
+    zs = [MPoly.variable(name, v) for name in v]
+    accepted = 0
+    for _ in range(150):
+        weights = [Fraction(1, rng.randint(2, 7)) for _ in v]
+        # the monomials of degree 1, and each term off it at odds of 1/4
+        on_degree = [exp for exp in itertools.product(
+            *(range(q.denominator + 1) for q in weights))
+            if sum(map(mul, weights, exp)) == 1]
+        f = MPoly.zero(v)
+        for _ in range(rng.randint(0, 4)):
+            exp = rng.choice(on_degree) if rng.random() < 0.75 else \
+                tuple(rng.randint(0, 4) for _ in v)
+            f = f + MPoly.monomial(v, exp, rng.choice([-2, 1, Fraction(1, 3)]))
+        euler = MPoly.zero(v)
+        for i, q in enumerate(weights):
+            euler = euler + q * zs[i] * f.diff(i)
+        try:
+            validate(f, weights)
+        except EulerIdentityViolated as err:
+            assert euler != f
+            first = next((exp, c) for exp, c in f.sorted_terms()
+                         if sum(map(mul, weights, exp)) != 1)
+            assert "the term %s has" % MPoly(v, dict([first])) in str(err)
+        else:
+            assert euler == f
+            accepted += bool(f)
+    assert 25 < accepted < 125
 
 
 def test_non_isolated_rejected():

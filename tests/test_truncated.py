@@ -83,3 +83,10 @@ def test_exp_series_homomorphism():
 def test_exp_series_needs_zero_constant():
     with pytest.raises(ValueError):
         exp_series(UnfoldRingElem(1, 3, {(0,): Fraction(1)}))
+
+
+def test_exp_series_needs_a_truncation_order():
+    # an untruncated element has an exponential series with no last term
+    u = MPoly(("u1",), {(1,): Fraction(1)})
+    with pytest.raises(ValueError, match="no truncation order"):
+        exp_series(u)

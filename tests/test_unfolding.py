@@ -132,6 +132,21 @@ def test_unreadable_parameter_names_are_rejected(elliptic, kwargs, message):
         build_unfolding(elliptic, 3, **kwargs)
 
 
+@pytest.mark.parametrize("N", [-1, 2.5, True, "3", None])
+def test_build_unfolding_rejects_a_bad_order(N):
+    # N = -1 gave a form with no records, which verify_primitive accepted
+    with pytest.raises(ValueError, match="the truncation order N must be "
+                       "a nonnegative integer, got %s" % re.escape(repr(N))):
+        build_unfolding(make_a(2), N)
+
+
+def test_build_unfolding_accepts_order_zero():
+    unf = build_unfolding(make_a(2), 0)
+    pf = primitive_form(unf)
+    assert pf.records() == [(0, 1, unf.ring_one())]
+    assert verify_primitive(unf, pf)
+
+
 def test_truncate_consistency(elliptic):
     unf9 = build_unfolding(elliptic, 9, mask=[8])
     unf5 = build_unfolding(elliptic, 5, mask=[8])
