@@ -6,6 +6,7 @@ serialized exactly as "p/q" (or "p") strings.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -275,7 +276,10 @@ def run_job(job, args):
             "result": result}
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on the first call of main and kept for
+    the later ones: parse_args reads it without changing it."""
     parser = argparse.ArgumentParser(
         prog="saitoforms",
         description="primitive-form computations for weighted-homogeneous "
@@ -288,7 +292,14 @@ def main(argv=None):
     parser.add_argument("--set-c", action="append", metavar="i,j=p/q",
                         help="set an opposite-filtration coordinate")
     parser.add_argument("--mask", help="comma-separated active basis indices")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    """Run one job document and print its result; return the exit status:
+    0, or 2 with an {"ok": false} document. May be called repeatedly in
+    one process."""
+    args = _parser().parse_args(argv)
     try:
         if args.job == "-":
             job = json.load(sys.stdin)

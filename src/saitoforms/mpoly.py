@@ -70,7 +70,7 @@ class MPoly:
                         "negative exponent %r in non-Laurent polynomial" % (exp,))
                 if order is not None and sum(exp) > order:
                     continue
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if c:
                     c0 = clean.get(exp)
                     c = c + c0 if c0 is not None else c
@@ -99,18 +99,18 @@ class MPoly:
     @classmethod
     def constant(cls, variables, c, laurent=False, order=None):
         n = len(variables)
-        return cls(variables, {(0,) * n: Fraction(c)}, laurent, order)
+        return cls(variables, {(0,) * n: c}, laurent, order)
 
     @classmethod
     def variable(cls, name, variables, laurent=False):
         variables = tuple(variables)
         i = variables.index(name)
         exp = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {exp: Fraction(1)}, laurent)
+        return cls(variables, {exp: 1}, laurent)
 
     @classmethod
     def monomial(cls, variables, exp, coeff=1, laurent=False):
-        return cls(variables, {tuple(exp): Fraction(coeff)}, laurent)
+        return cls(variables, {tuple(exp): coeff}, laurent)
 
     def _scalar(self, c):
         return MPoly.constant(self.variables, c, self.laurent, self.order)
@@ -198,8 +198,16 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise PolynomialError("negative power of a polynomial")
+        if not isinstance(k, int) or k < 0:
+            raise PolynomialError("the power of a polynomial needs a "
+                                  "nonnegative integer exponent, got %r"
+                                  % (k,))
+        if len(self.terms) == 1:
+            # A single term is raised in one step; past the order it is 0.
+            (exp, c), = self.terms.items()
+            if self.order is not None and sum(exp) * k > self.order:
+                return self._like({})
+            return self._like({tuple(e * k for e in exp): c ** k})
         out = self._scalar(1)
         base = self
         while k:

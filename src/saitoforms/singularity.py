@@ -303,8 +303,9 @@ def orthogonalize_basis(data):
         # Each slice's Gram test has just checked every degree-s entry of
         # this basis, and the entries off degree s vanish by the grading.
         return data
+    # The degree-0 and socle slices are 1x1 and never recombined (a zero
+    # Gram raises), so residue_scale, read off the socle, still holds.
     data._install_basis(new_basis)
-    data._finish_residue()
     for i, row in enumerate(data.residue_pairing_matrix()):
         for j, x in enumerate(row):
             if bool(x) != (i + j == mu - 1):

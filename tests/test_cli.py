@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from saitoforms import cli
 from saitoforms.brieskorn import reduce_class
 from saitoforms.cli import SCHEMA, main
 from saitoforms.mpoly import MPoly
@@ -108,6 +110,46 @@ def test_primitive_form_masked_with_set_c(capsys, tmp_path):
     t3 = [t for t in doc0["result"]["records"][0]["terms"]
           if t["u"] == "u8^3"]
     assert t3 and t3[0]["value"] == "1/6"
+
+
+def test_main_keeps_no_state_between_calls(capsys, tmp_path, monkeypatch):
+    # main builds its parser once per process; flags given to one call
+    # must not reach the next
+    cli._parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    job = {"schema": SCHEMA, "command": "primitive-form",
+           "singularity": {"variables": ["z1", "z2", "z3"],
+                           "f": "1/3*z1^3 + 1/3*z2^3 + 1/3*z3^3",
+                           "weights": ["1/3", "1/3", "1/3"]},
+           "N": 4, "mask": [8]}
+    code, plain = run_cli(capsys, tmp_path, job)
+    assert code == 0 and plain["result"]["N"] == 4
+    code, split = run_cli(capsys, tmp_path, job,
+                          extra=["--set-c", "8,1=1", "--order", "6"])
+    assert code == 0 and split["result"]["N"] == 6
+    assert run_cli(capsys, tmp_path, job) == (0, plain)
+    code, order6 = run_cli(capsys, tmp_path, job, extra=["--order", "6"])
+    assert code == 0 and order6["result"]["N"] == 6
+    assert order6["result"]["records"] != split["result"]["records"]
+    # a malformed job after a good one still gets the error document
+    code, doc = run_cli(capsys, tmp_path, {"command": "analyze"})
+    assert code == 2 and doc["ok"] is False
+    assert doc["error"]["type"] == "JobError"
+    # a bad flag still exits through argparse
+    for extra in (["--order", "x"], ["--frobnicate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--job", str(tmp_path / "job.json")] + extra)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, tmp_path, job) == (0, plain)
+    assert len(built) == 1
 
 
 def test_pairing_global_model(capsys, tmp_path):

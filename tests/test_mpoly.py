@@ -8,8 +8,10 @@ from saitoforms.mpoly import (
     MPoly, PolynomialError, WeightSystem, grevlex_key,
     monomial_div, monomial_divides, monomial_lcm, monomial_mul,
 )
+from saitoforms.parsing import parse_poly
 
-from conftest import ORACLE_ZOO, monomials_up_to, subs_values
+from conftest import (ORACLE_ZOO, count_products, monomials_up_to,
+                      subs_values)
 
 
 def rand_poly(rng, variables, laurent=False, nterms=4, maxdeg=5):
@@ -43,11 +45,58 @@ def test_arith_matches_integer_evaluation():
 def test_pow_repeated_product():
     x = MPoly.variable("x", ("x", "y"))
     y = MPoly.variable("y", ("x", "y"))
-    p = x + y * 2
-    q = MPoly.constant(("x", "y"), 1)
-    for k in range(6):
-        assert p ** k == q
-        q = q * p
+    bases = [
+        x + y * 2,
+        # single terms, raised in one step: a Laurent z^-1, a term whose
+        # power passes the truncation order at k = 3, and a coefficient
+        # other than 1
+        MPoly(("z",), {(-1,): 1}, laurent=True),
+        MPoly(("x", "y"), {(1, 1): Fraction(3, 2)}, order=5),
+        parse_poly("-2/3*x*y^2", ("x", "y")),
+        MPoly.zero(("x", "y")),
+    ]
+    for p in bases:
+        q = MPoly.constant(p.variables, 1, p.laurent, p.order)
+        for k in range(6):     # k = 0 included
+            assert p ** k == q and (p ** k).laurent == q.laurent
+            q = q * p
+    assert parse_poly("(-2/3*x*y^2)^5", ("x", "y")) == \
+        MPoly.monomial(("x", "y"), (5, 10), Fraction(-32, 243))
+    assert not bases[2] ** 3
+
+
+def test_pow_needs_a_nonnegative_integer_exponent():
+    x = MPoly.variable("x", ("x", "y"))
+    for p in (x, x + 1):
+        for k in (2.0, Fraction(2), -1):
+            with pytest.raises(PolynomialError):
+                p ** k
+
+
+def test_a_monomial_power_forms_no_product(monkeypatch):
+    calls = count_products(monkeypatch)
+    z56 = parse_poly("z^56", ("z",))
+    assert calls == []
+    assert z56 == MPoly.monomial(("z",), (56,))
+
+
+def test_constructor_stores_every_coefficient_as_a_fraction():
+    for coeff in (3, "3", "6/2", Fraction(3)):
+        for p in (MPoly(("x",), {(1,): coeff}),
+                  MPoly.monomial(("x",), (1,), coeff)):
+            c, = p.terms.values()
+            assert type(c) is Fraction and c == 3
+        c, = MPoly.constant(("x",), coeff).terms.values()
+        assert type(c) is Fraction and c == 3
+    c, = MPoly.variable("x", ("x",)).terms.values()
+    assert type(c) is Fraction and c == 1
+    # an exact Fraction is kept as it is, not wrapped again
+    third = Fraction(1, 3)
+    assert MPoly(("x",), {(1,): third}).terms[(1,)] is third
+    for zero in (0, "0", "0/5", Fraction(0)):
+        assert MPoly(("x",), {(1,): zero, (2,): 1}).terms == \
+            {(2,): Fraction(1)}
+        assert MPoly.monomial(("x",), (1,), zero).is_zero()
 
 
 def test_diff_product_rule():

@@ -9,7 +9,7 @@ import pytest
 from conftest import (ORACLE_ZOO, analyze_oracle_case, coords,
                       count_products, dense_basis_inverse, normal_form,
                       reference_reduction)
-from saitoforms import linalg
+from saitoforms import linalg, singularity
 from saitoforms.mpoly import MPoly
 from saitoforms.parsing import parse_poly
 from saitoforms.singularity import (
@@ -245,6 +245,31 @@ def test_orthogonalize_installs_only_a_changed_basis(monkeypatch, f, weights,
     assert data.mono_cache
     for exp, red in data.mono_cache.items():
         assert red == reference_reduction(data, exp)
+
+
+@pytest.mark.parametrize("case", [
+    ("x^3 + y^3 + z^3 + x*y*z", ("x", "y", "z"), ["1/3"] * 3),
+    ("x^6 + y^6 + x^3*y^3", ("x", "y"), ["1/6"] * 2),
+    ("x^3*y + y^3*z + z^3*x", ("x", "y", "z"), ["1/4"] * 3),
+], ids=lambda case: case[0])
+def test_a_changed_basis_keeps_the_residue_scale(monkeypatch, case):
+    # The degree-0 and socle slices are never recombined, so installing
+    # the orthogonalized basis cannot change the Hessian's socle
+    # coordinate: analyze reduces the Hessian once.
+    monomial = analyze_oracle_case(case, orthogonalize=False)
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return hessian_det(f)
+
+    monkeypatch.setattr(singularity, "hessian_det", counting)
+    data = analyze_oracle_case(case)
+    assert data.basis != monomial.basis
+    assert len(calls) == 1
+    scale = data.residue_scale
+    data._finish_residue()
+    assert data.residue_scale == scale == monomial.residue_scale
 
 
 @pytest.mark.parametrize("case, changed, i, message", [
