@@ -55,7 +55,7 @@ def _is_list_of(x, kind):
 
 
 def _fmt(x):
-    return str(Fraction(x))
+    return str(x) if type(x) is Fraction else str(Fraction(x))
 
 
 def _load_singularity(job):

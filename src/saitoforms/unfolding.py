@@ -18,15 +18,22 @@ and h a polynomial in z with Fraction coefficients, and projects to
 sum u^(alpha+beta) r_beta [t^t0 P_alpha h]: each [P_alpha h] is
 reduced once, and every coefficient is a plain Fraction until the ring
 entries are built, once, at the end. Every MPoly product computes
-something: the Q_{l,n} are built once per unfolding (UnfoldingData.q)
-and shared by all its projections, P_alpha is Q_{l,n} itself when
-alpha lies on one variable, and neither P_0 = 1 nor h = 1 is
-multiplied. With a floor
-on the t-powers two cuts keep the work to what lands at or above it: a
-cut on the reduced t-powers of each product and, without overrides, an
-exact cut on alpha itself from the grading. A Projector holds this
-setup, so that the order-by-order solve of the primitive form can run
-it once per u-degree (see Projector).
+something: the Q_{l,n} are built once per unfolding (UnfoldingData.q,
+by an integer recurrence that makes no MPoly product) and shared by all
+its projections, P_alpha is Q_{l,n} itself when alpha lies on one
+variable, and neither P_0 = 1 nor h = 1 is multiplied.
+
+The constant direction, psi = u on the basis element 1, present in
+every full unfolding and on the P^1 mirror, has the scalar factor
+e^(u/t) = sum_n u^n t^(-n) / n!. So it is not expanded: each [P_alpha h]
+with no power of u is reduced once, and its power u^a0 is that class
+with t shifted by -a0 and divided by a0!.
+
+With a floor on the t-powers two cuts keep the work to what lands at or
+above it: a cut on the reduced t-powers of each product and, without
+overrides, an exact cut on alpha itself from the grading. A Projector
+holds this setup, so that the order-by-order solve of the primitive
+form can run it once per u-degree (see Projector).
 """
 
 import math
@@ -199,6 +206,17 @@ class UnfoldingData:
                                      in base.basis[j].terms.items()})
                      for j in indices]
         self.qs = [[self.one] for _ in indices]
+        # per direction, from its first recurrence step in q: L, the
+        # pairs (k, k L p_k), the terms of L phi_l / t and each built Q_n
+        # as (integer numerators, D_n)
+        self.q_ints = [None] * self.nu
+        # the position of the constant direction, psi = u on the basis
+        # element 1, or None: its factor e^(u/t) is a scalar (see Projector)
+        self.constant = None
+        for pos, j in enumerate(indices):
+            if not base.scaled[j] and self.series[pos] == {1: 1} and \
+                    base.basis[j].terms == {(0,) * base.n: 1}:
+                self.constant = pos
         self._exp_powers = None
 
     def ring_zero(self):
@@ -216,23 +234,55 @@ class UnfoldingData:
         psi_l = sum_k p_k u_l^k, by the recurrence
         Q_n = (phi_l / (n t)) sum_{k=1..n} k p_k Q_(n-k), the u^(n-1)
         coefficient of d/du e^(psi phi/t) = psi'(u) (phi/t) e^(psi phi/t).
-        For psi_l = u_l it gives Q_n = (phi_l / t)^n / n!. The Q_{l,n}
-        depend on the unfolding alone: they are built as far as n when
-        first asked for and kept for every later projection."""
+        For psi_l = u_l it gives Q_n = (phi_l / t)^n / n!.
+
+        The recurrence runs on integers. With L the lcm of the
+        denominators of the p_k and of phi_l, each Q_n is kept as integer
+        numerators over one denominator D_n, reduced by their common gcd:
+        the sum over k is taken over the lcm M of its D_(n-k), times
+        L p_k, then multiplied by L phi_l / t, so that D_n = L^2 M n. Each
+        Q_{l,n} is then built once as an MPoly of normalized Fractions.
+        The Q_{l,n} depend on the unfolding alone: they are built as far
+        as n when first asked for and kept for every later projection."""
         qs = self.qs[l]
+        if n < len(qs):
+            return qs[n]
+        table = self.q_ints[l]
+        if table is None:
+            phi, series = self.phis[l].terms, self.series[l]
+            L = math.lcm(*[c.denominator for c in phi.values()],
+                         *[p.denominator for p in series.values()])
+            table = self.q_ints[l] = (
+                L, [(k, k * p.numerator * (L // p.denominator))
+                    for k, p in series.items()],
+                [(e, c.numerator * (L // c.denominator))
+                 for e, c in phi.items()],
+                [({(0,) * (self.base.n + 1): 1}, 1)])
+        L, weights, phi, nums = table
         while len(qs) <= n:
             m = len(qs)
-            # the sum over k in one dict, then one product with phi_l / t
+            M = math.lcm(*[nums[m - k][1] for k, _ in weights if k <= m])
+            # the sum over k in one dict, then one product with L phi_l / t
             total = {}
-            for k, p in self.series[l].items():
+            for k, w in weights:
                 if k <= m:
-                    scale = Fraction(k * p, m)
-                    for e, c in qs[m - k].terms.items():
-                        prior = total.get(e)
-                        total[e] = c * scale if prior is None \
-                            else prior + c * scale
-            qs.append(self.phis[l] * self.one._like(
-                {e: c for e, c in total.items() if c}))
+                    num, D = nums[m - k]
+                    w *= M // D
+                    for e, c in num.items():
+                        total[e] = total.get(e, 0) + w * c
+            num = {}
+            for e1, c1 in total.items():
+                if c1:
+                    for e2, c2 in phi:
+                        e = tuple(map(add, e1, e2))
+                        num[e] = num.get(e, 0) + c1 * c2
+            D = L * L * M * m
+            g = math.gcd(D, *num.values())
+            num = {e: c // g for e, c in num.items() if c}
+            D //= g
+            nums.append((num, D))
+            qs.append(self.one._like({e: Fraction(c, D)
+                                      for e, c in num.items()}))
         return qs[n]
 
     def exp_powers(self):
@@ -450,20 +500,24 @@ class Projector:
     P_alpha, the Q_{l,n} and the h of each product term are MPolys over
     the z-variables and 1/t, the last exponent counting powers of 1/t
     (Laurent MPolys in Laurent mode). The work runs in u-monomial order
-    (see the module docstring). A run visits each alpha once,
-    depth-first over non-decreasing index sequences, and takes P_alpha
-    when the search reaches alpha: Q_{l,alpha_l} itself when alpha lies
-    on one variable l, otherwise P at alpha without its last variable l
-    times Q_{l,alpha_l}. P_alpha is not kept past its subtree. Each
-    product P_alpha h, formed only when neither factor is the constant
-    1, is reduced through the monomial cache of the base point
-    (base.mono_cache, read through reduce_monomial) into Fraction sums
-    per (t^k, phi_j) once, and those sums
-    are spread over the u-monomials beta of the term's coefficient with
-    |alpha| + |beta| <= N into the u^(alpha+beta) slots, multiplied by
-    r_beta unless it is 1. A product term given a key keeps its sum per
-    alpha for the Projector's lifetime, so a later run that meets the
-    term again only spreads it.
+    (see the module docstring). A run visits each alpha with no power of
+    the constant direction c (unf.constant) once, depth-first over
+    non-decreasing index sequences of the other directions, and takes
+    P_alpha when the search reaches alpha: Q_{l,alpha_l} itself when
+    alpha lies on one variable, otherwise P at alpha without its last
+    variable l times Q_{l,alpha_l}. P_alpha is not kept past its
+    subtree. Each product P_alpha h, formed only when neither factor is
+    the constant 1, is reduced through the monomial cache of the base
+    point (base.mono_cache, read through reduce_monomial) into Fraction
+    sums per (t^k, phi_j) once. For a0 = 0, 1, ... those sums, shifted
+    to t^(k - a0) and divided by a0!, are the sums at alpha + a0 e_c:
+    they are spread over the u-monomials beta of the term's coefficient
+    with |alpha| + a0 + |beta| <= N into the u^(alpha+a0 e_c+beta)
+    slots of sink[|alpha| + a0], multiplied by r_beta unless it is 1. No
+    Q_{c,n}, product or reduction is formed for a0 > 0, and without a
+    constant direction only a0 = 0 is taken. A product term given a key
+    keeps its sum per alpha, at a0 = 0, for the Projector's lifetime, so
+    a later run that meets the term again only spreads it.
 
     With a floor, coords_to_upper lifts a t-power by at most
     filtration.lift in both modes, so reduced t-powers below floor -
@@ -475,7 +529,12 @@ class Projector:
     when top(h) + t0 - wdeg(alpha) < floor, top being the largest degree
     in h, and a subtree is pruned when even -wdeg(alpha) - (room)
     min(0, min deg u) leaves every product term of the run below the
-    floor, room being how many more u the run's terms allow.
+    floor, room being how many more u the run's terms allow. The
+    constant direction has wdeg 1, so each a0 lowers the degree by one
+    (den when scaled): the a0 of a term stop at the first that falls
+    below its cut, as they stop at |alpha| + a0 + least > N, least the
+    smallest |beta|, and a shifted sum drops the t-powers below
+    floor - lift.
     """
 
     def __init__(self, unf, filtration, floor=None):
@@ -517,29 +576,40 @@ class Projector:
         """Add the projections of the product terms to their sinks."""
         if not terms:
             return
-        unf, memo = self.unf, self.memo
-        N, one = unf.N, unf.one
+        unf, memo, skip = self.unf, self.memo, self.skip
+        N, one, c0 = unf.N, unf.one, unf.constant
+        den, graded = unf.base.den, self.graded
         depth = N - min(term[3] for term in terms)
         lowest = min(term[4] for term in terms)
-        # depth first over alpha as non-decreasing index sequences, last
-        # being the last index raised; top is the scaled degree of
-        # P_alpha, and prefix is P at alpha with alpha_last set to 0
+        # depth first over alpha as non-decreasing index sequences of the
+        # walked directions, last being the last index raised; top is the
+        # scaled degree of P_alpha, and prefix is P at alpha with
+        # alpha_last set to 0
         stack = [((0,) * unf.nu, 0, 0, 0, one)]
         while stack:
             alpha, size, last, top, prefix = stack.pop()
-            if self.graded and top + (depth - size) * self.climb < lowest:
+            if graded and top + (depth - size) * self.climb < lowest:
                 continue
             if size:
-                q = unf.q(last, alpha[last])
+                n, qs = alpha[last], unf.qs[last]
+                q = qs[n] if n < len(qs) else unf.q(last, n)
                 # on one variable P_alpha is Q_{l,alpha_l} itself
                 P = q if prefix is one else prefix * q
             else:
                 P = one
+            # whether some term may take a power a0 > 0 of the constant
+            # direction: each one more lowers the degree of P_alpha by den
+            shifts = c0 is not None and not (graded and top - den < lowest)
             for t0, h, spread, least, cut, sink, key in terms:
                 if size + least > N or top < cut:
                     continue
+                room = 0
+                if shifts:
+                    room = N - size - least
+                    if graded:
+                        room = min(room, (top - cut) // den)
                 slots = sink[size]
-                if slots is None:
+                if slots is None and not room:
                     continue
                 if key is None:
                     local = self._reduce(P, t0, h)
@@ -547,29 +617,43 @@ class Projector:
                     local = memo.get((alpha, key))
                     if local is None:
                         local = memo[(alpha, key)] = self._reduce(P, t0, h)
-                if not local:
-                    continue
-                for bsize, beta, b in spread:
-                    if size + bsize > N:
+                a0, gamma0 = 0, alpha
+                while local:
+                    if slots is not None:
+                        limit = N - size - a0
+                        for bsize, beta, b in spread:
+                            if bsize > limit:
+                                break
+                            gamma = tuple(map(add, gamma0, beta))
+                            for slot_key, c in local.items():
+                                if b is not None:
+                                    c *= b
+                                slot = slots.get(slot_key)
+                                if slot is None:
+                                    slots[slot_key] = {gamma: c}
+                                else:
+                                    prior = slot.get(gamma)
+                                    slot[gamma] = c if prior is None \
+                                        else prior + c
+                    if a0 == room:
                         break
-                    gamma = tuple(map(add, alpha, beta))
-                    for slot_key, c in local.items():
-                        if b is not None:
-                            c *= b
-                        slot = slots.get(slot_key)
-                        if slot is None:
-                            slots[slot_key] = {gamma: c}
-                        else:
-                            prior = slot.get(gamma)
-                            slot[gamma] = c if prior is None else prior + c
+                    # one more u of the constant direction: e^(u/t) shifts
+                    # t by -1 and divides by the new a0
+                    a0 += 1
+                    slots = sink[size + a0]
+                    local = {(k - 1, j): c / a0 for (k, j), c in local.items()
+                             if k > skip}
+                    gamma0 = alpha[:c0] + (a0,) + alpha[c0 + 1:]
             if size < depth:
                 for l in range(last, unf.nu):
                     # P at alpha + e_l is P at alpha without its u_l part
-                    # times Q_{l,alpha_l+1}
-                    stack.append((alpha[:l] + (alpha[l] + 1,) +
-                                  alpha[l + 1:], size + 1, l,
-                                  top + self.rises[l],
-                                  prefix if l == last else P))
+                    # times Q_{l,alpha_l+1}; the constant direction is not
+                    # walked
+                    if l != c0:
+                        stack.append((alpha[:l] + (alpha[l] + 1,) +
+                                      alpha[l + 1:], size + 1, l,
+                                      top + self.rises[l],
+                                      prefix if l == last else P))
 
     def _reduce(self, P, t0, h):
         """[t^t0 P h] as Fraction sums {(k, j): c} over the t-powers

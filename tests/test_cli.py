@@ -525,3 +525,22 @@ if __name__ == "__main__":
     with open(PRIMITIVE_GOLDEN, "w") as fh:
         json.dump(primitive_cli_stdout(), fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def test_fmt_writes_a_fraction_as_it_is(monkeypatch):
+    # an exact Fraction is written with str alone, with no Fraction built
+    # again; any other value goes through Fraction first
+    values = (Fraction(-3, 4), Fraction(5), 7, "2/6", True)
+    expected = ["-3/4", "5", "7", "1/3", "1"]
+    assert [cli._fmt(x) for x in values] == expected
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert cli._fmt(values[0]) == "-3/4"
+    assert built == []
+    assert cli._fmt(7) == "7" and built == [(7,)]

@@ -290,38 +290,60 @@ def test_verify_products_do_not_grow_with_ring_coefficient_terms(
                          ids=["c0", "c81=1"])
 def test_socle_solve_multiplies_only_to_build_q(monkeypatch, elliptic, c):
     # on one parameter P_alpha is Q_{1,|alpha|} itself, and zeta_+ lies
-    # on Phi_1 = 1, so its products are multiplied by nothing: the solve
-    # makes only the two products of each Q_{1,n} recurrence step, and
-    # the verify after it reads the same table and makes none
+    # on Phi_1 = 1, so its products are multiplied by nothing: the Q_{1,n}
+    # come from the integer recurrence, so the solve makes no MPoly
+    # product, and the verify after it reads the same table and makes none
     N = 60
     unf = build_unfolding(elliptic, N, mask=[8])
     calls = count_products(monkeypatch)
     pf = primitive_form(unf, c=c)
-    assert len(calls) <= 2 * N
+    assert calls == []
+    assert len(unf.qs[0]) > N // 2
     calls.clear()
     assert verify_primitive(unf, pf, c=c)
     assert calls == []
 
 
-def test_verify_reuses_the_q_of_the_solve(monkeypatch, p1_q2):
-    # the Q_{l,n} belong to the unfolding: a verify after the solve adds
-    # none to the table and makes fewer products than on a fresh one
+def test_verify_reuses_the_q_of_the_solve(p1_q2):
+    # the Q_{l,n} belong to the unfolding: a verify after the solve builds
+    # no entry of the table, while one on a fresh unfolding builds its own
     def unfold():
         return build_unfolding(p1_q2, 20, u_names=["u0", "u1"],
                                overrides={2: lambda u: exp_series(u) - 1})
 
     unf = unfold()
     pf = primitive_form(unf)
-    built = [len(qs) for qs in unf.qs]
-    assert built[1] > 1
-    calls = count_products(monkeypatch)
-    counts = []
+    assert len(unf.qs[1]) > 1
+    built = []
     for target in (unf, unfold()):
-        calls.clear()
+        before = sum(map(len, target.qs))
         assert verify_primitive(target, pf)
-        counts.append(len(calls))
-    assert [len(qs) for qs in unf.qs] == built
-    assert counts[0] < counts[1]
+        built.append(sum(map(len, target.qs)) - before)
+    assert built[0] == 0 < built[1]
+
+
+def test_p1_constant_direction_is_a_t_shift(monkeypatch, p1_q2):
+    # e^(u0/t) is a scalar: the solve and the verify reduce each P_alpha h
+    # only at alpha with no u0, that is P_alpha = 1 or Q_{2,n} itself, and
+    # spread it shifted over the powers of u0; no Q_{1,n} is built and,
+    # with the Q_{2,n} from the integer recurrence, no MPoly product made
+    unf = build_unfolding(p1_q2, 20, u_names=["u0", "u1"],
+                          overrides={2: lambda u: exp_series(u) - 1})
+    reduced = []
+    reduce = unfolding.Projector._reduce
+
+    def recording(self, P, t0, h):
+        reduced.append(P)
+        return reduce(self, P, t0, h)
+
+    monkeypatch.setattr(unfolding.Projector, "_reduce", recording)
+    calls = count_products(monkeypatch)
+    pf = primitive_form(unf)
+    assert verify_primitive(unf, pf)
+    assert calls == []
+    assert len(unf.qs[0]) == 1
+    allowed = [unf.one] + unf.qs[1]
+    assert reduced and all(any(P is q for q in allowed) for P in reduced)
 
 
 def test_psi_with_a_constant_term_is_rejected():

@@ -375,7 +375,28 @@ def test_projection_matches_ring_order_oracle(request, name, N, mask, c):
     filt = OppositeFiltration(unf.base, c)
     classes = phi_classes(unf, filt)
     a = positive_bound(unf.base, N)
-    for floor in (None, -a, 0):
+    # -2 is the floor that reads the flat coordinates and the potential
+    for floor in (None, -a, -2, 0):
+        assert oscillating_projection(unf, classes, filt, floor) == \
+            ring_order_projection(unf, classes, filt, floor), floor
+
+
+def test_constant_direction_is_read_off_the_unfolding(e6_cusp, p1_q2):
+    # the constant direction is the parameter of the basis element 1 with
+    # psi = u; an override of it, or a mask without it, leaves none, and
+    # the projection then walks every direction
+    def exp_minus_one(u):
+        return exp_series(u) - 1
+
+    assert build_unfolding(e6_cusp, 3).constant == 0
+    assert build_unfolding(e6_cusp, 3, mask=[2, 6]).constant is None
+    assert build_unfolding(p1_q2, 3, overrides={2: exp_minus_one}) \
+        .constant == 0
+    unf = build_unfolding(e6_cusp, 4, overrides={1: exp_minus_one})
+    assert unf.constant is None
+    filt = OppositeFiltration(unf.base)
+    classes = phi_classes(unf, filt)
+    for floor in (None, -2, 0):
         assert oscillating_projection(unf, classes, filt, floor) == \
             ring_order_projection(unf, classes, filt, floor), floor
 
@@ -490,25 +511,62 @@ def test_q_of_a_linear_coefficient_is_a_power(e6_cusp):
                 phi_t ** n * Fraction(1, math.factorial(n))
 
 
+def _closed_q(unf, l):
+    """Q_{l,0..N} read off the closed series e^(psi phi/t) = sum_j
+    psi^j (phi/t)^j / j!, with no recurrence: the u_l^n coefficient of
+    psi^j in the truncated ring times (phi_l/t)^j / j!, summed over j."""
+    out = [{} for _ in range(unf.N + 1)]
+    power = unf.ring_one()
+    for j in range(unf.N + 1):
+        phi_j = unf.phis[l] ** j * Fraction(1, math.factorial(j))
+        for exp, c in power.terms.items():
+            slot = out[exp[l]]
+            for e, v in phi_j.terms.items():
+                slot[e] = slot.get(e, 0) + c * v
+        power = power * unf.coeffs[l]
+    return [{e: c for e, c in slot.items() if c} for slot in out]
+
+
 def test_q_of_an_override_is_its_exponential_series(p1_q2):
-    # psi = e^u - 1 on the P^1 mirror: Q_{2,n} is the u^n coefficient of
-    # e^(psi phi_2 / t) = sum_k (psi phi_2 / t)^k / k!, a Laurent MPoly
-    N = 5
+    # psi = e^u - 1 on the P^1 mirror at N = 20: Q_{2,n} is the u^n
+    # coefficient of e^(psi phi_2 / t), a Laurent MPoly; phi_2 = 2/z
+    N = 20
     unf = build_unfolding(p1_q2, N, u_names=["u0", "u1"],
                           overrides={2: lambda u: exp_series(u) - 1})
-    variables = ("z", "1/t", "u")
-    psi = MPoly(variables, {(0, 0, k): Fraction(1, math.factorial(k))
-                            for k in range(1, N + 1)})
-    x = psi * MPoly(variables, {e + (1, 0): c for e, c
-                                in p1_q2.basis[1].terms.items()}, True)
-    series = MPoly.zero(variables, True)
-    for k in range(N + 1):
-        series = series + x ** k * Fraction(1, math.factorial(k))
-    for n in range(N + 1):
-        q = unf.q(1, n)
-        assert q.laurent
-        assert q.terms == {e[:2]: c for e, c in series.terms.items()
-                           if e[2] == n}
+    qs = [unf.q(1, n) for n in range(N + 1)]
+    assert all(q.laurent for q in qs)
+    assert qs[1].terms == {(-1, 1): 2}
+    assert qs[2].terms == {(-1, 1): 1, (-2, 2): 2}
+    assert [q.terms for q in qs] == _closed_q(unf, 1)
+
+
+def _mixed_override(u):
+    return u + u * u * Fraction(2, 3) - u * u * u * Fraction(5, 7)
+
+
+@pytest.mark.parametrize("case", ["p1-q3/4", "x^6+y^6+x^3*y^3"])
+def test_q_of_an_override_with_mixed_denominators(case):
+    # psi = u + 2/3 u^2 - 5/7 u^3 and a phi_l with a non-integer
+    # coefficient: the integer recurrence runs over the lcm of all their
+    # denominators, and every Q_{l,n} is its closed series in lowest terms
+    if case.startswith("p1"):
+        unf = build_unfolding(P1MirrorData(Fraction(3, 4)), 20,
+                              u_names=["u0", "u1"],
+                              overrides={2: _mixed_override})
+        l = 1
+    else:
+        # phi_12 = y^4 + x^3 y / 2, two terms
+        data = analyze_oracle_case(ORACLE_ZOO[-1])
+        unf = build_unfolding(data, 8, mask=[12],
+                              overrides={12: _mixed_override})
+        l = 0
+    phi = unf.phis[l].terms
+    assert any(c.denominator > 1 for c in phi.values())
+    qs = [unf.q(l, n) for n in range(unf.N + 1)]
+    assert [q.terms for q in qs] == _closed_q(unf, l)
+    assert all(type(c) is Fraction for q in qs for c in q.terms.values())
+    assert unf.q_ints[l][0] == 21 * math.lcm(*(c.denominator
+                                                for c in phi.values()))
 
 
 def test_q_is_built_as_far_as_the_search_reaches(e12):
