@@ -155,9 +155,10 @@ def _build_unfolding(data, job, args):
     u_names = None
     if data.mode == "laurent":
         # the direction of basis index i is u{i-1}
-        u_names = ["u%d" % (i - 1) for i in
-                   (range(1, data.mu + 1) if mask is None else sorted(mask))]
-        if _bool(job.get("exponentiate", True), "'exponentiate'"):
+        indices = range(1, data.mu + 1) if mask is None else sorted(mask)
+        u_names = ["u%d" % (i - 1) for i in indices]
+        if _bool(job.get("exponentiate", True), "'exponentiate'") and \
+                2 in indices:
             overrides = {2: lambda u: exp_series(u) - 1}
     return build_unfolding(data, n, mask=mask, overrides=overrides,
                            u_names=u_names)

@@ -19,8 +19,11 @@ only the parts of g below degree d: Id + Psi inverts in N passes, one
 u-degree each. primitive_form(osc=...) takes this path.
 """
 
+from fractions import Fraction
+
 from .brieskorn import ReducedClass, reduce_monomial
 from .mpoly import MPoly
+from .singularity import eta_rows
 from .unfolding import (GradingViolation, OppositeFiltration, Projector,
                         grading, oscillating_projection, positive_bound)
 
@@ -98,15 +101,55 @@ def _entries(cls):
             for j in sorted(rows[k])]
 
 
+def good_filtration(unf, c):
+    """The opposite filtration of c, an OppositeFiltration or its slots
+    {(i, j): value}, rejected with a ValueError unless it is good:
+    K(Phi_i, Phi_j) has no positive t-power. A trivial c is good."""
+    filtration = c if isinstance(c, OppositeFiltration) else \
+        OppositeFiltration(unf.base, c)
+    if not filtration.is_trivial():
+        defects = positive_pairing(filtration)
+        if defects:
+            (i, j, r), value = min(defects.items())
+            raise ValueError(
+                "the opposite filtration is not good: at (i, j, r) = "
+                "(%d, %d, %d) K(Phi_i, Phi_j) has the t^r coefficient %s"
+                % (i + 1, j + 1, r, value))
+    return filtration
+
+
+def positive_pairing(filtration):
+    """The positive-t part of K(Phi_i, Phi_j) over all i, j as
+    {(i, j, r): value} of nonzero values, 0-based i and j, r > 0. With
+    Phi_i = sum_k M_ik t^r(i,k) phi_k, M the sparse filtration.rows, and
+    K(t^a phi_k, t^b phi_l) = t^a (-t)^b eta_kl (see singularity.K), the
+    t^r coefficient is sum M_ik M_jl (-1)^r(j,l) eta_kl over
+    r(i,k) + r(j,l) = r, in Fraction arithmetic."""
+    eta, t_power = eta_rows(filtration.base), filtration.t_power
+    columns = {}    # l -> [(j, M_jl, r(j,l))]
+    for j, row in enumerate(filtration.rows):
+        for l, m in row.items():
+            columns.setdefault(l, []).append((j, m, t_power(j, l)))
+    out = {}
+    for i, row in enumerate(filtration.rows):
+        for k, m_ik in row.items():
+            r_ik = t_power(i, k)
+            for l, x in eta[k].items():
+                for j, m_jl, r_jl in columns.get(l, ()):
+                    if r_ik + r_jl > 0:
+                        key = (i, j, r_ik + r_jl)
+                        v = m_ik * m_jl * x
+                        out[key] = out.get(key, 0) + (-v if r_jl % 2 else v)
+    return {key: v for key, v in out.items() if v}
+
+
 def primitive_form(unf, c=None, osc=None):
     """zeta_+ for the opposite filtration c, solved order by order in u
     (see solve_primitive). Given oscillator matrices osc, it is read from
     them instead, by the solve of g (Id + Psi) = e; c is then ignored,
     since osc carries its own filtration."""
     if osc is None:
-        filtration = c if isinstance(c, OppositeFiltration) else \
-            OppositeFiltration(unf.base, c)
-        return solve_primitive(unf, filtration)
+        return solve_primitive(unf, good_filtration(unf, c))
     mu = unf.base.mu
     g = neumann_solve(assemble_psi(osc), unf)
     zeta = ReducedClass(mu, {q: dict(enumerate(g[q * mu:(q + 1) * mu]))
@@ -136,25 +179,25 @@ def solve_primitive(unf, filtration):
     on_grade = grading(unf)
     pending = [{} for _ in range(N + 1)]   # phi coordinates, per u-degree
     collected = {}  # (k, j) -> the u-terms of t^k Phi_j over all parts
-    part = {0: {0: unf.ring_one()}}
+    part = {0: {0: {(0,) * unf.nu: Fraction(1)}}}
     for d in range(N + 1):
         if d:
-            part = projector.rows(pending[d]).rows
+            part = projector.rows(pending[d])
             pending[d] = None
         sink = [None] + pending[d + 1:]
         terms = []
         for k, row in part.items():
-            for j, elem in sorted(row.items()):
+            for j, poly in sorted(row.items()):
                 if d:
-                    elem = -elem
-                _check_term(k, j, elem, a, on_grade)
+                    poly = {gamma: -c for gamma, c in poly.items()}
+                _check_term(k, j, poly, a, on_grade)
                 # a term in one part only, as on the P^1 mirror, keeps
                 # nothing
                 repeat = (k, j) in collected
-                collected.setdefault((k, j), {}).update(elem.terms)
+                collected.setdefault((k, j), {}).update(poly)
                 for n, (t0, h) in uppers[j]:
                     terms.append(projector.product_term(
-                        k + t0, h, elem.terms, sink,
+                        k + t0, h, poly, sink,
                         (k, j, n) if repeat else None))
         projector.run(terms)
     zero = unf.ring_zero()
@@ -164,15 +207,15 @@ def solve_primitive(unf, filtration):
     return PrimitiveForm(unf, filtration, a, zeta)
 
 
-def _check_term(k, j, elem, a, on_grade):
-    """A part t^k elem Phi_j of zeta_+ (0-based j) lies at the t-powers
+def _check_term(k, j, poly, a, on_grade):
+    """A part t^k poly Phi_j of zeta_+ (0-based j) lies at the t-powers
     0..a and, with a grading test, carries the grading of Phi_1."""
     if k > a:
         raise GradingViolation(
             "zeta_+ term t^%d u^%r Phi_%d beyond the bound a=%d"
-            % (k, next(iter(elem.terms)), j + 1, a))
+            % (k, next(iter(poly)), j + 1, a))
     if on_grade is not None:
-        for exp in elem.terms:
+        for exp in poly:
             if not on_grade(k, 0, j, exp):
                 raise GradingViolation("off-grade zeta_+ term t^%d u^%r "
                                        "Phi_%d" % (k, exp, j + 1))
@@ -215,8 +258,7 @@ def verify_primitive(unf, rep, c=None):
     e^((F-f)/t) * rep equals the constant class Phi_1. The mismatches
     are the nonzero entries of that part minus Phi_1, by t-power, then
     basis index."""
-    filtration = c if isinstance(c, OppositeFiltration) else \
-        OppositeFiltration(unf.base, c)
+    filtration = good_filtration(unf, c)
     projected, = oscillating_projection(unf, [_as_t_rpolys(unf, rep)],
                                         filtration, floor=0)
     mismatches = _entries(projected.add_scaled(

@@ -327,8 +327,7 @@ def K(data, pairs, t_order):
     reduced classes a = sum_k t^k a_k and b = sum_l t^l b_l,
         K(a, b) = sum_{k,l} t^k (-t)^l a_k^T eta b_l,
     and K(a, b)(t) = K(b, a)(-t). eta is read once for all the pairs."""
-    eta = [{j: x for j, x in enumerate(row) if x}
-           for row in data.residue_pairing_matrix()]
+    eta = eta_rows(data)
     out = []
     for a, b in pairs:
         b_rows = reduce_class(data, b).rows.items()
@@ -341,6 +340,13 @@ def K(data, pairs, t_order):
                         for j, x in eta[i].items() if j in b_row)
         out.append({r: v for r, v in sorted(series.items()) if v})
     return out
+
+
+def eta_rows(data):
+    """K on the basis, eta_ij = K(phi_i, phi_j), as one sparse row
+    {j: eta_ij} of nonzero entries per 0-based i."""
+    return [{j: x for j, x in enumerate(row) if x}
+            for row in data.residue_pairing_matrix()]
 
 
 def pairing_univariate(a, b, t_order, m=None, q=None):

@@ -3,9 +3,9 @@ oscillating projection and oscillator matrices.
 
 The unfolding F = f + sum_l psi_l(u_l) phi_l is truncated at total
 u-degree N; psi_l(u_l) = u_l unless an override replaces it by a series
-in u_l alone with no constant term. Oscillator matrices A^(k)(u) collect
-the t^k component of the reduced classes
-e^((F-f)/t) Phi_i = sum_{j,k} A^(k)_ij t^k Phi_j.
+in u_l alone with no constant term, and is kept as those series (see
+UnfoldingData). Oscillator matrices A^(k)(u) collect the t^k component
+of the reduced classes e^((F-f)/t) Phi_i = sum_{j,k} A^(k)_ij t^k Phi_j.
 
 The oscillating projection runs in u-monomial order. Each factor
 expands as e^(psi_l(u_l) phi_l/t) = sum_n u_l^n Q_{l,n}, so
@@ -16,8 +16,8 @@ t^(-|alpha|) prod_l phi_l^alpha_l / alpha_l!. An input class is a sum
 of product terms t^t0 r h, r = sum_beta r_beta u^beta a ring element
 and h a polynomial in z with Fraction coefficients, and projects to
 sum u^(alpha+beta) r_beta [t^t0 P_alpha h]: each [P_alpha h] is
-reduced once, and every coefficient is a plain Fraction until the ring
-entries are built, once, at the end. Every MPoly product computes
+reduced once, and every coefficient is a plain Fraction until a result's
+ring entries are built, once, at the end. Every MPoly product computes
 something: the Q_{l,n} are built once per unfolding (UnfoldingData.q,
 by an integer recurrence that makes no MPoly product) and shared by all
 its projections, P_alpha is Q_{l,n} itself when alpha lies on one
@@ -184,20 +184,20 @@ class OppositeFiltration:
 
 
 class UnfoldingData:
-    """A truncated universal unfolding of one singularity."""
+    """A truncated universal unfolding of one singularity as plain data:
+    per direction its series psi_l as {power: Fraction} and scaled_u,
+    den times deg u_l = 1 - d_l as an int."""
 
-    def __init__(self, base, N, indices, u_names, coeffs, override):
+    def __init__(self, base, N, indices, u_names, series):
         self.base = base
         self.N = N
         self.indices = indices        # 0-based basis positions with parameters
         self.u_names = u_names
         self.nu = len(indices)
-        self.coeffs = coeffs          # ring element per index
-        self.override = override
-        # psi_l as {power: coefficient}; each coefficient involves u_l only
-        self.series = [{exp[pos]: c for exp, c in coeff.terms.items()}
-                       for pos, coeff in enumerate(coeffs)]
-        self.deg_u = [1 - base.degrees[j] for j in indices]
+        self.series = series
+        self.scaled_u = [base.den - base.scaled[j] for j in indices]
+        # some psi_l is not u_l, so the grading may not hold
+        self.override = any(psi != {1: 1} for psi in series)
         self.laurent = base.mode == "laurent"
         # the constant 1, phi_l / t and Q_{l,n} for n = 0, 1, ... as far
         # as built, as MPolys over the z-variables and 1/t (see q)
@@ -214,7 +214,7 @@ class UnfoldingData:
         # element 1, or None: its factor e^(u/t) is a scalar (see Projector)
         self.constant = None
         for pos, j in enumerate(indices):
-            if not base.scaled[j] and self.series[pos] == {1: 1} and \
+            if not base.scaled[j] and series[pos] == {1: 1} and \
                     base.basis[j].terms == {(0,) * base.n: 1}:
                 self.constant = pos
         self._exp_powers = None
@@ -224,10 +224,6 @@ class UnfoldingData:
 
     def ring_one(self):
         return UnfoldRingElem(self.nu, self.N, {(0,) * self.nu: 1})
-
-    def u_degree(self, exp):
-        """Graded weight of a u-monomial (sum alpha_l deg u_l)."""
-        return sum(d * e for d, e in zip(self.deg_u, exp))
 
     def q(self, l, n):
         """Q_{l,n} of e^(psi_l(u_l) phi_l / t) = sum_n u_l^n Q_{l,n}, for
@@ -291,10 +287,13 @@ class UnfoldingData:
         No library code reads this table: oscillating_projection expands
         e^((F-f)/t) by u-monomial instead. Only the benchmark's traced
         mode times it and counts its terms, so F - f itself, as z-exp ->
-        ring element, is built here on the first call."""
+        ring element, is built here from the series on the first call."""
         if self._exp_powers is None:
             f_diff = {}
-            for j, coeff in zip(self.indices, self.coeffs):
+            for pos, (j, psi) in enumerate(zip(self.indices, self.series)):
+                coeff = UnfoldRingElem(self.nu, self.N, {
+                    tuple(k * (i == pos) for i in range(self.nu)): p
+                    for k, p in psi.items()})
                 for exp, c in self.base.basis[j].terms.items():
                     prior = f_diff.get(exp)
                     term = coeff * c
@@ -339,23 +338,28 @@ def build_unfolding(base, N, mask=None, overrides=None, u_names=None):
     elif len(u_names) != len(indices):
         raise ValueError("expected %d u_names, one per parameter, got %d"
                          % (len(indices), len(u_names)))
+    overrides = overrides or {}
+    for index in overrides:
+        if not 1 <= index <= mu:
+            raise ValueError("override index %d out of range 1..%d"
+                             % (index, mu))
+        if index - 1 not in indices:
+            raise ValueError("override index %d is not in the mask"
+                             % index)
     nu = len(indices)
-    coeffs = []
-    override = False
+    series = [{1: Fraction(1)} for _ in indices]
     for pos, j in enumerate(indices):
-        exp = tuple(int(i == pos) for i in range(nu))
-        var = UnfoldRingElem(nu, N, {exp: 1})
-        fn = (overrides or {}).get(j + 1)
+        fn = overrides.get(j + 1)
         if fn is not None:
-            var = _checked_override(fn(var), var, j + 1, pos)
-            override = True
-        coeffs.append(var)
-    return UnfoldingData(base, N, indices, u_names, coeffs, override)
+            var = UnfoldRingElem(nu, N, {tuple(int(i == pos)
+                                               for i in range(nu)): 1})
+            series[pos] = _override_series(fn(var), var, j + 1, pos)
+    return UnfoldingData(base, N, indices, u_names, series)
 
 
-def _checked_override(value, var, index, pos):
-    """An override's coefficient psi(u), checked to lie in the maximal
-    ideal of Q[u] for its own variable u = var (see InvalidOverride)."""
+def _override_series(value, var, index, pos):
+    """An override's psi(u) as {power: Fraction}, checked to lie in the
+    maximal ideal of Q[u] for its own u = var (see InvalidOverride)."""
     if not isinstance(value, MPoly) or value.variables != var.variables \
             or value.order != var.order:
         raise InvalidOverride("the override for phi_%d must return an "
@@ -368,7 +372,7 @@ def _checked_override(value, var, index, pos):
     if any(e for exp in value.terms for i, e in enumerate(exp) if i != pos):
         raise InvalidOverride("the override for phi_%d involves a u-variable "
                               "other than its own: %s" % (index, value))
-    return value
+    return {exp[pos]: c for exp, c in value.terms.items()}
 
 
 class OscillatorData:
@@ -390,11 +394,10 @@ class OscillatorData:
 
 
 def positive_bound(base, N):
-    """Largest t-power a that can appear in an oscillator matrix."""
+    """Largest t-power a of an oscillator matrix: floor(s + N max(s-1, 0))."""
     if base.mode == "laurent":
         return 0
-    s = base.s
-    return max(math.floor(N * (s - 1) + s), math.floor(s))
+    return (base.top + N * max(base.top - base.den, 0)) // base.den
 
 
 def oscillator_matrices(unf, c=None):
@@ -458,12 +461,11 @@ def grading(unf):
     and j: whether t^k u^exp may stand at Phi_j in the projection of
     Phi_i, that is k + deg(u^exp) + d_j - d_i = 0, compared in integers
     with a per-exponent memo, each degree times base.den: the scaled
-    degrees base.scaled, and den - scaled[l] for deg u_l = 1 - d_l.
-    zeta_+ carries the grading of Phi_1."""
+    degrees base.scaled and unf.scaled_u. zeta_+ carries the grading of
+    Phi_1."""
     if unf.override:
         return None
-    den, degrees = unf.base.den, unf.base.scaled
-    deg_u = [den - degrees[l] for l in unf.indices]
+    den, degrees, deg_u = unf.base.den, unf.base.scaled, unf.scaled_u
     memo = {}
 
     def on_grade(k, i, j, exp):
@@ -487,7 +489,11 @@ def oscillating_projection(unf, classes, filtration, floor=None):
                                           [slots] * (unf.N + 1))
                    for terms, slots in zip(classes, acc)
                    for t0, h, coeff in terms if h and coeff])
-    return [projector.rows(slots) for slots in acc]
+    # gamma has |gamma| <= N and every c is a Fraction
+    zero = unf.ring_zero()
+    return [ReducedClass(unf.base.mu, {
+        k: {j: zero._like(poly) for j, poly in row.items()}
+        for k, row in projector.rows(slots).items()}) for slots in acc]
 
 
 class Projector:
@@ -495,7 +501,8 @@ class Projector:
     opposite filtration and floor: the setup its callers share (the cuts
     and the memo of keyed product terms) and the one reduce-and-accumulate
     kernel. The Q_{l,n} belong to the unfolding (see UnfoldingData.q),
-    so every Projector of one unfolding reads one table.
+    so every Projector of one unfolding reads one table. It builds no
+    ring element: rows returns a sink as {k: {j: {gamma: Fraction}}}.
 
     P_alpha, the Q_{l,n} and the h of each product term are MPolys over
     the z-variables and 1/t, the last exponent counting powers of 1/t
@@ -523,7 +530,8 @@ class Projector:
     filtration.lift in both modes, so reduced t-powers below floor -
     lift are skipped, and what still lands below floor is dropped. In
     polynomial mode without overrides P_alpha is homogeneous of degree
-    deg(e) - m = -wdeg(alpha), wdeg(alpha) = sum alpha_l (1 - d_l), and
+    deg(e) - m = -wdeg(alpha), wdeg(alpha) = sum alpha_l (1 - d_l) (den
+    times it from unf.scaled_u), and
     reducing z^e gives t-powers of at most deg(e), since basis degrees
     are >= 0. So P_alpha is skipped against a product term (t0, h, r)
     when top(h) + t0 - wdeg(alpha) < floor, top being the largest degree
@@ -544,11 +552,9 @@ class Projector:
         self.graded = floor is not None and not unf.laurent and \
             not unf.override
         self.skip = -math.inf if floor is None else floor - filtration.lift
-        # per variable l the scaled degree step of one more phi_l / t; one
-        # more u raises the degree of P_alpha by at most climb, so no alpha
-        # below a pruned one can pass
-        self.rises = [unf.base.scaled[j] - unf.base.den for j in unf.indices]
-        self.climb = max([0] + self.rises)
+        # one more u_l lowers the scaled degree of P_alpha by scaled_u[l]:
+        # it rises by at most climb, so no alpha below a pruned one passes
+        self.climb = max(0, -min(unf.scaled_u, default=0))
         self.memo = {}
 
     def product_term(self, t0, h, coeffs, sink, key=None):
@@ -652,7 +658,7 @@ class Projector:
                     if l != c0:
                         stack.append((alpha[:l] + (alpha[l] + 1,) +
                                       alpha[l + 1:], size + 1, l,
-                                      top + self.rises[l],
+                                      top - unf.scaled_u[l],
                                       prefix if l == last else P))
 
     def _reduce(self, P, t0, h):
@@ -678,17 +684,15 @@ class Projector:
         return local
 
     def rows(self, slots):
-        """A sink's (k, j) -> {gamma: c} slots as a ReducedClass of ring
-        elements in Phi(c) coordinates, t-powers below the floor
-        dropped."""
+        """A sink's (k, j) -> {gamma: c} slots in Phi(c) coordinates as
+        rows {k: {j: {gamma: c}}}, zero c, empty slots and t-powers below
+        the floor dropped."""
         if not self.filtration.is_trivial():
             slots = self.filtration.coords_to_upper(slots)
         rows = {}
-        zero = self.unf.ring_zero()
         for (k, j), poly in slots.items():
             if self.floor is None or k >= self.floor:
-                # gamma has |gamma| <= N and every c is a Fraction
-                elem = zero._like({g: c for g, c in poly.items() if c})
-                if elem:
-                    rows.setdefault(k, {})[j] = elem
-        return ReducedClass(self.unf.base.mu, rows)
+                poly = {g: c for g, c in poly.items() if c}
+                if poly:
+                    rows.setdefault(k, {})[j] = poly
+        return rows

@@ -19,6 +19,13 @@ def var(name, variables):
     return MPoly.variable(name, variables)
 
 
+def u_degree(unf, exp):
+    """The graded weight sum alpha_l (1 - d_l) of a u-monomial, in
+    Fractions from the basis degrees: independent of the unfolding's own
+    integer grading."""
+    return sum((1 - unf.base.degrees[j]) * e for j, e in zip(unf.indices, exp))
+
+
 def make_a(k):
     """A_k chain singularity z^(k+1), weights (1/(k+1),)."""
     f = var("z", ("z",)) ** (k + 1)

@@ -17,7 +17,7 @@ from saitoforms.unfolding import build_unfolding
 from conftest import (
     elliptic_g, elliptic_h, higher_residue_Am, make_a, make_a_normalized,
     pairing_univariate_Am, pairing_univariate_p1, series_reciprocal,
-    series_sub,
+    series_sub, u_degree,
 )
 
 import test_properties
@@ -85,7 +85,7 @@ def test_exceptional_unimodal_forms_at_higher_order(e12, e13):
         assert records[0][2].constant_term() == 1
         for q, j, elem in records:
             for exp in elem.terms:
-                assert q + d[j - 1] + unf.u_degree(exp) == 0, (q, j, exp)
+                assert q + d[j - 1] + u_degree(unf, exp) == 0, (q, j, exp)
         assert time.monotonic() - t0 < 1.0
         # truncation to u-degree 6 gives the form at N = 6
         low = build_unfolding(data, 6)

@@ -48,6 +48,18 @@ JOBS = [
 # traced runs also take the side calls (the Neumann stages, the Groebner
 # basis inside analyze) and report the layer counters
 TRACED = [("unfold-full", "A2/N6"), ("socle-deep", "p1-q2/N20")]
+# the term counters the traced runs report, pinned so that a change to
+# the unfolding's storage cannot change what the benchmark counts
+PINNED = {
+    "A2/N6": {"unfolding.exp_powers_terms": 28,
+              "unfolding.oscillator_terms": 2,
+              "unfolding.window_terms": 2,
+              "primitive.record_terms": 1},
+    "p1-q2/N20": {"unfolding.exp_powers_terms": 1561,
+                  "unfolding.oscillator_terms": 22,
+                  "unfolding.window_terms": 22,
+                  "primitive.record_terms": 1},
+}
 
 
 @pytest.mark.parametrize("workload, name, traced", [
@@ -61,7 +73,9 @@ def test_bench_job_passes_its_check(bench_modules, tmp_path, workload, name,
     out = job.run(tracing.Tracer() if traced else tracing.NullTracer())
     assert job.check(out) == []
     if traced:
-        assert sorted(job.counters(out)) == sorted(run.COUNTERS)
+        counters = job.counters(out)
+        assert sorted(counters) == sorted(run.COUNTERS)
+        assert {key: counters[key] for key in PINNED[name]} == PINNED[name]
 
 
 # --- the CLI documents of the analysis zoo, byte for byte ----------------

@@ -318,6 +318,50 @@ def test_malformed_c_key_is_named(capsys, tmp_path, key):
     assert repr(key) in doc["error"]["message"]
 
 
+QUINTIC = {"variables": ["x", "y"], "f": "x^5 + y^5",
+           "weights": ["1/5", "1/5"]}
+
+
+@pytest.mark.parametrize("command", ["primitive-form", "verify"])
+def test_non_good_c_is_rejected(capsys, tmp_path, command):
+    # c(15,1) alone leaves t/25 in K(Phi_15, Phi_16); c(16,2) = 1 cancels it
+    job = {"schema": SCHEMA, "command": command, "singularity": QUINTIC,
+           "N": 3, "c": {"15,1": "1"}}
+    code, doc = run_cli(capsys, tmp_path, job)
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "ValueError"
+    assert "(i, j, r) = (15, 16, 1)" in doc["error"]["message"]
+    assert doc["error"]["message"].endswith("coefficient 1/25")
+    job["c"]["16,2"] = "1"
+    code, doc = run_cli(capsys, tmp_path, job)
+    assert code == 0
+    if command == "verify":
+        assert doc["result"] == {"verified": True}
+
+
+@pytest.mark.parametrize("job_extra, exponentiated", [
+    ({}, True), ({"mask": [2]}, True), ({"mask": [1, 2]}, True),
+    ({"mask": [1]}, False), ({"exponentiate": False}, False)])
+def test_p1_override_only_on_its_direction(capsys, tmp_path, monkeypatch,
+                                           job_extra, exponentiated):
+    # the e^u - 1 override belongs to basis index 2; a job whose mask
+    # leaves that direction out passes none
+    seen = []
+    build = cli.build_unfolding
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["overrides"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_unfolding", spy)
+    job = {"schema": SCHEMA, "command": "primitive-form", "N": 4,
+           "singularity": {"model": "p1", "q": "2"}, **job_extra}
+    code, _ = run_cli(capsys, tmp_path, job)
+    assert code == 0
+    assert seen == [{2: seen[0][2]} if exponentiated else None]
+
+
 @pytest.mark.parametrize("mask, index", [([0], 0), ([2, 9], 9)])
 def test_mask_index_out_of_range_is_named(capsys, tmp_path, mask, index):
     job = {"schema": SCHEMA, "command": "primitive-form",

@@ -6,10 +6,10 @@ from saitoforms import UnfoldRingElem, primitive, unfolding
 from saitoforms.brieskorn import ReducedClass
 from saitoforms.mpoly import MPoly
 from saitoforms.primitive import (
-    _as_t_rpolys, assemble_psi, neumann_solve, primitive_form,
-    verify_class_equal, verify_primitive,
+    _as_t_rpolys, assemble_psi, good_filtration, neumann_solve,
+    positive_pairing, primitive_form, verify_class_equal, verify_primitive,
 )
-from saitoforms.singularity import P1MirrorData
+from saitoforms.singularity import K, P1MirrorData
 from saitoforms.unfolding import (
     GradingViolation, OppositeFiltration, OscillatorData, UnfoldingData,
     build_unfolding, exp_series, oscillating_projection,
@@ -20,6 +20,15 @@ from conftest import (
     analyze_oracle_case, count_products, elliptic_g, elliptic_h, make_a,
     ring_order_projection, series_reciprocal, series_sub,
 )
+
+# mu = 16, degrees (a + b)/5 for x^a y^b; phi_15 and phi_16 have degrees
+# 1 and 6/5, phi_1 and phi_2 degrees 0 and 1/5
+QUINTIC_PAIR = ("x^5 + y^5", ("x", "y"), ["1/5", "1/5"])
+
+
+@pytest.fixture(scope="module")
+def quintic_pair():
+    return analyze_oracle_case(QUINTIC_PAIR)
 
 
 def _series_of(elem):
@@ -470,3 +479,92 @@ def test_order_by_order_solve_checks_each_term(monkeypatch, e12, t_power,
     with pytest.raises(GradingViolation) as err:
         primitive_form(unf)
     assert str(err.value) == message % (u12,)
+
+
+def _pairing_oracle(filtration):
+    """The positive-t part of K(Phi_i, Phi_j) as {(i, j, r): value} from
+    singularity.K on the basis polynomials, one pair at a time, by
+    sesquilinearity: K(t^a phi_k, t^b phi_l) = t^a (-t)^b K(phi_k, phi_l)."""
+    data, mu = filtration.base, filtration.base.mu
+    out = {}
+    for i in range(mu):
+        for j in range(mu):
+            for k, m_ik in filtration.rows[i].items():
+                for l, m_jl in filtration.rows[j].items():
+                    a, b = filtration.t_power(i, k), filtration.t_power(j, l)
+                    value = K(data, [(data.basis[k], data.basis[l])], 0)[0]
+                    if a + b > 0 and value:
+                        key = (i, j, a + b)
+                        out[key] = out.get(key, 0) + \
+                            m_ik * m_jl * (-1) ** b * value[0]
+    return {key: v for key, v in out.items() if v}
+
+
+def test_non_good_c_is_rejected(quintic_pair):
+    # c(15,1) alone gives K(Phi_15, Phi_16) = t/25 and K(Phi_16, Phi_15)
+    # = -t/25: not a good opposite filtration; the solve and the verify
+    # used to accept it
+    c = {(15, 1): Fraction(1)}
+    filtration = OppositeFiltration(quintic_pair, c)   # stays permissive
+    assert positive_pairing(filtration) == _pairing_oracle(filtration) == {
+        (14, 15, 1): Fraction(1, 25), (15, 14, 1): Fraction(-1, 25)}
+    unf = build_unfolding(quintic_pair, 3)
+    message = r"not good: at \(i, j, r\) = \(15, 16, 1\) K\(Phi_i, Phi_j\) " \
+        r"has the t\^r coefficient 1/25"
+    with pytest.raises(ValueError, match=message):
+        primitive_form(unf, c=c)
+    pf = primitive_form(unf)
+    for bad in (c, filtration):
+        with pytest.raises(ValueError, match=message):
+            verify_primitive(unf, pf, c=bad)
+    # c(16,2) = 1 cancels the defect, and the form verifies
+    good = {(15, 1): Fraction(1), (16, 2): Fraction(1)}
+    assert positive_pairing(OppositeFiltration(quintic_pair, good)) == \
+        _pairing_oracle(OppositeFiltration(quintic_pair, good)) == {}
+    assert verify_primitive(unf, primitive_form(unf, c=good), c=good)
+
+
+def test_anti_diagonal_c_of_the_tests_is_good(elliptic, quartic_pair,
+                                              monkeypatch):
+    for data, slot in ((elliptic, (8, 1)), (quartic_pair, (9, 1))):
+        unf = build_unfolding(data, 2)
+        for value in (1, Fraction(-7, 3)):
+            filtration = OppositeFiltration(data, {slot: value})
+            assert good_filtration(unf, filtration) is filtration
+            assert _pairing_oracle(filtration) == {}
+    # a trivial c is good without a check
+    monkeypatch.setattr(primitive, "positive_pairing", None)
+    unf = build_unfolding(elliptic, 2)
+    assert verify_primitive(unf, primitive_form(unf, c={(8, 1): 0}))
+
+
+@pytest.mark.parametrize("data_name, N, mask, c", [
+    ("e12", 6, None, None), ("elliptic", 6, [8], {(8, 1): Fraction(1)}),
+    ("p1", 8, None, None)])
+def test_solve_builds_ring_elements_only_for_zeta(request, monkeypatch,
+                                                  data_name, N, mask, c):
+    # the parts of the solve stay {gamma: Fraction} dicts: the one ring
+    # element built per entry of zeta is its final entry
+    if data_name == "p1":
+        unf = build_unfolding(P1MirrorData(2), N, u_names=["u0", "u1"],
+                              overrides={2: lambda u: exp_series(u) - 1})
+    else:
+        unf = build_unfolding(request.getfixturevalue(data_name), N,
+                              mask=mask)
+    ring = unf.ring_zero().variables
+    built, like, wrap = [], MPoly._like, unfolding.UnfoldRingElem
+
+    def counting_like(self, terms, laurent=None):
+        if self.variables == ring:
+            built.append(None)
+        return like(self, terms, laurent)
+
+    def counting_wrap(*args, **kwargs):
+        built.append(None)
+        return wrap(*args, **kwargs)
+
+    monkeypatch.setattr(MPoly, "_like", counting_like)
+    monkeypatch.setattr(unfolding, "UnfoldRingElem", counting_wrap)
+    pf = primitive_form(unf, c=c)
+    # ring_zero once, then one entry per slot of zeta
+    assert len(built) == 1 + len(pf.records())

@@ -12,7 +12,7 @@ from saitoforms.unfolding import build_unfolding, oscillator_matrices
 
 from conftest import (coords, full_oscillator_family, in_row_space, make_a,
                       normal_form, pairing_univariate_Am,
-                      pairing_univariate_p1)
+                      pairing_univariate_p1, u_degree)
 
 
 def _monomials_of_degree(data, d):
@@ -112,7 +112,7 @@ def test_oscillator_terms_homogeneous(elliptic, quartic_pair):
                 for j in range(data.mu):
                     for exp, coeff in m[i][j].terms.items():
                         if coeff:
-                            assert k + unf.u_degree(exp) + d[j] - d[i] == 0
+                            assert k + u_degree(unf, exp) + d[j] - d[i] == 0
                             seen += 1
     assert seen >= 100
 

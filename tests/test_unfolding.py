@@ -21,6 +21,7 @@ from saitoforms.unfolding import (
 from conftest import (
     ORACLE_ZOO, QUARTIC_FOURFOLD, analyze_oracle_case, count_products,
     full_oscillator_family, make_a, phi_classes, ring_order_projection,
+    u_degree,
 )
 
 
@@ -77,7 +78,7 @@ def test_grading_of_entries(e6_cusp):
             for j in range(e6_cusp.mu):
                 for exp, c in m[i][j].terms.items():
                     if c:
-                        assert k + unf.u_degree(exp) + d[j] - d[i] == 0
+                        assert k + u_degree(unf, exp) + d[j] - d[i] == 0
                         seen += 1
     assert seen > 100
 
@@ -95,7 +96,7 @@ def test_p1_without_an_override_keeps_its_grading(p1_q2):
         for i in range(2):
             for j in range(2):
                 for exp in m[i][j].terms:
-                    want = k + unf.u_degree(exp) + d[j] - d[i] == 0
+                    want = k + u_degree(unf, exp) + d[j] - d[i] == 0
                     assert on_grade(k, i, j, exp) == want
                     seen += want
     assert seen > 10
@@ -277,13 +278,13 @@ def test_build_unfolding_multiplies_nothing(monkeypatch, e12, elliptic):
                                            ("p1", 4, None)])
 def test_exp_powers_are_the_powers_of_f_diff(request, name, N, mask):
     # (F-f)^k / k! as one MPoly in the z-variables and u, F - f being
-    # sum_l psi_l(u_l) phi_l, against the ring-valued table, which builds
-    # F - f on its first call
+    # sum_l psi_l(u_l) phi_l with psi_l from the override callables, against
+    # the ring-valued table, which builds F - f on its first call
     unf = _window_unfolding(request, name, N, mask)
     base, nu = unf.base, unf.nu
     names = base.variables + tuple(unf.u_names)
     f_diff = MPoly(names, {}, unf.laurent)
-    for j, coeff in zip(unf.indices, unf.coeffs):
+    for j, coeff in zip(unf.indices, _psi(unf, _window_overrides(name))):
         f_diff = f_diff + MPoly(names, {
             e + u: c * v for e, c in base.basis[j].terms.items()
             for u, v in coeff.terms.items()}, unf.laurent)
@@ -330,18 +331,41 @@ EXPONENTIATED = {"elliptic-exp": ("elliptic", 8),
                  "e6_cusp-exp": ("e6_cusp", 3)}
 
 
-def _window_unfolding(request, name, N, mask):
+def _exp_minus_one(u):
+    return exp_series(u) - 1
+
+
+def _window_overrides(name):
+    """The overrides of a window case: the exponentiated direction of the
+    P^1 mirror (index 2) or of EXPONENTIATED, else None."""
     if name == "p1":
-        # the P^1 mirror with its exponentiated second direction
-        return build_unfolding(P1MirrorData(2), N, u_names=["u0", "u1"],
-                               overrides={2: lambda u: exp_series(u) - 1})
+        return {2: _exp_minus_one}
     if name in EXPONENTIATED:
-        fixture, index = EXPONENTIATED[name]
-        return build_unfolding(request.getfixturevalue(fixture), N, mask=mask,
-                               overrides={index: lambda u: exp_series(u) - 1})
+        return {EXPONENTIATED[name][1]: _exp_minus_one}
+    return None
+
+
+def _window_unfolding(request, name, N, mask):
+    overrides = _window_overrides(name)
+    if name == "p1":
+        return build_unfolding(P1MirrorData(2), N, u_names=["u0", "u1"],
+                               overrides=overrides)
+    fixture = EXPONENTIATED[name][0] if name in EXPONENTIATED else name
     data = make_a(name) if isinstance(name, int) else \
-        request.getfixturevalue(name)
-    return build_unfolding(data, N, mask=mask)
+        request.getfixturevalue(fixture)
+    return build_unfolding(data, N, mask=mask, overrides=overrides)
+
+
+def _psi(unf, overrides):
+    """psi_l(u_l) per direction as a ring element, read from the override
+    callables themselves: fn(u_l), or u_l where there is none."""
+    out = []
+    for pos, j in enumerate(unf.indices):
+        u = UnfoldRingElem(unf.nu, unf.N, {
+            tuple(int(i == pos) for i in range(unf.nu)): 1})
+        fn = (overrides or {}).get(j + 1)
+        out.append(u if fn is None else fn(u))
+    return out
 
 
 @pytest.mark.parametrize("name, N, mask, c", WINDOW_CASES)
@@ -459,6 +483,57 @@ def test_override_with_a_constant_term_is_rejected(e6_cusp):
     assert issubclass(InvalidOverride, ValueError)
 
 
+@pytest.mark.parametrize("mask, overrides, message", [
+    ([1], {2: _exp_minus_one}, "override index 2 is not in the mask"),
+    ([1], {2: None}, "override index 2 is not in the mask"),
+    ([1], {1: None, 7: None}, r"override index 7 out of range 1\.\.2"),
+    (None, {0: _exp_minus_one}, r"override index 0 out of range 1\.\.2")])
+def test_override_of_no_parameter_is_rejected(p1_q2, mask, overrides,
+                                              message):
+    # an override is looked up only for the directions that carry a
+    # parameter: one anywhere else used to be ignored without a word
+    with pytest.raises(ValueError, match=message):
+        build_unfolding(p1_q2, 4, mask=mask, overrides=overrides)
+
+
+def test_build_unfolding_builds_no_ring_element(monkeypatch, e12, elliptic):
+    # each direction is kept as its series {power: Fraction}
+    def refuse(*args, **kwargs):
+        raise AssertionError("ring element built")
+
+    monkeypatch.setattr(unfolding, "UnfoldRingElem", refuse)
+    for unf in (build_unfolding(e12, 6), build_unfolding(elliptic, 6),
+                build_unfolding(elliptic, 6, mask=[8])):
+        assert unf.series == [{1: 1}] * unf.nu
+        assert not unf.override
+
+
+@pytest.mark.parametrize("name, N, mask, index, c", [
+    ("e12", 6, None, 3, None),
+    ("elliptic", 6, [8], 8, {(8, 1): Fraction(1)})])
+def test_identity_override_is_no_override(request, monkeypatch, name, N,
+                                          mask, index, c):
+    # an override that returns u itself leaves psi = u: the same records,
+    # term by term in the same order, and the same graded cut, so the
+    # same reductions
+    data = request.getfixturevalue(name)
+    reduce, runs = unfolding.Projector._reduce, []
+
+    def counting(self, P, t0, h):
+        calls.append(None)
+        return reduce(self, P, t0, h)
+
+    monkeypatch.setattr(unfolding.Projector, "_reduce", counting)
+    for overrides in (None, {index: lambda u: u}):
+        unf = build_unfolding(data, N, mask=mask, overrides=overrides)
+        assert not unf.override and grading(unf) is not None
+        calls = []
+        records = primitive_form(unf, c=c).records()
+        runs.append(([(q, j, list(e.terms.items())) for q, j, e in records],
+                     len(calls)))
+    assert runs[0] == runs[1]
+
+
 def test_cross_variable_override_is_rejected(e6_cusp):
     u1 = UnfoldRingElem(e6_cusp.mu, 3, {(1,) + (0,) * 5: 1})
     with pytest.raises(InvalidOverride,
@@ -511,11 +586,13 @@ def test_q_of_a_linear_coefficient_is_a_power(e6_cusp):
                 phi_t ** n * Fraction(1, math.factorial(n))
 
 
-def _closed_q(unf, l):
+def _closed_q(unf, l, overrides):
     """Q_{l,0..N} read off the closed series e^(psi phi/t) = sum_j
     psi^j (phi/t)^j / j!, with no recurrence: the u_l^n coefficient of
-    psi^j in the truncated ring times (phi_l/t)^j / j!, summed over j."""
+    psi^j in the truncated ring times (phi_l/t)^j / j!, summed over j;
+    psi = psi_l from the override callables (see _psi)."""
     out = [{} for _ in range(unf.N + 1)]
+    psi = _psi(unf, overrides)[l]
     power = unf.ring_one()
     for j in range(unf.N + 1):
         phi_j = unf.phis[l] ** j * Fraction(1, math.factorial(j))
@@ -523,7 +600,7 @@ def _closed_q(unf, l):
             slot = out[exp[l]]
             for e, v in phi_j.terms.items():
                 slot[e] = slot.get(e, 0) + c * v
-        power = power * unf.coeffs[l]
+        power = power * psi
     return [{e: c for e, c in slot.items() if c} for slot in out]
 
 
@@ -531,13 +608,14 @@ def test_q_of_an_override_is_its_exponential_series(p1_q2):
     # psi = e^u - 1 on the P^1 mirror at N = 20: Q_{2,n} is the u^n
     # coefficient of e^(psi phi_2 / t), a Laurent MPoly; phi_2 = 2/z
     N = 20
+    overrides = {2: _exp_minus_one}
     unf = build_unfolding(p1_q2, N, u_names=["u0", "u1"],
-                          overrides={2: lambda u: exp_series(u) - 1})
+                          overrides=overrides)
     qs = [unf.q(1, n) for n in range(N + 1)]
     assert all(q.laurent for q in qs)
     assert qs[1].terms == {(-1, 1): 2}
     assert qs[2].terms == {(-1, 1): 1, (-2, 2): 2}
-    assert [q.terms for q in qs] == _closed_q(unf, 1)
+    assert [q.terms for q in qs] == _closed_q(unf, 1, overrides)
 
 
 def _mixed_override(u):
@@ -550,20 +628,20 @@ def test_q_of_an_override_with_mixed_denominators(case):
     # coefficient: the integer recurrence runs over the lcm of all their
     # denominators, and every Q_{l,n} is its closed series in lowest terms
     if case.startswith("p1"):
+        overrides = {2: _mixed_override}
         unf = build_unfolding(P1MirrorData(Fraction(3, 4)), 20,
-                              u_names=["u0", "u1"],
-                              overrides={2: _mixed_override})
+                              u_names=["u0", "u1"], overrides=overrides)
         l = 1
     else:
         # phi_12 = y^4 + x^3 y / 2, two terms
         data = analyze_oracle_case(ORACLE_ZOO[-1])
-        unf = build_unfolding(data, 8, mask=[12],
-                              overrides={12: _mixed_override})
+        overrides = {12: _mixed_override}
+        unf = build_unfolding(data, 8, mask=[12], overrides=overrides)
         l = 0
     phi = unf.phis[l].terms
     assert any(c.denominator > 1 for c in phi.values())
     qs = [unf.q(l, n) for n in range(unf.N + 1)]
-    assert [q.terms for q in qs] == _closed_q(unf, l)
+    assert [q.terms for q in qs] == _closed_q(unf, l, overrides)
     assert all(type(c) is Fraction for q in qs for c in q.terms.values())
     assert unf.q_ints[l][0] == 21 * math.lcm(*(c.denominator
                                                 for c in phi.values()))
