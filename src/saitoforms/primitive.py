@@ -163,10 +163,12 @@ def solve_primitive(unf, filtration):
 
     Once the part zeta^(d') is final, one run of the Projector takes it
     through every alpha with 1 <= |alpha| <= N - d' and adds its
-    products to the pending degree d' + |alpha|. A product term that a
-    part repeats from an earlier part is keyed by its (t-power, Phi_j,
-    term of Phi_j), so its reduced sums are kept and the parts after it
-    only spread them. The Q_{l,n} that the runs build stay on the
+    products to the pending degree d' + |alpha|. The product terms of
+    Phi_1 in the zeroth part, and those of a slot t^k Phi_j that a part
+    repeats from an earlier part, are keyed by their (t-power, Phi_j,
+    term of Phi_j): the first walk of a key leaves its walk record, and
+    the later parts replay it, spreading its reduced sums with no walk
+    and no reduction. The Q_{l,n} that the runs build stay on the
     unfolding, so a verify_primitive after the solve builds none again.
     Each term t^k u^gamma Phi_j is checked where it is placed: k <= a
     and, without overrides, k + d_j + deg(u^gamma) = 0.
@@ -191,14 +193,14 @@ def solve_primitive(unf, filtration):
                 if d:
                     poly = {gamma: -c for gamma, c in poly.items()}
                 _check_term(k, j, poly, a, on_grade)
-                # a term in one part only, as on the P^1 mirror, keeps
-                # nothing
-                repeat = (k, j) in collected
+                # Phi_1 of the zeroth part and a slot that an earlier part
+                # had are keyed; a slot in one part only keeps no record
+                keyed = not d or (k, j) in collected
                 collected.setdefault((k, j), {}).update(poly)
                 for n, (t0, h) in uppers[j]:
                     terms.append(projector.product_term(
                         k + t0, h, poly, sink,
-                        (k, j, n) if repeat else None))
+                        (k, j, n) if keyed else None))
         projector.run(terms)
     zero = unf.ring_zero()
     zeta = ReducedClass(mu)

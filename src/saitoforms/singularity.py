@@ -58,13 +58,14 @@ class SingularityData:
     weights' common denominator; scaled, den times each degree d_i; top,
     den times s), basis_inv (per standard monomial, the nonzero (i, value)
     entries of its row: its coordinates in the basis, inverted one degree
-    slice at a time), residue_scale, and mono_cache, the Brieskorn-lattice
+    slice at a time), residue_scale, mono_cache, the Brieskorn-lattice
     reductions of every monomial a reduction has visited, as
     ReducedClasses of sparse rows: the one store of reductions, which
     every reader (residues, pairings, the oscillating projection)
-    shares. The cached reductions hold coordinates in the installed
-    basis, so installing a basis empties the cache; it also sets the
-    grading anew.
+    shares, and eta, the residue pairing of the basis as sparse rows
+    once a reader has asked for it (see eta_rows). The cached
+    reductions and eta hold coordinates in the installed basis, so
+    installing a basis empties both; it also sets the grading anew.
     """
 
     mode = "poly"
@@ -157,6 +158,7 @@ class SingularityData:
                 self.basis_inv[m] = [(elems[r], v) for r, v in enumerate(row)
                                      if v]
         self.mono_cache = {}
+        self.eta = None
         self.top = top = self.s.numerator * (ws.den // self.s.denominator)
         for i in range(self.mu):
             if scaled[i] + scaled[self.mu - 1 - i] != top:
@@ -174,6 +176,12 @@ class SingularityData:
         if not coords[-1]:
             raise DegeneratePairing("Hessian reduces to zero; pairing degenerate")
         self.residue_scale = Fraction(self.mu) / coords[-1]
+
+    def t_bound(self, exp):
+        """The largest t-power of reduce_monomial(exp): a reduced term
+        t^k phi_j of z^exp has k + d_j = deg(z^exp) and d_j >= 0, so k is
+        at most the floor of deg(z^exp)."""
+        return self.weights.scaled_degree(exp) // self.den
 
     # -- residues ------------------------------------------------------
 
@@ -236,6 +244,18 @@ class P1MirrorData:
         self.mono_cache = {
             (0,): ReducedClass(2, {0: {0: Fraction(1)}}),
             (-1,): ReducedClass(2, {0: {1: 1 / q}})}
+        self.eta = None
+
+    def t_bound(self, exp):
+        """The largest t-power of reduce_monomial(exp), max(0, |e| - 1)
+        for exp = (e,), by induction on |e| over the two rules of
+        brieskorn._fill_laurent. [1] and [1/z] have t^0 only. For e >= 1,
+        [z^e] = q [z^(e-2)] + (1 - e) t [z^(e-1)], whose t-term vanishes
+        at e = 1; for e = -m <= -2, [z^e] = (1/q) [z^(2-m)] +
+        ((1 - m)/q) t [z^(1-m)]. Each rule lowers |e| by 2 and adds no t,
+        or lowers it by 1 and adds one t, so for |e| >= 2 the t-powers
+        are at most max(|e| - 3, 0, 1 + |e| - 2) = |e| - 1."""
+        return max(0, abs(exp[0]) - 1)
 
     def residue_pairing_matrix(self):
         """The pairing of the basis {1, q/z}: K(1, q/z) = -1, and the
@@ -344,9 +364,13 @@ def K(data, pairs, t_order):
 
 def eta_rows(data):
     """K on the basis, eta_ij = K(phi_i, phi_j), as one sparse row
-    {j: eta_ij} of nonzero entries per 0-based i."""
-    return [{j: x for j, x in enumerate(row) if x}
-            for row in data.residue_pairing_matrix()]
+    {j: eta_ij} of nonzero entries per 0-based i: data.eta, built from
+    the residue pairing matrix on the first call after a basis is
+    installed and shared by every later reader."""
+    if data.eta is None:
+        data.eta = [{j: x for j, x in enumerate(row) if x}
+                    for row in data.residue_pairing_matrix()]
+    return data.eta
 
 
 def pairing_univariate(a, b, t_order, m=None, q=None):

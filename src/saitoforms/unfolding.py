@@ -31,9 +31,14 @@ with t shifted by -a0 and divided by a0!.
 
 With a floor on the t-powers two cuts keep the work to what lands at or
 above it: a cut on the reduced t-powers of each product and, without
-overrides, an exact cut on alpha itself from the grading. A Projector
-holds this setup, so that the order-by-order solve of the primitive
-form can run it once per u-degree (see Projector).
+overrides, an exact cut on alpha itself from the grading. Where that
+graded cut does not hold (the Laurent model, overrides) each model's
+per-monomial t-power bound, t_bound, skips the monomials whose
+reductions stay below the floor. A Projector holds this setup and the
+walk record of each keyed product term, so that the order-by-order
+solve of the primitive form runs it once per u-degree and a term that
+recurs from an earlier part replays its reduced sums instead of
+walking and reducing again (see Projector).
 """
 
 import math
@@ -325,6 +330,8 @@ def build_unfolding(base, N, mask=None, overrides=None, u_names=None):
     if mask is None:
         indices = list(range(mu))
     else:
+        for i in mask:
+            _check_index("mask entry", i)
         indices = sorted(i - 1 for i in mask)
         for i in indices:
             if not 0 <= i < mu:
@@ -340,6 +347,7 @@ def build_unfolding(base, N, mask=None, overrides=None, u_names=None):
                          % (len(indices), len(u_names)))
     overrides = overrides or {}
     for index in overrides:
+        _check_index("override key", index)
         if not 1 <= index <= mu:
             raise ValueError("override index %d out of range 1..%d"
                              % (index, mu))
@@ -355,6 +363,14 @@ def build_unfolding(base, N, mask=None, overrides=None, u_names=None):
                                                for i in range(nu)): 1})
             series[pos] = _override_series(fn(var), var, j + 1, pos)
     return UnfoldingData(base, N, indices, u_names, series)
+
+
+def _check_index(what, index):
+    """A 1-based basis index given to build_unfolding must be an int;
+    a bool is rejected too, as it is for N."""
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise ValueError("%s %r is not an integer basis index"
+                         % (what, index))
 
 
 def _override_series(value, var, index, pos):
@@ -499,16 +515,17 @@ def oscillating_projection(unf, classes, filtration, floor=None):
 class Projector:
     """The oscillating projection of product terms for one unfolding,
     opposite filtration and floor: the setup its callers share (the cuts
-    and the memo of keyed product terms) and the one reduce-and-accumulate
-    kernel. The Q_{l,n} belong to the unfolding (see UnfoldingData.q),
-    so every Projector of one unfolding reads one table. It builds no
-    ring element: rows returns a sink as {k: {j: {gamma: Fraction}}}.
+    and the walk records of keyed product terms) and the one
+    reduce-and-spread kernel. The Q_{l,n} belong to the unfolding (see
+    UnfoldingData.q), so every Projector of one unfolding reads one
+    table. It builds no ring element: rows returns a sink as
+    {k: {j: {gamma: Fraction}}}.
 
     P_alpha, the Q_{l,n} and the h of each product term are MPolys over
     the z-variables and 1/t, the last exponent counting powers of 1/t
     (Laurent MPolys in Laurent mode). The work runs in u-monomial order
-    (see the module docstring). A run visits each alpha with no power of
-    the constant direction c (unf.constant) once, depth-first over
+    (see the module docstring). A walk visits each alpha with no power
+    of the constant direction c (unf.constant) once, depth-first over
     non-decreasing index sequences of the other directions, and takes
     P_alpha when the search reaches alpha: Q_{l,alpha_l} itself when
     alpha lies on one variable, otherwise P at alpha without its last
@@ -522,9 +539,18 @@ class Projector:
     with |alpha| + a0 + |beta| <= N into the u^(alpha+a0 e_c+beta)
     slots of sink[|alpha| + a0], multiplied by r_beta unless it is 1. No
     Q_{c,n}, product or reduction is formed for a0 > 0, and without a
-    constant direction only a0 = 0 is taken. A product term given a key
-    keeps its sum per alpha, at a0 = 0, for the Projector's lifetime, so
-    a later run that meets the term again only spreads it.
+    constant direction only a0 = 0 is taken.
+
+    A product term given a key leaves, on its first walk, the walk
+    record of that key: (alpha, |alpha|, top, sums) for each alpha whose
+    reduced sums are nonempty, in walk order, kept for the Projector's
+    lifetime. A later term with that key does not walk: it replays the
+    record, a flat loop that applies the term's own tests to each entry
+    and spreads the kept sums, with no P_alpha and no reduction. So a
+    key stands for the term's t0 and h, and its later terms may ask for
+    no alpha that the first walk passed over: their least |beta| is
+    larger, so the record leaves out the alphas of the deepest size
+    N - least, and their sink[0] is None, as in the order-by-order solve.
 
     With a floor, coords_to_upper lifts a t-power by at most
     filtration.lift in both modes, so reduced t-powers below floor -
@@ -542,7 +568,11 @@ class Projector:
     (den when scaled): the a0 of a term stop at the first that falls
     below its cut, as they stop at |alpha| + a0 + least > N, least the
     smallest |beta|, and a shifted sum drops the t-powers below
-    floor - lift.
+    floor - lift. A run with a floor but without this graded cut (Laurent
+    mode, or overrides) reads the model's per-monomial bound instead,
+    base.t_bound: a term c z^e t^-m of P_alpha h is not reduced for
+    t^t0 when t0 - m + t_bound(e) < floor - lift, since its reduction
+    then lies wholly below. No subtree is pruned by this bound.
     """
 
     def __init__(self, unf, filtration, floor=None):
@@ -552,17 +582,21 @@ class Projector:
         self.graded = floor is not None and not unf.laurent and \
             not unf.override
         self.skip = -math.inf if floor is None else floor - filtration.lift
+        # the per-monomial t-power bound, on runs with a floor and no
+        # graded cut
+        self.bound = None if floor is None or self.graded else \
+            unf.base.t_bound
         # one more u_l lowers the scaled degree of P_alpha by scaled_u[l]:
         # it rises by at most climb, so no alpha below a pruned one passes
         self.climb = max(0, -min(unf.scaled_u, default=0))
-        self.memo = {}
+        self.records = {}     # key -> [(alpha, size, top, sums)]
 
     def product_term(self, t0, h, coeffs, sink, key=None):
         """The product term t^t0 * (sum_beta r_beta u^beta) * h, h and
         coeffs given as {exponent: Fraction}. Its u^(alpha+beta) parts go
         to sink[|alpha|], a (k, j) -> {gamma: Fraction} dict in phi
-        coordinates, or nowhere where that is None. A key memoizes its
-        reduced sum per alpha."""
+        coordinates, or nowhere where that is None. A key names its walk
+        record (see Projector)."""
         # the smallest scaled deg(e) - m of a P_alpha term to keep
         base = self.unf.base
         cut = (self.floor - t0) * base.den - \
@@ -579,12 +613,32 @@ class Projector:
         return (t0, h, spread, spread[0][0], cut, sink, key)
 
     def run(self, terms):
-        """Add the projections of the product terms to their sinks."""
-        if not terms:
-            return
-        unf, memo, skip = self.unf, self.memo, self.skip
-        N, one, c0 = unf.N, unf.one, unf.constant
-        den, graded = unf.base.den, self.graded
+        """Add the projections of the product terms to their sinks: a
+        term whose key has a walk record replays it, and the others walk
+        together, a keyed one leaving its record."""
+        records = self.records
+        walk, replay = [], []
+        for term in terms:
+            key = term[6]
+            if key is None:
+                walk.append(term)
+            elif key in records:
+                replay.append(term)
+            else:
+                records[key] = record = []
+                walk.append(term[:6] + (record,))
+        if walk:
+            self._walk(walk)
+        for term in replay:
+            self._replay(term, records[term[6]])
+
+    def _walk(self, terms):
+        """One search over alpha for terms (t0, h, spread, least, cut,
+        sink, record), record None or the list that the term's nonempty
+        sums are appended to."""
+        unf, N, c0 = self.unf, self.unf.N, self.unf.constant
+        one, den, graded = unf.one, unf.base.den, self.graded
+        reduce, spread_out = self._reduce, self._spread
         depth = N - min(term[3] for term in terms)
         lowest = min(term[4] for term in terms)
         # depth first over alpha as non-decreasing index sequences of the
@@ -606,7 +660,7 @@ class Projector:
             # whether some term may take a power a0 > 0 of the constant
             # direction: each one more lowers the degree of P_alpha by den
             shifts = c0 is not None and not (graded and top - den < lowest)
-            for t0, h, spread, least, cut, sink, key in terms:
+            for t0, h, spread, least, cut, sink, record in terms:
                 if size + least > N or top < cut:
                     continue
                 room = 0
@@ -617,39 +671,13 @@ class Projector:
                 slots = sink[size]
                 if slots is None and not room:
                     continue
-                if key is None:
-                    local = self._reduce(P, t0, h)
-                else:
-                    local = memo.get((alpha, key))
-                    if local is None:
-                        local = memo[(alpha, key)] = self._reduce(P, t0, h)
-                a0, gamma0 = 0, alpha
-                while local:
-                    if slots is not None:
-                        limit = N - size - a0
-                        for bsize, beta, b in spread:
-                            if bsize > limit:
-                                break
-                            gamma = tuple(map(add, gamma0, beta))
-                            for slot_key, c in local.items():
-                                if b is not None:
-                                    c *= b
-                                slot = slots.get(slot_key)
-                                if slot is None:
-                                    slots[slot_key] = {gamma: c}
-                                else:
-                                    prior = slot.get(gamma)
-                                    slot[gamma] = c if prior is None \
-                                        else prior + c
-                    if a0 == room:
-                        break
-                    # one more u of the constant direction: e^(u/t) shifts
-                    # t by -1 and divides by the new a0
-                    a0 += 1
-                    slots = sink[size + a0]
-                    local = {(k - 1, j): c / a0 for (k, j), c in local.items()
-                             if k > skip}
-                    gamma0 = alpha[:c0] + (a0,) + alpha[c0 + 1:]
+                local = reduce(P, t0, h)
+                if local:
+                    # a later term of the key has a larger least, so it
+                    # replays no alpha of the deepest size
+                    if record is not None and size + least < N:
+                        record.append((alpha, size, top, local))
+                    spread_out(local, alpha, size, room, sink, spread)
             if size < depth:
                 for l in range(last, unf.nu):
                     # P at alpha + e_l is P at alpha without its u_l part
@@ -661,16 +689,73 @@ class Projector:
                                       top - unf.scaled_u[l],
                                       prefix if l == last else P))
 
+    def _replay(self, term, record):
+        """Spread the sums of a walk record for a term with its key, with
+        the walk's tests of that term."""
+        _, _, spread, least, cut, sink, _ = term
+        N, c0 = self.unf.N, self.unf.constant
+        den, graded = self.unf.base.den, self.graded
+        spread_out = self._spread
+        for alpha, size, top, local in record:
+            if size + least > N or top < cut:
+                continue
+            room = 0
+            if c0 is not None:
+                room = N - size - least
+                if graded:
+                    room = min(room, (top - cut) // den)
+            if sink[size] is None and not room:
+                continue
+            spread_out(local, alpha, size, room, sink, spread)
+
+    def _spread(self, local, alpha, size, room, sink, spread):
+        """Add the reduced sums local at alpha, and for a0 = 1..room their
+        shifts to alpha + a0 e_c, over the u-monomials of spread to
+        sink[size + a0], where that is not None."""
+        a0, gamma0, limit = 0, alpha, self.unf.N - size
+        while local:
+            slots = sink[size + a0]
+            if slots is not None:
+                for bsize, beta, b in spread:
+                    if bsize > limit:
+                        break
+                    gamma = tuple(map(add, gamma0, beta))
+                    for slot_key, c in local.items():
+                        if b is not None:
+                            c *= b
+                        slot = slots.get(slot_key)
+                        if slot is None:
+                            slots[slot_key] = {gamma: c}
+                        else:
+                            prior = slot.get(gamma)
+                            slot[gamma] = c if prior is None \
+                                else prior + c
+            if a0 == room:
+                break
+            # one more u of the constant direction: e^(u/t) shifts t by
+            # -1 and divides by the new a0
+            a0 += 1
+            limit -= 1
+            skip, c0 = self.skip, self.unf.constant
+            local = {(k - 1, j): c / a0 for (k, j), c in local.items()
+                     if k > skip}
+            gamma0 = alpha[:c0] + (a0,) + alpha[c0 + 1:]
+
     def _reduce(self, P, t0, h):
         """[t^t0 P h] as Fraction sums {(k, j): c} over the t-powers
         k >= floor - lift, through the monomial cache, with no product
         when P or h is the constant 1: a term c z^e t^(-m) of P h adds c
-        times the reduction of z^e, shifted by t^(t0 - m)."""
-        base, skip = self.unf.base, self.skip
+        times the reduction of z^e, shifted by t^(t0 - m). With a bound,
+        a term is not reduced when t0 - m + t_bound(z^e) < floor - lift."""
+        base, skip, bound = self.unf.base, self.skip, self.bound
         one = self.unf.one
         product = P if h is one else h if P is one else P * h
+        terms = product.terms.items()
+        if bound is not None:
+            terms = [(e, c) for e, c in terms
+                     if t0 - e[-1] + bound(e[:-1]) >= skip]
         local = {}
-        for e, c in product.terms.items():
+        for e, c in terms:
             shift = t0 - e[-1]
             for k, row in reduce_monomial(base, e[:-1]).rows.items():
                 k += shift

@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from saitoforms import linalg
+from saitoforms import linalg, unfolding
 from saitoforms.brieskorn import ReducedClass, reduce_monomial
 from saitoforms.groebner import divide
 from saitoforms.mpoly import MPoly
@@ -223,6 +224,28 @@ def count_products(monkeypatch):
 
     monkeypatch.setattr(MPoly, "__mul__", counting)
     return calls
+
+
+def count_reductions(monkeypatch):
+    """Records of the projection's reductions until the monkeypatch is
+    undone: .reduced gains the P of each Projector._reduce call, and
+    .monomials the exponent of each reduce_monomial call the projection
+    makes."""
+    seen = SimpleNamespace(reduced=[], monomials=[])
+    reduce, reduce_mono = unfolding.Projector._reduce, \
+        unfolding.reduce_monomial
+
+    def reducing(self, P, t0, h):
+        seen.reduced.append(P)
+        return reduce(self, P, t0, h)
+
+    def reducing_monomial(base, exp):
+        seen.monomials.append(exp)
+        return reduce_mono(base, exp)
+
+    monkeypatch.setattr(unfolding.Projector, "_reduce", reducing)
+    monkeypatch.setattr(unfolding, "reduce_monomial", reducing_monomial)
+    return seen
 
 
 # --- the oscillating projection in ring order -------------------------

@@ -17,8 +17,9 @@ from saitoforms.unfolding import (
 )
 
 from conftest import (
-    analyze_oracle_case, count_products, elliptic_g, elliptic_h, make_a,
-    ring_order_projection, series_reciprocal, series_sub,
+    ORACLE_ZOO, analyze_oracle_case, count_products, count_reductions,
+    elliptic_g, elliptic_h, make_a, ring_order_projection,
+    series_reciprocal, series_sub,
 )
 
 # mu = 16, degrees (a + b)/5 for x^a y^b; phi_15 and phi_16 have degrees
@@ -338,14 +339,7 @@ def test_p1_constant_direction_is_a_t_shift(monkeypatch, p1_q2):
     # with the Q_{2,n} from the integer recurrence, no MPoly product made
     unf = build_unfolding(p1_q2, 20, u_names=["u0", "u1"],
                           overrides={2: lambda u: exp_series(u) - 1})
-    reduced = []
-    reduce = unfolding.Projector._reduce
-
-    def recording(self, P, t0, h):
-        reduced.append(P)
-        return reduce(self, P, t0, h)
-
-    monkeypatch.setattr(unfolding.Projector, "_reduce", recording)
+    reduced = count_reductions(monkeypatch).reduced
     calls = count_products(monkeypatch)
     pf = primitive_form(unf)
     assert verify_primitive(unf, pf)
@@ -421,6 +415,87 @@ def test_order_by_order_solve_matches_oscillator_solve(case, N, mask, c):
     osc = oscillator_matrices(unf, c=c)
     assert pf.records() == primitive_form(unf, c, osc=osc).records()
     assert verify_primitive(unf, pf, c=c)
+
+
+@pytest.mark.parametrize("c", [None, {(8, 1): Fraction(1)}],
+                         ids=["c0", "c81=1"])
+def test_socle_solve_reduces_each_alpha_once(monkeypatch, elliptic, c):
+    # the walk record of Phi_1 from the zeroth part serves every later
+    # part, so the solve reduces each of the N alphas once, where walking
+    # each part from its root reduced 117 (c0) and 119 (c81=1) times
+    unf = build_unfolding(elliptic, 60, mask=[8])
+    seen = count_reductions(monkeypatch)
+    primitive_form(unf, c=c)
+    assert 0 < len(seen.reduced) <= 61
+
+
+def test_p1_solve_and_verify_reduce_one_monomial(monkeypatch):
+    # the Laurent t-power bound leaves every reduced term of Q_{2,n}
+    # below the floor, so only [1] is reduced and the classes of
+    # z^-2 .. z^-20 are never filled
+    data = P1MirrorData(2)
+    unf = build_unfolding(data, 20, u_names=["u0", "u1"],
+                          overrides={2: lambda u: exp_series(u) - 1})
+    seen = count_reductions(monkeypatch)
+    pf = primitive_form(unf)
+    assert len(seen.monomials) <= 1
+    seen.monomials.clear()
+    assert verify_primitive(unf, pf)
+    assert len(seen.monomials) <= 1
+    assert len(data.mono_cache) == 2
+
+
+class _Forgetful(dict):
+    """A walk-record store that keeps nothing, so every keyed term walks."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _walk_only(monkeypatch):
+    init = unfolding.Projector.__init__
+
+    def forgetting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.records = _Forgetful()
+
+    monkeypatch.setattr(unfolding.Projector, "__init__", forgetting)
+
+
+def _replay_against_walk(monkeypatch, unf, c):
+    """The records of the solve with replays, and with every walk record
+    discarded, with the number of reductions of each."""
+    runs = []
+    for forget in (False, True):
+        with monkeypatch.context() as m:
+            if forget:
+                _walk_only(m)
+            seen = count_reductions(m)
+            records = primitive_form(unf, c=c).records()
+        runs.append(([(q, j, dict(e.terms)) for q, j, e in records],
+                     len(seen.reduced)))
+    return runs
+
+
+@pytest.mark.parametrize("case", ORACLE_ZOO, ids=[c[0] for c in ORACLE_ZOO])
+def test_replay_matches_walk_on_full_unfoldings(monkeypatch, case):
+    unf = build_unfolding(analyze_oracle_case(case), 4)
+    (replayed, fewer), (walked, more) = _replay_against_walk(
+        monkeypatch, unf, None)
+    assert replayed == walked
+    assert fewer <= more
+
+
+@pytest.mark.parametrize("case, N, mask, c", TWO_SOLVE_CASES)
+def test_replay_matches_walk(monkeypatch, case, N, mask, c):
+    unf = build_unfolding(analyze_oracle_case(case), N, mask=mask)
+    (replayed, fewer), (walked, more) = _replay_against_walk(
+        monkeypatch, unf, c)
+    assert replayed == walked
+    assert fewer <= more
+    if mask:
+        # on the socle direction Phi_1 recurs in every part
+        assert fewer < more
 
 
 def test_order_by_order_solve_builds_no_oscillator_matrices(

@@ -12,11 +12,13 @@ from conftest import (ORACLE_ZOO, analyze_oracle_case, coords,
 from saitoforms import linalg, singularity
 from saitoforms.mpoly import MPoly
 from saitoforms.parsing import parse_poly
+from saitoforms.primitive import primitive_form, verify_primitive
 from saitoforms.singularity import (
-    DegeneratePairing, EulerIdentityViolated, NonIsolatedSingularity,
-    P1MirrorData, SingularityData, _hyperbolic_reduce, analyze, hessian_det,
-    orthogonalize_basis, validate,
+    K, DegeneratePairing, EulerIdentityViolated, NonIsolatedSingularity,
+    P1MirrorData, SingularityData, _hyperbolic_reduce, analyze, eta_rows,
+    hessian_det, orthogonalize_basis, validate,
 )
+from saitoforms.unfolding import build_unfolding
 
 
 def _xy():
@@ -301,6 +303,43 @@ def test_orthogonalize_catches_one_wrong_pairing(monkeypatch, case, changed,
     monkeypatch.setattr(SingularityData, "pairing", one_wrong_entry)
     with pytest.raises(DegeneratePairing, match=re.escape(message)):
         analyze_oracle_case(case)
+
+
+def test_eta_is_built_once_for_a_solve_and_its_verify(monkeypatch):
+    # good_filtration checks c against eta in the solve and again in the
+    # verify, and K reads eta as well: all share the copy on the data
+    data = analyze_oracle_case(ORACLE_ZOO[4])
+    calls = []
+    matrix = SingularityData.residue_pairing_matrix
+
+    def counting(self):
+        calls.append(None)
+        return matrix(self)
+
+    monkeypatch.setattr(SingularityData, "residue_pairing_matrix", counting)
+    unf = build_unfolding(data, 6, mask=[8])
+    c = {(8, 1): Fraction(1)}
+    assert verify_primitive(unf, primitive_form(unf, c=c), c=c)
+    assert len(calls) == 1
+    one = MPoly.constant(data.variables, 1)
+    K(data, [(one, data.basis[-1])], 2)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("case", [
+    ("x^3 + y^3 + z^3 + x*y*z", ("x", "y", "z"), ["1/3"] * 3),
+    ("x^6 + y^6 + x^3*y^3", ("x", "y"), ["1/6"] * 2)], ids=lambda c: c[0])
+def test_eta_follows_an_installed_basis(case):
+    # eta read on the monomial basis is not kept once orthogonalize_basis
+    # installs a changed one
+    data = analyze_oracle_case(case, orthogonalize=False)
+    monomial = eta_rows(data)
+    basis = data.basis
+    orthogonalize_basis(data)
+    assert data.basis != basis
+    fresh = [{j: x for j, x in enumerate(row) if x}
+             for row in data.residue_pairing_matrix()]
+    assert eta_rows(data) == fresh != monomial
 
 
 @pytest.mark.parametrize("case", ORACLE_ZOO, ids=[c[0] for c in ORACLE_ZOO])

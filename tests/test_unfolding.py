@@ -20,8 +20,8 @@ from saitoforms.unfolding import (
 
 from conftest import (
     ORACLE_ZOO, QUARTIC_FOURFOLD, analyze_oracle_case, count_products,
-    full_oscillator_family, make_a, phi_classes, ring_order_projection,
-    u_degree,
+    count_reductions, full_oscillator_family, make_a, monomials_up_to,
+    phi_classes, ring_order_projection, u_degree,
 )
 
 
@@ -653,3 +653,76 @@ def test_q_is_built_as_far_as_the_search_reaches(e12):
     unf = build_unfolding(e12, 8)
     primitive_form(unf)
     assert 0 < sum(len(qs) - 1 for qs in unf.qs) < unf.nu * unf.N
+
+
+@pytest.mark.parametrize("mask, overrides, message", [
+    (["1"], None, "mask entry '1' is not an integer basis index"),
+    ([1.0], None, "mask entry 1.0 is not an integer basis index"),
+    ([True, 2], None, "mask entry True is not an integer basis index"),
+    (None, {"2": None}, "override key '2' is not an integer basis index"),
+    (None, {True: _exp_minus_one},
+     "override key True is not an integer basis index")])
+def test_build_unfolding_rejects_a_non_int_index(p1_q2, mask, overrides,
+                                                 message):
+    # a str or float index ended in a bare TypeError, and True was read as
+    # the index 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_unfolding(p1_q2, 4, mask=mask, overrides=overrides)
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(3, 4), Fraction(-3)])
+def test_laurent_t_bound_is_sound(q):
+    # [z^e] on the P^1 mirror has t-powers at most |e| - 1, and reaches
+    # that bound: the projection may skip a monomial below it
+    data = P1MirrorData(q)
+    for e in range(-24, 25):
+        if e:
+            rows = reduce_monomial(data, (e,)).rows
+            assert max(rows) == data.t_bound((e,)) == abs(e) - 1, e
+    assert data.t_bound((0,)) == 0
+
+
+@pytest.mark.parametrize("case", ORACLE_ZOO, ids=[c[0] for c in ORACLE_ZOO])
+def test_polynomial_t_bound_is_sound(case):
+    data = analyze_oracle_case(case)
+    degree = 2 * data.s + 1
+    for exp in monomials_up_to(data, degree):
+        rows = reduce_monomial(data, exp).rows
+        assert all(k <= data.t_bound(exp) for k in rows), exp
+
+
+def _unbounded(monkeypatch):
+    # a t_bound that never lets a monomial be skipped
+    monkeypatch.setattr(P1MirrorData, "t_bound", lambda self, exp: math.inf)
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(3, 4)])
+@pytest.mark.parametrize("exponentiated", [False, True])
+def test_laurent_cut_matches_uncut_and_ring_order(monkeypatch, q,
+                                                  exponentiated):
+    # the per-monomial bound skips reductions (at the floor 0 with a
+    # trivial c), never a t-power at or above the floor; the Laurent class
+    # pairs positive and negative z-powers with ring coefficients
+    unf = build_unfolding(
+        P1MirrorData(q), 6, u_names=["u0", "u1"],
+        overrides={2: _exp_minus_one} if exponentiated else None)
+    ring = _elem(unf, {(0, 0): 1, (1, 0): 2, (0, 2): -3})
+    z = MPoly(("z",), {(3,): 1, (-2,): Fraction(1, 5), (0,): 2},
+              laurent=True)
+    skipped = 0
+    for c in (None, {(2, 1): Fraction(1)}):
+        filt = OppositeFiltration(unf.base, c)
+        classes = phi_classes(unf, filt) + [[(1, z.terms, ring)]]
+        for floor in (0, -2):
+            with monkeypatch.context() as m:
+                seen = count_reductions(m)
+                cut = oscillating_projection(unf, classes, filt, floor)
+                skipped -= len(seen.monomials)
+            with monkeypatch.context() as m:
+                _unbounded(m)
+                seen = count_reductions(m)
+                assert oscillating_projection(unf, classes, filt,
+                                              floor) == cut
+                skipped += len(seen.monomials)
+            assert cut == ring_order_projection(unf, classes, filt, floor)
+    assert skipped > 0
