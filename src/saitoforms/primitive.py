@@ -19,11 +19,12 @@ only the parts of g below degree d: Id + Psi inverts in N passes, one
 u-degree each. primitive_form(osc=...) takes this path.
 """
 
+import math
 from fractions import Fraction
 
 from .brieskorn import ReducedClass, reduce_monomial
 from .mpoly import MPoly
-from .singularity import eta_rows
+from .singularity import eta_rows, pair_classes
 from .unfolding import (GradingViolation, OppositeFiltration, Projector,
                         grading, oscillating_projection, positive_bound)
 
@@ -120,27 +121,33 @@ def good_filtration(unf, c):
 
 def positive_pairing(filtration):
     """The positive-t part of K(Phi_i, Phi_j) over all i, j as
-    {(i, j, r): value} of nonzero values, 0-based i and j, r > 0. With
-    Phi_i = sum_k M_ik t^r(i,k) phi_k, M the sparse filtration.rows, and
-    K(t^a phi_k, t^b phi_l) = t^a (-t)^b eta_kl (see singularity.K), the
-    t^r coefficient is sum M_ik M_jl (-1)^r(j,l) eta_kl over
-    r(i,k) + r(j,l) = r, in Fraction arithmetic."""
-    eta, t_power = eta_rows(filtration.base), filtration.t_power
-    columns = {}    # l -> [(j, M_jl, r(j,l))]
-    for j, row in enumerate(filtration.rows):
-        for l, m in row.items():
-            columns.setdefault(l, []).append((j, m, t_power(j, l)))
+    {(i, j, r): value} of nonzero values, 0-based i and j, r > 0: each
+    Phi_i is read as a class {t_power: {k: M_ik}} from the sparse
+    filtration.rows and t_power, and paired by singularity.pair_classes.
+
+    A slot has a positive t-power and the rest of Phi_i is phi_i at t^0,
+    so a positive term has a slot on one side and, on the other, a slot
+    too or a phi_j that eta joins to that slot (eta is symmetric). So
+    the pairs formed are those of two rows with a slot and, both ways,
+    those of a row with a slot and each phi_j that eta joins to one of
+    its slots: every other pair gives t^0 alone."""
+    eta, rows = eta_rows(filtration.base), filtration.rows
+    phis, pairs = {}, set()
+    for i, row in enumerate(rows):
+        if len(row) > 1:
+            phis[i] = {}
+            for k, m in row.items():
+                phis[i].setdefault(filtration.t_power(i, k), {})[k] = m
+                if k != i:
+                    for j in eta[k]:
+                        pairs.update(((i, j), (j, i)))
     out = {}
-    for i, row in enumerate(filtration.rows):
-        for k, m_ik in row.items():
-            r_ik = t_power(i, k)
-            for l, x in eta[k].items():
-                for j, m_jl, r_jl in columns.get(l, ()):
-                    if r_ik + r_jl > 0:
-                        key = (i, j, r_ik + r_jl)
-                        v = m_ik * m_jl * x
-                        out[key] = out.get(key, 0) + (-v if r_jl % 2 else v)
-    return {key: v for key, v in out.items() if v}
+    for i, j in pairs.union((x, y) for x in phis for y in phis):
+        a, b = (phis.get(x, {0: rows[x]}) for x in (i, j))
+        for r, v in pair_classes(eta, a, b, math.inf).items():
+            if r > 0:
+                out[(i, j, r)] = v
+    return out
 
 
 def primitive_form(unf, c=None, osc=None):

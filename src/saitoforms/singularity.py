@@ -340,26 +340,35 @@ def orthogonalize_basis(data):
 def K(data, pairs, t_order):
     """Saito's higher residue pairing K(a, b) of each pair (a, b) of
     polynomials (Laurent ones on the P^1 mirror), as {t_power: value}
-    without zero values, through t^t_order.
+    without zero values, through t^t_order: pair_classes on the reduced
+    classes of a and b. eta is read once for all the pairs."""
+    eta = eta_rows(data)
+    return [pair_classes(eta, reduce_class(data, a).rows,
+                         reduce_class(data, b).rows, t_order)
+            for a, b in pairs]
+
+
+def pair_classes(eta, a, b, t_order):
+    """K(a, b) for two classes given as sparse rows {k: {i: c}}, the
+    coefficient c of t^k phi_i, as {t_power: value} without zero values,
+    through t^t_order, with eta the sparse rows of eta_rows.
 
     K is sesquilinear, K(t a, b) = t K(a, b) = -K(a, t b), and on the
-    weighted-homogeneous basis it is the residue pairing eta. So with the
-    reduced classes a = sum_k t^k a_k and b = sum_l t^l b_l,
+    weighted-homogeneous basis it is the residue pairing eta. So with
+    a = sum_k t^k a_k and b = sum_l t^l b_l,
         K(a, b) = sum_{k,l} t^k (-t)^l a_k^T eta b_l,
-    and K(a, b)(t) = K(b, a)(-t). eta is read once for all the pairs."""
-    eta = eta_rows(data)
-    out = []
-    for a, b in pairs:
-        b_rows = reduce_class(data, b).rows.items()
-        series = {}
-        for k, a_row in reduce_class(data, a).rows.items():
-            for l, b_row in b_rows:
-                if k + l <= t_order:
-                    series[k + l] = series.get(k + l, 0) + (-1) ** l * sum(
-                        c * x * b_row[j] for i, c in a_row.items()
-                        for j, x in eta[i].items() if j in b_row)
-        out.append({r: v for r, v in sorted(series.items()) if v})
-    return out
+    and K(a, b)(t) = K(b, a)(-t)."""
+    series = {}
+    for k, a_row in a.items():
+        for l, b_row in b.items():
+            if k + l <= t_order:
+                for i, c in a_row.items():
+                    for j, x in eta[i].items():
+                        if j in b_row:
+                            v = c * x * b_row[j]
+                            series[k + l] = series.get(k + l, 0) + \
+                                (-v if l % 2 else v)
+    return {r: v for r, v in sorted(series.items()) if v}
 
 
 def eta_rows(data):
@@ -375,9 +384,12 @@ def eta_rows(data):
 
 def pairing_univariate(a, b, t_order, m=None, q=None):
     """K(a, b) on the chain model z^(m+1)/(m+1) (pass m) or on the P^1
-    mirror z + q/z (pass q), for a and b given as {power: coeff}."""
+    mirror z + q/z (pass q), for a and b given as {power: coeff}. m is
+    an int, at least 1; a bool is rejected."""
     if (m is None) == (q is None):
         raise ValueError("specify exactly one of m (A_m) or q (P^1 mirror)")
+    if m is not None and not (type(m) is int and m >= 1):
+        raise ValueError("m must be an integer >= 1, got %r" % (m,))
     data = P1MirrorData(q) if m is None else analyze(
         MPoly(("z",), {(m + 1,): Fraction(1, m + 1)}), [Fraction(1, m + 1)])
     a, b = (MPoly(data.variables, {(e,): c for e, c in h.items()},

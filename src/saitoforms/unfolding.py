@@ -124,10 +124,14 @@ class OppositeFiltration:
         mu = base.mu
         self.c = {}
         rows = [{i: Fraction(1)} for i in range(mu)]
-        for (i, j), value in (c or {}).items():
-            if not (1 <= i <= mu and 1 <= j <= mu):
-                raise ValueError("c slot (%d, %d) out of range 1..%d"
-                                 % (i, j, mu))
+        for key, value in (c or {}).items():
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise ValueError("c slot %r is not a pair (i, j)" % (key,))
+            for index in key:
+                _check_index("c slot %r: index" % (key,), index)
+                if not 1 <= index <= mu:
+                    raise ValueError("c slot %r out of range 1..%d" % (key, mu))
+            i, j = key
             value = Fraction(value)
             if not value:
                 continue
@@ -366,8 +370,8 @@ def build_unfolding(base, N, mask=None, overrides=None, u_names=None):
 
 
 def _check_index(what, index):
-    """A 1-based basis index given to build_unfolding must be an int;
-    a bool is rejected too, as it is for N."""
+    """A 1-based basis index given to build_unfolding or in a c slot
+    must be an int; a bool is rejected too, as it is for N."""
     if isinstance(index, bool) or not isinstance(index, int):
         raise ValueError("%s %r is not an integer basis index"
                          % (what, index))
@@ -545,12 +549,19 @@ class Projector:
     record of that key: (alpha, |alpha|, top, sums) for each alpha whose
     reduced sums are nonempty, in walk order, kept for the Projector's
     lifetime. A later term with that key does not walk: it replays the
-    record, a flat loop that applies the term's own tests to each entry
-    and spreads the kept sums, with no P_alpha and no reduction. So a
+    record, a flat loop that spreads the kept sums of each entry that
+    the term takes, with no P_alpha and no reduction. So a
     key stands for the term's t0 and h, and its later terms may ask for
     no alpha that the first walk passed over: their least |beta| is
     larger, so the record leaves out the alphas of the deepest size
     N - least, and their sink[0] is None, as in the order-by-order solve.
+
+    Whether a term takes an alpha, and which a0 it takes there, is one
+    rule for the walk and the replay alike: the cheap test
+    |alpha| + least <= N and top >= cut, which both make inline since it
+    runs for every (alpha, term) pair, and then _admit, which gives the
+    a0 and turns the alpha down when sink[|alpha|] is None and no a0 > 0
+    is left.
 
     With a floor, coords_to_upper lifts a t-power by at most
     filtration.lift in both modes, so reduced t-powers below floor -
@@ -613,9 +624,10 @@ class Projector:
         return (t0, h, spread, spread[0][0], cut, sink, key)
 
     def run(self, terms):
-        """Add the projections of the product terms to their sinks: a
-        term whose key has a walk record replays it, and the others walk
-        together, a keyed one leaving its record."""
+        """Add the projections of the product terms to their sinks: the
+        terms with no key or no walk record yet walk together, a keyed
+        one leaving its record, and then each term whose key has a record
+        replays it."""
         records = self.records
         walk, replay = [], []
         for term in terms:
@@ -629,16 +641,21 @@ class Projector:
                 walk.append(term[:6] + (record,))
         if walk:
             self._walk(walk)
-        for term in replay:
-            self._replay(term, records[term[6]])
+        N, admit, spread_out = self.unf.N, self._admit, self._spread
+        for _, _, spread, least, cut, sink, key in replay:
+            for alpha, size, top, local in records[key]:
+                if size + least <= N and top >= cut:
+                    room = admit(size, top, least, cut, sink)
+                    if room is not None:
+                        spread_out(local, alpha, size, room, sink, spread)
 
     def _walk(self, terms):
         """One search over alpha for terms (t0, h, spread, least, cut,
         sink, record), record None or the list that the term's nonempty
         sums are appended to."""
         unf, N, c0 = self.unf, self.unf.N, self.unf.constant
-        one, den, graded = unf.one, unf.base.den, self.graded
-        reduce, spread_out = self._reduce, self._spread
+        one, graded = unf.one, self.graded
+        admit, reduce, spread_out = self._admit, self._reduce, self._spread
         depth = N - min(term[3] for term in terms)
         lowest = min(term[4] for term in terms)
         # depth first over alpha as non-decreasing index sequences of the
@@ -657,19 +674,11 @@ class Projector:
                 P = q if prefix is one else prefix * q
             else:
                 P = one
-            # whether some term may take a power a0 > 0 of the constant
-            # direction: each one more lowers the degree of P_alpha by den
-            shifts = c0 is not None and not (graded and top - den < lowest)
             for t0, h, spread, least, cut, sink, record in terms:
                 if size + least > N or top < cut:
                     continue
-                room = 0
-                if shifts:
-                    room = N - size - least
-                    if graded:
-                        room = min(room, (top - cut) // den)
-                slots = sink[size]
-                if slots is None and not room:
+                room = admit(size, top, least, cut, sink)
+                if room is None:
                     continue
                 local = reduce(P, t0, h)
                 if local:
@@ -689,24 +698,21 @@ class Projector:
                                       top - unf.scaled_u[l],
                                       prefix if l == last else P))
 
-    def _replay(self, term, record):
-        """Spread the sums of a walk record for a term with its key, with
-        the walk's tests of that term."""
-        _, _, spread, least, cut, sink, _ = term
-        N, c0 = self.unf.N, self.unf.constant
-        den, graded = self.unf.base.den, self.graded
-        spread_out = self._spread
-        for alpha, size, top, local in record:
-            if size + least > N or top < cut:
-                continue
-            room = 0
-            if c0 is not None:
-                room = N - size - least
-                if graded:
-                    room = min(room, (top - cut) // den)
-            if sink[size] is None and not room:
-                continue
-            spread_out(local, alpha, size, room, sink, spread)
+    def _admit(self, size, top, least, cut, sink):
+        """For a product term (least, cut, sink) that passed the cheap
+        test size + least <= N and top >= cut at an alpha of that size
+        and scaled degree top: room, the largest power a0 of the constant
+        direction that it takes there, or None when it takes none, not
+        even a0 = 0, since sink[size] is None. The a0 stop at
+        |alpha| + a0 + least > N and, with the graded cut, before
+        top - a0 den falls below cut, which can only lower a positive
+        room. This is the seam for any finer test of which terms an
+        alpha serves."""
+        unf = self.unf
+        room = 0 if unf.constant is None else unf.N - size - least
+        if room and self.graded and (top - cut) // unf.base.den < room:
+            room = (top - cut) // unf.base.den
+        return None if sink[size] is None and not room else room
 
     def _spread(self, local, alpha, size, room, sink, spread):
         """Add the reduced sums local at alpha, and for a0 = 1..room their

@@ -382,6 +382,7 @@ def test_solve_forms_each_part_once(monkeypatch, elliptic):
 
 
 ELLIPTIC = ("1/3*z1^3 + 1/3*z2^3 + 1/3*z3^3", ("z1", "z2", "z3"), ["1/3"] * 3)
+E12 = ("x^3 + y^7", ("x", "y"), ["1/3", "1/7"])
 
 # (singularity, N, mask, c): the polynomial jobs of the benchmark's
 # unfold-full and socle-deep workloads (the socle direction at N = 20),
@@ -394,7 +395,7 @@ TWO_SOLVE_CASES = [
     (("x^3 + x*y^3", ("x", "y"), ["1/3", "2/9"]), 6, None, None),
     (("x^3 + y^5", ("x", "y"), ["1/3", "1/5"]), 6, None, None),
     (ELLIPTIC, 6, None, None),
-    (("x^3 + y^7", ("x", "y"), ["1/3", "1/7"]), 4, None, None),
+    (E12, 4, None, None),
     (("x^3 + x*y^5", ("x", "y"), ["1/3", "2/15"]), 3, None, None),
     (("x^3 + y^8", ("x", "y"), ["1/3", "1/8"]), 3, None, None),
     (ELLIPTIC, 20, [8], None),
@@ -405,12 +406,31 @@ TWO_SOLVE_CASES = [
     (ELLIPTIC, 5, None, {(8, 1): Fraction(-3, 7)}),
     (("x^4 + y^4", ("x", "y"), ["1/4", "1/4"]), 5, None,
      {(9, 1): Fraction(1)}),
+] + [
+    # E12's full unfolding with psi = u + u^2/2 on the direction named
+    # last in the case: an override leaves the projection no graded cut,
+    # and the constant direction u_1 still shifts t, so these solves
+    # replay walk records in an ungraded run with a constant direction
+    (E12 + (index,), N, None, None)
+    for index, N in ((12, 4), (11, 5), (2, 4))
 ]
+
+
+def _two_solve_unfolding(case, N, mask):
+    """The unfolding of a TWO_SOLVE_CASES entry: a basis index after the
+    singularity gets the coefficient psi = u + u^2/2."""
+    return build_unfolding(analyze_oracle_case(case[:3]), N, mask=mask,
+                           overrides={index: _u_plus_half_square
+                                      for index in case[3:]})
+
+
+def _u_plus_half_square(u):
+    return u + u * u * Fraction(1, 2)
 
 
 @pytest.mark.parametrize("case, N, mask, c", TWO_SOLVE_CASES)
 def test_order_by_order_solve_matches_oscillator_solve(case, N, mask, c):
-    unf = build_unfolding(analyze_oracle_case(case), N, mask=mask)
+    unf = _two_solve_unfolding(case, N, mask)
     pf = primitive_form(unf, c=c)
     osc = oscillator_matrices(unf, c=c)
     assert pf.records() == primitive_form(unf, c, osc=osc).records()
@@ -488,13 +508,14 @@ def test_replay_matches_walk_on_full_unfoldings(monkeypatch, case):
 
 @pytest.mark.parametrize("case, N, mask, c", TWO_SOLVE_CASES)
 def test_replay_matches_walk(monkeypatch, case, N, mask, c):
-    unf = build_unfolding(analyze_oracle_case(case), N, mask=mask)
+    unf = _two_solve_unfolding(case, N, mask)
     (replayed, fewer), (walked, more) = _replay_against_walk(
         monkeypatch, unf, c)
     assert replayed == walked
     assert fewer <= more
-    if mask:
-        # on the socle direction Phi_1 recurs in every part
+    if mask or case[3:]:
+        # on the socle direction Phi_1 recurs in every part, and the E12
+        # solves with an override replay some records
         assert fewer < more
 
 
@@ -597,6 +618,28 @@ def test_non_good_c_is_rejected(quintic_pair):
     assert positive_pairing(OppositeFiltration(quintic_pair, good)) == \
         _pairing_oracle(OppositeFiltration(quintic_pair, good)) == {}
     assert verify_primitive(unf, primitive_form(unf, c=good), c=good)
+
+
+def test_goodness_at_t_squared(quartic_fourfold):
+    # on the fourfold (s = 2) the socle slot (81, 1) has the gap 2, so
+    # K(Phi_81, Phi_81) gets t^2 eta_1,81 from (a, b) = (0, 2) with the sign
+    # (-1)^2 and as much from (2, 0): 2/256
+    c = {(81, 1): 1}
+    filtration = OppositeFiltration(quartic_fourfold, c)
+    assert positive_pairing(filtration) == _pairing_oracle(filtration) == {
+        (80, 80, 2): Fraction(1, 128)}
+    message = r"not good: at \(i, j, r\) = \(81, 81, 2\) " \
+        r"K\(Phi_i, Phi_j\) has the t\^r coefficient 1/128"
+    with pytest.raises(ValueError, match=message):
+        primitive_form(build_unfolding(quartic_fourfold, 1), c=c)
+    # the gap-1 slots (81, 32) and (81, 50), with eta_32,50 = 1/256, add
+    # the (a, b) = (1, 1) product -2 * 2 * 3/256 to the t^2 coefficient
+    c = {(81, 1): 1, (81, 32): 2, (81, 50): 3}
+    filtration = OppositeFiltration(quartic_fourfold, c)
+    assert positive_pairing(filtration) == _pairing_oracle(filtration) == {
+        (80, 80, 2): Fraction(-5, 128),
+        (31, 80, 1): Fraction(-3, 256), (80, 31, 1): Fraction(3, 256),
+        (49, 80, 1): Fraction(-1, 128), (80, 49, 1): Fraction(1, 128)}
 
 
 def test_anti_diagonal_c_of_the_tests_is_good(elliptic, quartic_pair,

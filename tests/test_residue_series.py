@@ -3,6 +3,7 @@ conftest against their defining properties, and singularity.K, which
 reads K off the Brieskorn reduction, against those closed forms."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,16 @@ def test_chain_degree_law():
                 for r, c in series.items():
                     if c:
                         assert r == Fraction(i + j, m + 1) - s
+
+
+@pytest.mark.parametrize("m", [-1, 0, 1.5, Fraction(2), True, "2"],
+                         ids=["-1", "0", "1.5", "Fraction", "bool", "str"])
+def test_pairing_univariate_rejects_a_bad_m(m):
+    # m = -1 raised a bare ZeroDivisionError, 1.5 a TypeError, and True
+    # was read as 1
+    with pytest.raises(ValueError, match=re.escape(
+            "m must be an integer >= 1, got %r" % (m,))):
+        pairing_univariate({0: Fraction(1)}, {0: Fraction(1)}, 4, m=m)
 
 
 def test_global_pairing_values():

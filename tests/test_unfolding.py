@@ -310,6 +310,23 @@ def test_opposite_filtration_rejects_slots_out_of_range(elliptic, c):
         OppositeFiltration(elliptic, c)
 
 
+@pytest.mark.parametrize("key, message", [
+    ((8, True), "c slot (8, True): index True is not an integer basis index"),
+    ((8.0, 1), "c slot (8.0, 1): index 8.0 is not an integer basis index"),
+    (("8", 1), "c slot ('8', 1): index '8' is not an integer basis index"),
+    (8, "c slot 8 is not a pair (i, j)"),
+    ((8, 1, 2), "c slot (8, 1, 2) is not a pair (i, j)")],
+    ids=["bool", "float", "str", "int", "triple"])
+def test_opposite_filtration_rejects_a_malformed_slot_key(elliptic, key,
+                                                          message):
+    # (8, True) was read as the slot (8, 1), a float or str index ended in
+    # a bare TypeError, and the keys 8 and (8, 1, 2) in unpacking errors
+    with pytest.raises(ValueError, match=re.escape(message)):
+        OppositeFiltration(elliptic, {key: 1})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        primitive_form(build_unfolding(elliptic, 2), c={key: 1})
+
+
 # (A_k chain index or fixture name, N, mask, c)
 WINDOW_CASES = [
     (2, 4, None, None), (3, 4, None, None), (4, 4, None, None),
