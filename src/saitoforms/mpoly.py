@@ -23,6 +23,16 @@ class TruncationMismatch(PolynomialError):
     pass
 
 
+def exact_rational(what, value):
+    """value as a Fraction when it is exact, an int (not a bool) or a
+    Fraction, else a ValueError naming what: Fraction() would read a
+    float as its binary fraction and a bool as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError("%s %r is not an exact rational (an int or a "
+                         "Fraction)" % (what, value))
+    return Fraction(value)
+
+
 def grevlex_key(exp):
     """Sort key realizing grevlex: compare total degree, then reversed
     exponents with the *smallest* last variable winning ties."""

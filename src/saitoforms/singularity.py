@@ -15,7 +15,7 @@ from operator import add
 from . import linalg
 from .brieskorn import ReducedClass, reduce_class, reduce_monomial, step_rules
 from .groebner import buchberger_with_cofactors, standard_monomials
-from .mpoly import MPoly, WeightSystem, grevlex_key
+from .mpoly import MPoly, WeightSystem, exact_rational, grevlex_key
 
 
 class EulerIdentityViolated(Exception):
@@ -228,7 +228,7 @@ class P1MirrorData:
     mode = "laurent"
 
     def __init__(self, q):
-        q = Fraction(q)
+        q = exact_rational("the mirror parameter q =", q)
         if q == 0:
             raise ValueError("the mirror parameter q must be nonzero")
         self.q = q

@@ -16,18 +16,21 @@ t^(-|alpha|) prod_l phi_l^alpha_l / alpha_l!. An input class is a sum
 of product terms t^t0 r h, r = sum_beta r_beta u^beta a ring element
 and h a polynomial in z with Fraction coefficients, and projects to
 sum u^(alpha+beta) r_beta [t^t0 P_alpha h]: each [P_alpha h] is
-reduced once, and every coefficient is a plain Fraction until a result's
-ring entries are built, once, at the end. Every MPoly product computes
-something: the Q_{l,n} are built once per unfolding (UnfoldingData.q,
-by an integer recurrence that makes no MPoly product) and shared by all
-its projections, P_alpha is Q_{l,n} itself when alpha lies on one
-variable, and neither P_0 = 1 nor h = 1 is multiplied.
+reduced once, its Fraction sums kept as integer numerators over one
+denominator. The products with the r_beta are integer multiply-adds
+into slots that each keep an integer numerator over a running common
+denominator, so one Fraction is built per output coefficient, and a
+result's ring entries are built once, at the end. Every MPoly product
+computes something: the Q_{l,n} are built once per unfolding
+(UnfoldingData.q, by an integer recurrence that makes no MPoly product)
+and shared by all its projections, P_alpha is Q_{l,n} itself when alpha
+lies on one variable, and neither P_0 = 1 nor h = 1 is multiplied.
 
 The constant direction, psi = u on the basis element 1, present in
 every full unfolding and on the P^1 mirror, has the scalar factor
 e^(u/t) = sum_n u^n t^(-n) / n!. So it is not expanded: each [P_alpha h]
 with no power of u is reduced once, and its power u^a0 is that class
-with t shifted by -a0 and divided by a0!.
+with t shifted by -a0 and its denominator multiplied by a0!.
 
 With a floor on the t-powers two cuts keep the work to what lands at or
 above it: a cut on the reduced t-powers of each product and, without
@@ -47,7 +50,7 @@ from functools import cache
 from operator import add, mul
 
 from .brieskorn import ReducedClass, reduce_monomial
-from .mpoly import MPoly
+from .mpoly import MPoly, exact_rational
 
 
 class GradingViolation(Exception):
@@ -132,7 +135,7 @@ class OppositeFiltration:
                 if not 1 <= index <= mu:
                     raise ValueError("c slot %r out of range 1..%d" % (key, mu))
             i, j = key
-            value = Fraction(value)
+            value = exact_rational("c slot %r: value" % (key,), value)
             if not value:
                 continue
             gap = base.scaled[i - 1] - base.scaled[j - 1]
@@ -180,15 +183,17 @@ class OppositeFiltration:
                 for j, value in self.rows[i].items()]
 
     def coords_to_upper(self, slots):
-        """Rewrite {(k, l): {gamma: c}}, the u^gamma coefficients of
-        t^k phi_l, into Phi coordinates: right-multiplication by the
-        inverse basis change, whose (l, j) slot carries t^(d_l - d_j)."""
+        """Rewrite {(k, l): {gamma: [n, d]}}, the u^gamma coefficients n/d
+        of t^k phi_l, into Phi coordinates in the same format:
+        right-multiplication by the inverse basis change, whose (l, j)
+        slot carries t^(d_l - d_j), in integers (see _add)."""
         out = {}
         for (k, l), poly in slots.items():
             for j, w in self.inverse[l].items():
+                wn, wd = w.numerator, w.denominator
                 tgt = out.setdefault((k + self.t_power(l, j), j), {})
-                for gamma, c in poly.items():
-                    tgt[gamma] = tgt.get(gamma, 0) + c * w
+                for gamma, (n, d) in poly.items():
+                    _add(tgt, gamma, n * wn, d * wd)
         return out
 
 
@@ -504,12 +509,12 @@ def oscillating_projection(unf, classes, filtration, floor=None):
     computed and kept. One Projector runs every product term in one
     search over alpha (see Projector)."""
     projector = Projector(unf, filtration, floor)
-    acc = [{} for _ in classes]     # per class: (k, j) -> {gamma: Fraction}
+    acc = [{} for _ in classes]     # one sink per class, read by rows
     projector.run([projector.product_term(t0, h, coeff.terms,
                                           [slots] * (unf.N + 1))
                    for terms, slots in zip(classes, acc)
                    for t0, h, coeff in terms if h and coeff])
-    # gamma has |gamma| <= N and every c is a Fraction
+    # gamma has |gamma| <= N and every coefficient is a Fraction
     zero = unf.ring_zero()
     return [ReducedClass(unf.base.mu, {
         k: {j: zero._like(poly) for j, poly in row.items()}
@@ -525,6 +530,16 @@ class Projector:
     table. It builds no ring element: rows returns a sink as
     {k: {j: {gamma: Fraction}}}.
 
+    The multiply-adds run on integers. A sink, one per u-degree, is a
+    dict that its caller creates empty and reads only through rows: it
+    maps (k, j), t^k phi_j, to {gamma: [numerator, denominator]}, the
+    u^gamma coefficient as an integer numerator over a running
+    denominator (see _add), and rows builds one normalized
+    Fraction per (slot, gamma). The reduced sums of [t^t0 P_alpha h] are
+    a pair (numerators, D): {(k, j): integer} over one denominator D, the
+    lcm of the sums' denominators, and each coefficient r_beta of a
+    product term is kept as its integer numerator and denominator.
+
     P_alpha, the Q_{l,n} and the h of each product term are MPolys over
     the z-variables and 1/t, the last exponent counting powers of 1/t
     (Laurent MPolys in Laurent mode). The work runs in u-monomial order
@@ -536,21 +551,22 @@ class Projector:
     variable l times Q_{l,alpha_l}. P_alpha is not kept past its
     subtree. Each product P_alpha h, formed only when neither factor is
     the constant 1, is reduced through the monomial cache of the base
-    point (base.mono_cache, read through reduce_monomial) into Fraction
-    sums per (t^k, phi_j) once. For a0 = 0, 1, ... those sums, shifted
-    to t^(k - a0) and divided by a0!, are the sums at alpha + a0 e_c:
+    point (base.mono_cache, read through reduce_monomial) into sums per
+    (t^k, phi_j) once. For a0 = 0, 1, ... those sums, shifted to
+    t^(k - a0) with D multiplied by a0!, are the sums at alpha + a0 e_c:
     they are spread over the u-monomials beta of the term's coefficient
     with |alpha| + a0 + |beta| <= N into the u^(alpha+a0 e_c+beta)
-    slots of sink[|alpha| + a0], multiplied by r_beta unless it is 1. No
-    Q_{c,n}, product or reduction is formed for a0 > 0, and without a
-    constant direction only a0 = 0 is taken.
+    slots of sink[|alpha| + a0], each numerator times that of r_beta
+    over D times the denominator of r_beta. No Q_{c,n}, product or
+    reduction is formed for a0 > 0, and without a constant direction
+    only a0 = 0 is taken.
 
     A product term given a key leaves, on its first walk, the walk
-    record of that key: (alpha, |alpha|, top, sums) for each alpha whose
-    reduced sums are nonempty, in walk order, kept for the Projector's
-    lifetime. A later term with that key does not walk: it replays the
-    record, a flat loop that spreads the kept sums of each entry that
-    the term takes, with no P_alpha and no reduction. So a
+    record of that key: (alpha, |alpha|, top, (numerators, D)) for each
+    alpha whose reduced sums are nonempty, in walk order, kept for the
+    Projector's lifetime. A later term with that key does not walk: it
+    replays the record, a flat loop that spreads the kept sums of each
+    entry that the term takes, with no P_alpha and no reduction. So a
     key stands for the term's t0 and h, and its later terms may ask for
     no alpha that the first walk passed over: their least |beta| is
     larger, so the record leaves out the alphas of the deepest size
@@ -600,21 +616,21 @@ class Projector:
         # one more u_l lowers the scaled degree of P_alpha by scaled_u[l]:
         # it rises by at most climb, so no alpha below a pruned one passes
         self.climb = max(0, -min(unf.scaled_u, default=0))
-        self.records = {}     # key -> [(alpha, size, top, sums)]
+        self.records = {}     # key -> [(alpha, size, top, (nums, D))]
 
     def product_term(self, t0, h, coeffs, sink, key=None):
         """The product term t^t0 * (sum_beta r_beta u^beta) * h, h and
         coeffs given as {exponent: Fraction}. Its u^(alpha+beta) parts go
-        to sink[|alpha|], a (k, j) -> {gamma: Fraction} dict in phi
-        coordinates, or nowhere where that is None. A key names its walk
-        record (see Projector)."""
+        to sink[|alpha|], a sink in phi coordinates (see Projector), or
+        nowhere where that is None. A key names its walk record."""
         # the smallest scaled deg(e) - m of a P_alpha term to keep
         base = self.unf.base
         cut = (self.floor - t0) * base.den - \
             max(map(base.weights.scaled_degree, h)) \
             if self.graded else -math.inf
-        # the u-monomials of coeffs by size, None for a coefficient 1
-        spread = sorted((sum(beta), beta, None if b == 1 else b)
+        # the u-monomials of coeffs by size, each r_beta as its integer
+        # numerator and denominator
+        spread = sorted((sum(beta), beta, b.numerator, b.denominator)
                         for beta, b in coeffs.items())
         # the constant h = 1 stands as unf.one, which _reduce does not
         # multiply by
@@ -717,25 +733,25 @@ class Projector:
     def _spread(self, local, alpha, size, room, sink, spread):
         """Add the reduced sums local at alpha, and for a0 = 1..room their
         shifts to alpha + a0 e_c, over the u-monomials of spread to
-        sink[size + a0], where that is not None."""
+        sink[size + a0], where that is not None. local is (numerators, D)
+        and each product n r_beta lands in its sink slot, an integer
+        numerator over a running common denominator (see _add)."""
+        nums, D = local
         a0, gamma0, limit = 0, alpha, self.unf.N - size
-        while local:
+        while nums:
             slots = sink[size + a0]
             if slots is not None:
-                for bsize, beta, b in spread:
+                for bsize, beta, bnum, bden in spread:
                     if bsize > limit:
                         break
                     gamma = tuple(map(add, gamma0, beta))
-                    for slot_key, c in local.items():
-                        if b is not None:
-                            c *= b
+                    den = D * bden
+                    for slot_key, n in nums.items():
                         slot = slots.get(slot_key)
                         if slot is None:
-                            slots[slot_key] = {gamma: c}
+                            slots[slot_key] = {gamma: [n * bnum, den]}
                         else:
-                            prior = slot.get(gamma)
-                            slot[gamma] = c if prior is None \
-                                else prior + c
+                            _add(slot, gamma, n * bnum, den)
             if a0 == room:
                 break
             # one more u of the constant direction: e^(u/t) shifts t by
@@ -743,16 +759,19 @@ class Projector:
             a0 += 1
             limit -= 1
             skip, c0 = self.skip, self.unf.constant
-            local = {(k - 1, j): c / a0 for (k, j), c in local.items()
-                     if k > skip}
+            nums = {(k - 1, j): n for (k, j), n in nums.items() if k > skip}
+            D *= a0
             gamma0 = alpha[:c0] + (a0,) + alpha[c0 + 1:]
 
     def _reduce(self, P, t0, h):
-        """[t^t0 P h] as Fraction sums {(k, j): c} over the t-powers
-        k >= floor - lift, through the monomial cache, with no product
-        when P or h is the constant 1: a term c z^e t^(-m) of P h adds c
-        times the reduction of z^e, shifted by t^(t0 - m). With a bound,
-        a term is not reduced when t0 - m + t_bound(z^e) < floor - lift."""
+        """[t^t0 P h] as sums over (k, j), the t-powers k >= floor - lift,
+        given as (numerators, D): integer numerators {(k, j): n} over D,
+        the lcm of the sums' denominators, or None when there is no sum.
+        They are summed in Fractions through the monomial cache, with no
+        product when P or h is the constant 1: a term c z^e t^(-m) of P h
+        adds c times the reduction of z^e, shifted by t^(t0 - m). With a
+        bound, a term is not reduced when t0 - m + t_bound(z^e) <
+        floor - lift."""
         base, skip, bound = self.unf.base, self.skip, self.bound
         one = self.unf.one
         product = P if h is one else h if P is one else P * h
@@ -772,18 +791,49 @@ class Projector:
                     prior = local.get(key)
                     local[key] = c * v if prior is None \
                         else prior + c * v
-        return local
+        if not local:
+            return None
+        D = math.lcm(*[c.denominator for c in local.values()])
+        return {key: c.numerator * (D // c.denominator)
+                for key, c in local.items()}, D
 
     def rows(self, slots):
-        """A sink's (k, j) -> {gamma: c} slots in Phi(c) coordinates as
-        rows {k: {j: {gamma: c}}}, zero c, empty slots and t-powers below
+        """A sink's slots in Phi(c) coordinates as rows
+        {k: {j: {gamma: Fraction}}}, one normalized Fraction per
+        (slot, gamma), zero coefficients, empty slots and t-powers below
         the floor dropped."""
         if not self.filtration.is_trivial():
             slots = self.filtration.coords_to_upper(slots)
         rows = {}
         for (k, j), poly in slots.items():
             if self.floor is None or k >= self.floor:
-                poly = {g: c for g, c in poly.items() if c}
+                poly = {g: Fraction(n, d) for g, (n, d) in poly.items() if n}
                 if poly:
                     rows.setdefault(k, {})[j] = poly
         return rows
+
+
+def _add(slot, gamma, n, den):
+    """Add n / den to slot[gamma], an entry [numerator, denominator] of a
+    sink, over a common denominator: a plain add when the two
+    denominators are equal, one scaling when one divides the other,
+    their lcm otherwise. Nothing is normalized; Projector.rows builds one
+    Fraction per entry."""
+    entry = slot.get(gamma)
+    if entry is None:
+        slot[gamma] = [n, den]
+        return
+    prior, d = entry
+    if d == den:
+        entry[0] = prior + n
+        return
+    q, r = divmod(d, den) if d > den else divmod(den, d)
+    if r:
+        g = math.gcd(r, min(d, den))
+        entry[0] = prior * (den // g) + n * (d // g)
+        entry[1] = d // g * den
+    elif d > den:
+        entry[0] = prior + n * q
+    else:
+        entry[0] = prior * q + n
+        entry[1] = den

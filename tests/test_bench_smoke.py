@@ -31,6 +31,10 @@ def bench_modules():
 JOBS = [
     ("unfold-full", "A2/N6"),
     ("socle-deep", "p1-q2/N20"),
+    # both N = 60 jobs: the projection's integer slots carry denominators
+    # of up to 48 (c0) and 68 digits, checked against the exact reciprocal
+    # period
+    ("socle-deep", "elliptic-socle/N60/c0"),
     ("socle-deep", "elliptic-socle/N60/c81=1"),
     ("milnor-zoo", "library:A2"),
     ("milnor-zoo", "analyze:A2"),

@@ -4,15 +4,24 @@ or axiomatic oracle. All randomness is seeded."""
 import random
 from fractions import Fraction
 
+import pytest
+
 from saitoforms.brieskorn import reduce_class
 from saitoforms.linalg import row_space_basis
 from saitoforms.mpoly import MPoly
 from saitoforms.primitive import assemble_psi, neumann_solve, primitive_form
-from saitoforms.unfolding import build_unfolding, oscillator_matrices
+from saitoforms.unfolding import (OppositeFiltration, UnfoldRingElem,
+                                  build_unfolding, oscillating_projection,
+                                  oscillator_matrices)
 
 from conftest import (coords, full_oscillator_family, in_row_space, make_a,
                       normal_form, pairing_univariate_Am,
-                      pairing_univariate_p1, u_degree)
+                      pairing_univariate_p1, ring_order_projection, u_degree)
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:     # a test-only dependency: its property is skipped
+    given = st = None
 
 
 def _monomials_of_degree(data, d):
@@ -210,6 +219,60 @@ def test_window_matches_full_family(elliptic, quartic_pair):
                                         if -osc.a <= k <= osc.a}
                 assert primitive_form(unf, c, osc=osc).records() == \
                     primitive_form(unf, c, osc=full).records()
+
+
+# pairwise coprime denominators, so that the projection's integer slots
+# meet denominators that neither divide nor equal each other
+MIXED = (Fraction(1, 7), Fraction(3, 11), Fraction(-5, 13), Fraction(2, 9))
+
+
+@pytest.fixture(scope="module")
+def mixed_cases(e12, elliptic):
+    """E12's and the elliptic cone's full unfoldings at N = 4, the latter
+    with c(8,1) = 1, each with its opposite filtration."""
+    return [(build_unfolding(data, 4), OppositeFiltration(data, c))
+            for data, c in ((e12, None), (elliptic, {(8, 1): 1}))]
+
+
+def _mixed_class(draw, unf):
+    """One to three product terms (t0, h, r): h one or two z-monomials of
+    the basis, r one to three u-monomials of degree at most 2, every
+    coefficient drawn from MIXED."""
+    coeff = st.sampled_from(MIXED)
+    monomials = sorted({e for b in unf.base.basis for e in b.terms})
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        h = {e: draw(coeff) for e in draw(st.lists(
+            st.sampled_from(monomials), min_size=1, max_size=2))}
+        r = {}
+        for _ in range(draw(st.integers(1, 3))):
+            beta = [0] * unf.nu
+            for pos in draw(st.lists(st.integers(0, unf.nu - 1),
+                                     max_size=2)):
+                beta[pos] += 1
+            r[tuple(beta)] = draw(coeff)
+        terms.append((draw(st.integers(-1, 1)), h,
+                      UnfoldRingElem(unf.nu, unf.N, r)))
+    return terms
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_projection_with_mixed_denominators(mixed_cases):
+    # the integer slots of the projection against the ring-order oracle,
+    # which sums Fractions, on coefficients whose denominators meet in
+    # lcms, at the floors of the whole family, the flat coordinates and
+    # the solve
+    @settings(max_examples=25, derandomize=True, deadline=None,
+              database=None)
+    @given(st.data())
+    def check(data):
+        unf, filt = data.draw(st.sampled_from(mixed_cases))
+        classes = [_mixed_class(data.draw, unf)]
+        for floor in (None, -2, 0):
+            assert oscillating_projection(unf, classes, filt, floor) == \
+                ring_order_projection(unf, classes, filt, floor), floor
+
+    check()
 
 
 def test_pairing_sesquisymmetry_and_degree_law():

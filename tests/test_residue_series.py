@@ -71,6 +71,19 @@ def test_pairing_univariate_rejects_a_bad_m(m):
         pairing_univariate({0: Fraction(1)}, {0: Fraction(1)}, 4, m=m)
 
 
+@pytest.mark.parametrize("q", [0.1, 2.0, True, "2"],
+                         ids=["float", "integral-float", "bool", "str"])
+def test_p1_mirror_rejects_an_inexact_q(q):
+    # 0.1 was read as its binary fraction 3602879701896397/36028797018963968
+    # and True as 1, so the pairing ran on z + 1/z
+    message = re.escape("the mirror parameter q = %r is not an exact "
+                        "rational (an int or a Fraction)" % (q,))
+    with pytest.raises(ValueError, match=message):
+        P1MirrorData(q)
+    with pytest.raises(ValueError, match=message):
+        pairing_univariate({0: Fraction(1)}, {-1: Fraction(1)}, 4, q=q)
+
+
 def test_global_pairing_values():
     for q in (Fraction(1), Fraction(2), Fraction(-3)):
         one = {0: Fraction(1)}

@@ -327,6 +327,25 @@ def test_opposite_filtration_rejects_a_malformed_slot_key(elliptic, key,
         primitive_form(build_unfolding(elliptic, 2), c={key: 1})
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, True, "1"],
+                         ids=["float", "integral-float", "bool", "str"])
+def test_opposite_filtration_rejects_an_inexact_value(elliptic, value):
+    # 0.1 was read as the slot 3602879701896397/36028797018963968 and True
+    # as the slot 1, with no error
+    message = re.escape("c slot (8, 1): value %r is not an exact rational "
+                        "(an int or a Fraction)" % (value,))
+    with pytest.raises(ValueError, match=message):
+        OppositeFiltration(elliptic, {(8, 1): value})
+    with pytest.raises(ValueError, match=message):
+        primitive_form(build_unfolding(elliptic, 2), c={(8, 1): value})
+
+
+def test_opposite_filtration_takes_an_int_or_a_fraction(elliptic):
+    for value in (1, Fraction(1), Fraction(2, 2)):
+        assert OppositeFiltration(elliptic, {(8, 1): value}).c == \
+            {(8, 1): Fraction(1)}
+
+
 # (A_k chain index or fixture name, N, mask, c)
 WINDOW_CASES = [
     (2, 4, None, None), (3, 4, None, None), (4, 4, None, None),
@@ -743,3 +762,54 @@ def test_laurent_cut_matches_uncut_and_ring_order(monkeypatch, q,
                 skipped += len(seen.monomials)
             assert cut == ring_order_projection(unf, classes, filt, floor)
     assert skipped > 0
+
+
+def _sink_rows(projector, sink):
+    """Every level of a sink read through rows, as {(k, j, gamma): c}."""
+    return {(k, j, gamma): c for slots in sink if slots is not None
+            for k, row in projector.rows(slots).items()
+            for j, poly in row.items() for gamma, c in poly.items()}
+
+
+def _u(unf, *positions):
+    return tuple(positions.count(i) for i in range(unf.nu))
+
+
+@pytest.mark.parametrize("floor", [None, -2])
+def test_replay_spreads_the_constant_direction_shifts(monkeypatch, e12,
+                                                      floor):
+    # a keyed term's second run replays its walk record; with sink[0] None
+    # the sums at alpha = 0 reach the sink only through their shifts by
+    # the constant direction (a0 = 1, 2), which the solves do not land at
+    # or above their floor
+    unf = build_unfolding(e12, 4)
+    assert unf.constant == 0
+    filt = OppositeFiltration(e12)
+    (t0, h), = filt.upper(5)                    # x*y
+    first = _elem(unf, {_u(unf, 1): 1, _u(unf, 3): Fraction(1, 7)})
+    second = _elem(unf, {_u(unf, 0, 1): Fraction(3, 11),
+                         _u(unf, 1, 1): Fraction(-5, 13),
+                         _u(unf, 2, 5): Fraction(2, 9)})
+    N = unf.N
+    projector = unfolding.Projector(unf, filt, floor)
+    projector.run([projector.product_term(
+        t0, h, first.terms, [{} for _ in range(N + 1)], "x*y")])
+    replayed = [None] + [{} for _ in range(N)]
+    with monkeypatch.context() as m:
+        seen = count_reductions(m)
+        projector.run([projector.product_term(t0, h, second.terms,
+                                              replayed, "x*y")])
+    assert seen.reduced == []
+    fresh = unfolding.Projector(unf, filt, floor)
+    walked = [None] + [{} for _ in range(N)]
+    fresh.run([fresh.product_term(t0, h, second.terms, walked)])
+    assert [projector.rows(s) for s in replayed[1:]] == \
+        [fresh.rows(s) for s in walked[1:]]
+    got = _sink_rows(projector, replayed)
+    # no beta has u1^2, so these come from shifted sums
+    assert any(gamma[0] >= 2 for _, _, gamma in got)
+    # sink[0] holds u-degree 2, the degree of the coefficient, alone
+    want, = ring_order_projection(unf, [[(t0, h, second)]], filt, floor)
+    assert got == {(k, j, gamma): c for k, row in want.rows.items()
+                   for j, elem in row.items()
+                   for gamma, c in elem.terms.items() if sum(gamma) > 2}
