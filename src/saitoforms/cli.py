@@ -103,7 +103,11 @@ def _parse_c(job, args):
 
 def _mask(job, args):
     if args.mask:
-        return [int(p) for p in args.mask.split(",")]
+        try:
+            return [int(p) for p in args.mask.split(",")]
+        except ValueError:
+            raise JobError("--mask expects comma-separated basis indices, "
+                           "got %r" % args.mask)
     mask = job.get("mask")
     if mask is None:
         return None

@@ -303,14 +303,15 @@ class MPoly:
 
 
 class WeightSystem:
-    """Rational weights q_i in (0, 1/2] for the variables of a polynomial.
+    """Rational weights q_i in (0, 1/2] for the variables of a polynomial,
+    each an int or a Fraction (see exact_rational).
 
     The weights are also kept as integer numerators `nums` over their least
     common denominator `den`, so that a weighted degree is den times an
     integer: scaled_degree."""
 
     def __init__(self, weights):
-        self.weights = tuple(Fraction(q) for q in weights)
+        self.weights = tuple(exact_rational("weight", q) for q in weights)
         for q in self.weights:
             if not (0 < q <= Fraction(1, 2)):
                 raise PolynomialError("weight %s outside (0, 1/2]" % q)

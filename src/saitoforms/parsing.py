@@ -71,9 +71,6 @@ class _Parser:
         poly = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
-            if kind == "op" and val == "/":
-                raise ParseError(
-                    "'/' is only allowed between integer literals", pos)
             raise ParseError("unexpected %r" % (val,), pos)
         return poly
 

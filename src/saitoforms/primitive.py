@@ -179,6 +179,14 @@ def solve_primitive(unf, filtration):
     unfolding, so a verify_primitive after the solve builds none again.
     Each term t^k u^gamma Phi_j is checked where it is placed: k <= a
     and, without overrides, k + d_j + deg(u^gamma) = 0.
+
+    The runs leave out the constant direction u_c (see Projector), since
+    zeta_+ does not depend on it. With F' = F - u_c and
+    T(Y) = [e^(u_c/t) Y]_{t>=0}, [e^((F-f)/t) zeta]_{t>=0} =
+    T([e^((F'-f)/t) zeta]_{t>=0}), as e^(u_c/t) only lowers t-powers. T is
+    invertible on classes with t >= 0, with inverse
+    [e^(-u_c/t) .]_{t>=0}, and T(Phi_1) = Phi_1, so the projection for F
+    is Phi_1 exactly when the one for F' is.
     """
     base, N = unf.base, unf.N
     mu = base.mu

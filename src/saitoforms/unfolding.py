@@ -28,9 +28,10 @@ lies on one variable, and neither P_0 = 1 nor h = 1 is multiplied.
 
 The constant direction, psi = u on the basis element 1, present in
 every full unfolding and on the P^1 mirror, has the scalar factor
-e^(u/t) = sum_n u^n t^(-n) / n!. So it is not expanded: each [P_alpha h]
-with no power of u is reduced once, and its power u^a0 is that class
-with t shifted by -a0 and its denominator multiplied by a0!.
+e^(u/t) = sum_n u^n t^(-n) / n!. So it is not walked: zeta_+ does not
+depend on it (see primitive.solve_primitive), and oscillating_projection
+multiplies each class by that factor once, at the end, on its integer
+sums (Projector.times_constant).
 
 With a floor on the t-powers two cuts keep the work to what lands at or
 above it: a cut on the reduced t-powers of each product and, without
@@ -160,7 +161,7 @@ class OppositeFiltration:
                 inverse[i] = {k: w for k, w in sorted(out.items()) if w}
         self.rows = rows
         self.inverse = inverse
-        # the largest t-power that coords_to_upper adds
+        # the largest t-power that the inverse basis change adds
         self.lift = max(self.t_power(l, j) for l, row in enumerate(inverse)
                         for j in row)
 
@@ -181,20 +182,6 @@ class OppositeFiltration:
         return [(self.t_power(i, j),
                  {e: value * c for e, c in self.base.basis[j].terms.items()})
                 for j, value in self.rows[i].items()]
-
-    def coords_to_upper(self, slots):
-        """Rewrite {(k, l): {gamma: [n, d]}}, the u^gamma coefficients n/d
-        of t^k phi_l, into Phi coordinates in the same format:
-        right-multiplication by the inverse basis change, whose (l, j)
-        slot carries t^(d_l - d_j), in integers (see _add)."""
-        out = {}
-        for (k, l), poly in slots.items():
-            for j, w in self.inverse[l].items():
-                wn, wd = w.numerator, w.denominator
-                tgt = out.setdefault((k + self.t_power(l, j), j), {})
-                for gamma, (n, d) in poly.items():
-                    _add(tgt, gamma, n * wn, d * wd)
-        return out
 
 
 class UnfoldingData:
@@ -507,7 +494,8 @@ def oscillating_projection(unf, classes, filtration, floor=None):
     meaning t^t0 * r * sum c z^z_exp, r a ring element (the rep format of
     verify_primitive). With a floor only the t-powers k >= floor are
     computed and kept. One Projector runs every product term in one
-    search over alpha (see Projector)."""
+    search over alpha, and then multiplies each class by the factor of
+    the constant direction (see Projector)."""
     projector = Projector(unf, filtration, floor)
     acc = [{} for _ in classes]     # one sink per class, read by rows
     projector.run([projector.product_term(t0, h, coeff.terms,
@@ -518,7 +506,8 @@ def oscillating_projection(unf, classes, filtration, floor=None):
     zero = unf.ring_zero()
     return [ReducedClass(unf.base.mu, {
         k: {j: zero._like(poly) for j, poly in row.items()}
-        for k, row in projector.rows(slots).items()}) for slots in acc]
+        for k, row in projector.rows(projector.times_constant(slots)).items()})
+        for slots in acc]
 
 
 class Projector:
@@ -531,10 +520,10 @@ class Projector:
     {k: {j: {gamma: Fraction}}}.
 
     The multiply-adds run on integers. A sink, one per u-degree, is a
-    dict that its caller creates empty and reads only through rows: it
-    maps (k, j), t^k phi_j, to {gamma: [numerator, denominator]}, the
-    u^gamma coefficient as an integer numerator over a running
-    denominator (see _add), and rows builds one normalized
+    dict that its caller creates empty and reads only through rows (and
+    times_constant): it maps (k, j), t^k phi_j, to {gamma: [numerator,
+    denominator]}, the u^gamma coefficient as an integer numerator over
+    a running denominator (see _add), and rows builds one normalized
     Fraction per (slot, gamma). The reduced sums of [t^t0 P_alpha h] are
     a pair (numerators, D): {(k, j): integer} over one denominator D, the
     lcm of the sums' denominators, and each coefficient r_beta of a
@@ -552,14 +541,15 @@ class Projector:
     subtree. Each product P_alpha h, formed only when neither factor is
     the constant 1, is reduced through the monomial cache of the base
     point (base.mono_cache, read through reduce_monomial) into sums per
-    (t^k, phi_j) once. For a0 = 0, 1, ... those sums, shifted to
-    t^(k - a0) with D multiplied by a0!, are the sums at alpha + a0 e_c:
-    they are spread over the u-monomials beta of the term's coefficient
-    with |alpha| + a0 + |beta| <= N into the u^(alpha+a0 e_c+beta)
-    slots of sink[|alpha| + a0], each numerator times that of r_beta
-    over D times the denominator of r_beta. No Q_{c,n}, product or
-    reduction is formed for a0 > 0, and without a constant direction
-    only a0 = 0 is taken.
+    (t^k, phi_j) once, and spread over the u-monomials beta of the
+    term's coefficient with |alpha| + |beta| <= N into the
+    u^(alpha+beta) slots of sink[|alpha|], each numerator times that of
+    r_beta over D times the denominator of r_beta. So a run leaves out
+    the factor e^(u_c/t) of the constant direction; times_constant
+    multiplies a sink by it. A term takes an alpha when
+    |alpha| + least <= N, least its smallest |beta|, top >= cut (below)
+    and sink[|alpha|] is not None: one inline test, in the walk and the
+    replay alike, since it runs for every (alpha, term) pair.
 
     A product term given a key leaves, on its first walk, the walk
     record of that key: (alpha, |alpha|, top, (numerators, D)) for each
@@ -572,34 +562,25 @@ class Projector:
     larger, so the record leaves out the alphas of the deepest size
     N - least, and their sink[0] is None, as in the order-by-order solve.
 
-    Whether a term takes an alpha, and which a0 it takes there, is one
-    rule for the walk and the replay alike: the cheap test
-    |alpha| + least <= N and top >= cut, which both make inline since it
-    runs for every (alpha, term) pair, and then _admit, which gives the
-    a0 and turns the alpha down when sink[|alpha|] is None and no a0 > 0
-    is left.
-
-    With a floor, coords_to_upper lifts a t-power by at most
-    filtration.lift in both modes, so reduced t-powers below floor -
-    lift are skipped, and what still lands below floor is dropped. In
-    polynomial mode without overrides P_alpha is homogeneous of degree
-    deg(e) - m = -wdeg(alpha), wdeg(alpha) = sum alpha_l (1 - d_l) (den
-    times it from unf.scaled_u), and
-    reducing z^e gives t-powers of at most deg(e), since basis degrees
-    are >= 0. So P_alpha is skipped against a product term (t0, h, r)
-    when top(h) + t0 - wdeg(alpha) < floor, top being the largest degree
-    in h, and a subtree is pruned when even -wdeg(alpha) - (room)
-    min(0, min deg u) leaves every product term of the run below the
-    floor, room being how many more u the run's terms allow. The
-    constant direction has wdeg 1, so each a0 lowers the degree by one
-    (den when scaled): the a0 of a term stop at the first that falls
-    below its cut, as they stop at |alpha| + a0 + least > N, least the
-    smallest |beta|, and a shifted sum drops the t-powers below
-    floor - lift. A run with a floor but without this graded cut (Laurent
-    mode, or overrides) reads the model's per-monomial bound instead,
-    base.t_bound: a term c z^e t^-m of P_alpha h is not reduced for
-    t^t0 when t0 - m + t_bound(e) < floor - lift, since its reduction
-    then lies wholly below. No subtree is pruned by this bound.
+    With a floor, rows lifts a t-power by at most filtration.lift in
+    both modes, so reduced t-powers below floor - lift are skipped, and
+    what still lands below floor is dropped. In polynomial mode without
+    overrides P_alpha is homogeneous of degree deg(e) - m = -wdeg(alpha),
+    wdeg(alpha) = sum alpha_l (1 - d_l) (den times it from
+    unf.scaled_u), and reducing z^e gives t-powers of at most deg(e),
+    since basis degrees are >= 0. So P_alpha is skipped against a
+    product term (t0, h, r) when top(h) + t0 - wdeg(alpha) < floor, top
+    being the largest degree in h, and a subtree is pruned when even
+    -wdeg(alpha) - (depth - |alpha|) min(0, min deg u) leaves every
+    product term of the run below the floor, depth - |alpha| being how
+    many more u the run's terms allow. A run with a floor but without
+    this graded cut (Laurent mode, or overrides) reads the model's
+    per-monomial bound instead, base.t_bound: a term c z^e t^-m of
+    P_alpha h is not reduced for t^t0 when t0 - m + t_bound(e) <
+    floor - lift, since its reduction then lies wholly below. No subtree
+    is pruned by this bound. The factor of the constant direction only
+    lowers t-powers, so none of these cuts drops a sum that
+    times_constant would lift to the floor.
     """
 
     def __init__(self, unf, filtration, floor=None):
@@ -657,13 +638,12 @@ class Projector:
                 walk.append(term[:6] + (record,))
         if walk:
             self._walk(walk)
-        N, admit, spread_out = self.unf.N, self._admit, self._spread
+        N, spread_out = self.unf.N, self._spread
         for _, _, spread, least, cut, sink, key in replay:
             for alpha, size, top, local in records[key]:
-                if size + least <= N and top >= cut:
-                    room = admit(size, top, least, cut, sink)
-                    if room is not None:
-                        spread_out(local, alpha, size, room, sink, spread)
+                if size + least <= N and top >= cut and \
+                        sink[size] is not None:
+                    spread_out(local, alpha, size, sink[size], spread)
 
     def _walk(self, terms):
         """One search over alpha for terms (t0, h, spread, least, cut,
@@ -671,7 +651,7 @@ class Projector:
         sums are appended to."""
         unf, N, c0 = self.unf, self.unf.N, self.unf.constant
         one, graded = unf.one, self.graded
-        admit, reduce, spread_out = self._admit, self._reduce, self._spread
+        reduce, spread_out = self._reduce, self._spread
         depth = N - min(term[3] for term in terms)
         lowest = min(term[4] for term in terms)
         # depth first over alpha as non-decreasing index sequences of the
@@ -691,10 +671,7 @@ class Projector:
             else:
                 P = one
             for t0, h, spread, least, cut, sink, record in terms:
-                if size + least > N or top < cut:
-                    continue
-                room = admit(size, top, least, cut, sink)
-                if room is None:
+                if size + least > N or top < cut or sink[size] is None:
                     continue
                 local = reduce(P, t0, h)
                 if local:
@@ -702,7 +679,7 @@ class Projector:
                     # replays no alpha of the deepest size
                     if record is not None and size + least < N:
                         record.append((alpha, size, top, local))
-                    spread_out(local, alpha, size, room, sink, spread)
+                    spread_out(local, alpha, size, sink[size], spread)
             if size < depth:
                 for l in range(last, unf.nu):
                     # P at alpha + e_l is P at alpha without its u_l part
@@ -714,54 +691,25 @@ class Projector:
                                       top - unf.scaled_u[l],
                                       prefix if l == last else P))
 
-    def _admit(self, size, top, least, cut, sink):
-        """For a product term (least, cut, sink) that passed the cheap
-        test size + least <= N and top >= cut at an alpha of that size
-        and scaled degree top: room, the largest power a0 of the constant
-        direction that it takes there, or None when it takes none, not
-        even a0 = 0, since sink[size] is None. The a0 stop at
-        |alpha| + a0 + least > N and, with the graded cut, before
-        top - a0 den falls below cut, which can only lower a positive
-        room. This is the seam for any finer test of which terms an
-        alpha serves."""
-        unf = self.unf
-        room = 0 if unf.constant is None else unf.N - size - least
-        if room and self.graded and (top - cut) // unf.base.den < room:
-            room = (top - cut) // unf.base.den
-        return None if sink[size] is None and not room else room
-
-    def _spread(self, local, alpha, size, room, sink, spread):
-        """Add the reduced sums local at alpha, and for a0 = 1..room their
-        shifts to alpha + a0 e_c, over the u-monomials of spread to
-        sink[size + a0], where that is not None. local is (numerators, D)
-        and each product n r_beta lands in its sink slot, an integer
-        numerator over a running common denominator (see _add)."""
+    def _spread(self, local, alpha, size, slots, spread):
+        """Add the reduced sums local at alpha, of size |alpha|, over the
+        u-monomials beta of spread with |alpha| + |beta| <= N to slots.
+        local is (numerators, D) and each product n r_beta lands in its
+        slot, an integer numerator over a running common denominator (see
+        _add)."""
         nums, D = local
-        a0, gamma0, limit = 0, alpha, self.unf.N - size
-        while nums:
-            slots = sink[size + a0]
-            if slots is not None:
-                for bsize, beta, bnum, bden in spread:
-                    if bsize > limit:
-                        break
-                    gamma = tuple(map(add, gamma0, beta))
-                    den = D * bden
-                    for slot_key, n in nums.items():
-                        slot = slots.get(slot_key)
-                        if slot is None:
-                            slots[slot_key] = {gamma: [n * bnum, den]}
-                        else:
-                            _add(slot, gamma, n * bnum, den)
-            if a0 == room:
+        limit = self.unf.N - size
+        for bsize, beta, bnum, bden in spread:
+            if bsize > limit:
                 break
-            # one more u of the constant direction: e^(u/t) shifts t by
-            # -1 and divides by the new a0
-            a0 += 1
-            limit -= 1
-            skip, c0 = self.skip, self.unf.constant
-            nums = {(k - 1, j): n for (k, j), n in nums.items() if k > skip}
-            D *= a0
-            gamma0 = alpha[:c0] + (a0,) + alpha[c0 + 1:]
+            gamma = tuple(map(add, alpha, beta))
+            den = D * bden
+            for slot_key, n in nums.items():
+                slot = slots.get(slot_key)
+                if slot is None:
+                    slots[slot_key] = {gamma: [n * bnum, den]}
+                else:
+                    _add(slot, gamma, n * bnum, den)
 
     def _reduce(self, P, t0, h):
         """[t^t0 P h] as sums over (k, j), the t-powers k >= floor - lift,
@@ -797,13 +745,43 @@ class Projector:
         return {key: c.numerator * (D // c.denominator)
                 for key, c in local.items()}, D
 
+    def times_constant(self, slots):
+        """Multiply a sink, in place, by the factor of the constant
+        direction c that the walk leaves out, e^(u_c/t) = sum_a u_c^a
+        t^(-a) / a!, and return it: the entry n/d at t^k phi_j u^gamma
+        adds n/(d a!) at t^(k-a) phi_j u^(gamma + a e_c) for
+        1 <= a <= N - |gamma|, t-powers below floor - lift dropped."""
+        c0, N, skip = self.unf.constant, self.unf.N, self.skip
+        if c0 is None:
+            return slots
+        entries = [(k, j, gamma, n, d) for (k, j), poly in slots.items()
+                   for gamma, (n, d) in poly.items() if n]
+        for k, j, gamma, n, d in entries:
+            for a in range(1, N - sum(gamma) + 1):
+                if k - a < skip:
+                    break
+                d *= a
+                gamma = gamma[:c0] + (gamma[c0] + 1,) + gamma[c0 + 1:]
+                _add(slots.setdefault((k - a, j), {}), gamma, n, d)
+        return slots
+
     def rows(self, slots):
         """A sink's slots in Phi(c) coordinates as rows
-        {k: {j: {gamma: Fraction}}}, one normalized Fraction per
-        (slot, gamma), zero coefficients, empty slots and t-powers below
-        the floor dropped."""
-        if not self.filtration.is_trivial():
-            slots = self.filtration.coords_to_upper(slots)
+        {k: {j: {gamma: Fraction}}}: right-multiplied by the inverse basis
+        change, whose (l, j) slot carries t^(d_l - d_j), in integers (see
+        _add), then one normalized Fraction per (slot, gamma), zero
+        coefficients, empty slots and t-powers below the floor dropped."""
+        filtration = self.filtration
+        if not filtration.is_trivial():
+            upper = {}
+            for (k, l), poly in slots.items():
+                for j, w in filtration.inverse[l].items():
+                    wn, wd = w.numerator, w.denominator
+                    tgt = upper.setdefault(
+                        (k + filtration.t_power(l, j), j), {})
+                    for gamma, (n, d) in poly.items():
+                        _add(tgt, gamma, n * wn, d * wd)
+            slots = upper
         rows = {}
         for (k, j), poly in slots.items():
             if self.floor is None or k >= self.floor:
@@ -816,9 +794,9 @@ class Projector:
 def _add(slot, gamma, n, den):
     """Add n / den to slot[gamma], an entry [numerator, denominator] of a
     sink, over a common denominator: a plain add when the two
-    denominators are equal, one scaling when one divides the other,
-    their lcm otherwise. Nothing is normalized; Projector.rows builds one
-    Fraction per entry."""
+    denominators d and den are equal, otherwise over their lcm,
+    d // g * den with g = gcd(d, den). Nothing is normalized;
+    Projector.rows builds one Fraction per entry."""
     entry = slot.get(gamma)
     if entry is None:
         slot[gamma] = [n, den]
@@ -826,14 +804,7 @@ def _add(slot, gamma, n, den):
     prior, d = entry
     if d == den:
         entry[0] = prior + n
-        return
-    q, r = divmod(d, den) if d > den else divmod(den, d)
-    if r:
-        g = math.gcd(r, min(d, den))
+    else:
+        g = math.gcd(d, den)
         entry[0] = prior * (den // g) + n * (d // g)
         entry[1] = d // g * den
-    elif d > den:
-        entry[0] = prior + n * q
-    else:
-        entry[0] = prior * q + n
-        entry[1] = den

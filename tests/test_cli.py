@@ -307,6 +307,30 @@ def test_c_slot_out_of_range_is_rejected(capsys, tmp_path, singularity,
     assert "out of range" in doc["error"]["message"]
 
 
+def test_mask_flag_matches_the_job_mask(capsys, tmp_path):
+    job = {"schema": SCHEMA, "command": "primitive-form",
+           "singularity": ELLIPTIC, "N": 4}
+    code0, doc0 = run_cli(capsys, tmp_path, dict(job, mask=[8]))
+    code1, doc1 = run_cli(capsys, tmp_path, job, extra=["--mask", "8"])
+    assert code0 == code1 == 0
+    assert doc1["result"]["records"] == doc0["result"]["records"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--mask", "a"], "--mask expects comma-separated basis indices, "
+                      "got 'a'"),
+    (["--mask", "8,,1"], "--mask expects comma-separated basis indices, "
+                         "got '8,,1'"),
+    (["--set-c", "8;1=1"], "--set-c expects i,j=p/q, got '8;1=1'"),
+])
+def test_malformed_flag_is_named(capsys, tmp_path, extra, message):
+    job = {"schema": SCHEMA, "command": "primitive-form",
+           "singularity": ELLIPTIC, "N": 2}
+    code, doc = run_cli(capsys, tmp_path, job, extra=extra)
+    assert code == 2 and doc["ok"] is False
+    assert doc["error"] == {"type": "JobError", "message": message}
+
+
 @pytest.mark.parametrize("key", ["1", "1,2,3", "a,b"])
 def test_malformed_c_key_is_named(capsys, tmp_path, key):
     job = {"schema": SCHEMA, "command": "primitive-form",

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -145,6 +146,15 @@ def test_weight_system_validation():
         WeightSystem([Fraction(2, 3)])
     with pytest.raises(PolynomialError):
         WeightSystem([Fraction(0)])
+
+
+@pytest.mark.parametrize("weight", [1 / 3, 0.5, True, "1/3"])
+def test_weight_system_rejects_an_inexact_weight(weight):
+    # a float 1/3 failed the Euler identity with a binary fraction, and
+    # 0.5 and "1/3" were read silently
+    with pytest.raises(ValueError, match=re.escape(
+            "weight %r is not an exact rational" % (weight,))):
+        WeightSystem([Fraction(1, 3), weight])
 
 
 def test_weight_system_degrees_and_charge():

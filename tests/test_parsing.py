@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -72,3 +73,26 @@ def test_parse_rational():
     assert parse_rational("-2") == Fraction(-2)
     with pytest.raises(ParseError):
         parse_rational("1.5x")
+
+
+@pytest.mark.parametrize("text, laurent, message, pos", [
+    ("(x", False, "expected ')'", 2),
+    ("x^y", False, "expected integer exponent", 2),
+    ("1/x", False, "'/' is only allowed between integer literals", 2),
+    ("1/0", False, "division by zero", 2),
+    ("(x+1)^-1", True, "negative exponent of a non-monomial", 5),
+    ("(x*y)^-1", True, "negative exponents apply to plain variables only",
+     5),
+])
+def test_parse_error_names_the_fault_and_its_position(text, laurent,
+                                                       message, pos):
+    with pytest.raises(ParseError) as excinfo:
+        parse_poly(text, ("x", "y"), laurent=laurent)
+    assert str(excinfo.value) == "%s (at position %d)" % (message, pos)
+    assert excinfo.value.pos == pos
+
+
+def test_parse_rational_rejects_a_zero_denominator():
+    with pytest.raises(ParseError, match=re.escape(
+            "division by zero in '1/0' (at position 0)")):
+        parse_rational("1/0")

@@ -349,6 +349,37 @@ def test_p1_constant_direction_is_a_t_shift(monkeypatch, p1_q2):
     assert reduced and all(any(P is q for q in allowed) for P in reduced)
 
 
+# (id, an ORACLE_ZOO case or a fixture name, N, c, overrides)
+CONSTANT_DIRECTION_CASES = [(case[0], case, 4, None, None)
+                            for case in ORACLE_ZOO] + [
+    ("elliptic c81=1", "elliptic", 6, {(8, 1): 1}, None),
+    ("quartic-pair c91=1", "quartic_pair", 5, {(9, 1): 1}, None),
+    ("p1-q2", "p1_q2", 20, None, None),
+    ("p1-q2 exp", "p1_q2", 20, None, {2: lambda u: exp_series(u) - 1}),
+]
+
+
+@pytest.mark.parametrize("name, data, N, c, overrides",
+                         CONSTANT_DIRECTION_CASES,
+                         ids=[case[0] for case in CONSTANT_DIRECTION_CASES])
+def test_zeta_does_not_depend_on_the_constant_direction(request, name, data,
+                                                        N, c, overrides):
+    # [e^(u_c/t) Y]_{t>=0} is invertible on classes with t >= 0 and fixes
+    # Phi_1, so zeta_+ of a full unfolding is that of the unfolding
+    # without the constant direction, with u_c to the power 0
+    data = request.getfixturevalue(data) if isinstance(data, str) \
+        else analyze_oracle_case(data)
+    full = build_unfolding(data, N, overrides=overrides)
+    assert full.constant == 0
+    rest = build_unfolding(data, N, mask=range(2, data.mu + 1),
+                           overrides=overrides)
+    got = [(k, j, elem.terms) for k, j, elem
+           in primitive_form(full, c).records()]
+    want = [(k, j, {(0,) + e: x for e, x in elem.terms.items()})
+            for k, j, elem in primitive_form(rest, c).records()]
+    assert got == want
+
+
 def test_psi_with_a_constant_term_is_rejected():
     # A^(0) = Id + E_12 at u = 0: Psi has the nilpotent constant entry
     # Psi[1][2] = 1, which the solve must not accept

@@ -778,18 +778,17 @@ def _u(unf, *positions):
 @pytest.mark.parametrize("floor", [None, -2])
 def test_replay_spreads_the_constant_direction_shifts(monkeypatch, e12,
                                                       floor):
-    # a keyed term's second run replays its walk record; with sink[0] None
-    # the sums at alpha = 0 reach the sink only through their shifts by
-    # the constant direction (a0 = 1, 2), which the solves do not land at
-    # or above their floor
+    # a keyed term's second run replays its walk record, with sink[0]
+    # None; a run leaves out the factor e^(u1/t) of the constant
+    # direction, so its sinks hold the projection of the unfolding
+    # without u1
     unf = build_unfolding(e12, 4)
     assert unf.constant == 0
     filt = OppositeFiltration(e12)
     (t0, h), = filt.upper(5)                    # x*y
     first = _elem(unf, {_u(unf, 1): 1, _u(unf, 3): Fraction(1, 7)})
-    second = _elem(unf, {_u(unf, 0, 1): Fraction(3, 11),
-                         _u(unf, 1, 1): Fraction(-5, 13),
-                         _u(unf, 2, 5): Fraction(2, 9)})
+    second = {_u(unf, 1, 2): Fraction(3, 11), _u(unf, 1, 1): Fraction(-5, 13),
+              _u(unf, 2, 5): Fraction(2, 9)}
     N = unf.N
     projector = unfolding.Projector(unf, filt, floor)
     projector.run([projector.product_term(
@@ -797,19 +796,20 @@ def test_replay_spreads_the_constant_direction_shifts(monkeypatch, e12,
     replayed = [None] + [{} for _ in range(N)]
     with monkeypatch.context() as m:
         seen = count_reductions(m)
-        projector.run([projector.product_term(t0, h, second.terms,
-                                              replayed, "x*y")])
+        projector.run([projector.product_term(t0, h, second, replayed,
+                                              "x*y")])
     assert seen.reduced == []
     fresh = unfolding.Projector(unf, filt, floor)
     walked = [None] + [{} for _ in range(N)]
-    fresh.run([fresh.product_term(t0, h, second.terms, walked)])
+    fresh.run([fresh.product_term(t0, h, second, walked)])
     assert [projector.rows(s) for s in replayed[1:]] == \
         [fresh.rows(s) for s in walked[1:]]
     got = _sink_rows(projector, replayed)
-    # no beta has u1^2, so these come from shifted sums
-    assert any(gamma[0] >= 2 for _, _, gamma in got)
+    assert got and all(gamma[0] == 0 for _, _, gamma in got)
     # sink[0] holds u-degree 2, the degree of the coefficient, alone
-    want, = ring_order_projection(unf, [[(t0, h, second)]], filt, floor)
-    assert got == {(k, j, gamma): c for k, row in want.rows.items()
+    rest = build_unfolding(e12, N, mask=range(2, 13))
+    coeff = _elem(rest, {beta[1:]: b for beta, b in second.items()})
+    want, = ring_order_projection(rest, [[(t0, h, coeff)]], filt, floor)
+    assert got == {(k, j, (0,) + gamma): c for k, row in want.rows.items()
                    for j, elem in row.items()
                    for gamma, c in elem.terms.items() if sum(gamma) > 2}
