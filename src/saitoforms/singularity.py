@@ -257,6 +257,29 @@ class P1MirrorData:
         are at most max(|e| - 3, 0, 1 + |e| - 2) = |e| - 1."""
         return max(0, abs(exp[0]) - 1)
 
+    def reach(self, exp, walked):
+        """The largest t-power of [P_alpha z^exp] over every alpha != 0 of
+        a projection's walk, walked being the set of 0-based basis
+        positions whose directions it walks: |e| - 1 for exp = (e,) with
+        e < 0; for e >= 0, max(-1, e - 3), or max(-1, e - 2) when the
+        direction of phi_1 = 1 is walked (it has an override, so it is not
+        the constant direction).
+
+        psi_l has no constant term, so by the recurrence of
+        UnfoldingData.q each Q_{l,n}, n >= 1, lies in the span of
+        phi_l^j t^-j, 1 <= j <= n. So P_alpha is a sum of terms
+        z^-j t^-(i+j), i, j >= 0 and i + j >= 1, from phi = q/z and,
+        only when phi_1 is walked, i > 0 from phi_1 = 1. By t_bound the
+        term's part of [P_alpha z^e] has t-powers at most
+        max(0, |e - j| - 1) - i - j. For e < 0 that is |e| - 1 - i. For
+        e >= 0 and j = 0, so i >= 1, it is at most max(0, e - 1) - 1. For
+        j >= 1 it is at most max(-j, e - 2j - 1) when j <= e, and
+        max(-j, -e - 1) when j > e, so at most max(-1, e - 3)."""
+        e = exp[0]
+        if e < 0:
+            return -e - 1
+        return max(-1, e - (2 if 0 in walked else 3))
+
     def residue_pairing_matrix(self):
         """The pairing of the basis {1, q/z}: K(1, q/z) = -1, and the
         other basis pairings vanish."""

@@ -24,7 +24,9 @@ result's ring entries are built once, at the end. Every MPoly product
 computes something: the Q_{l,n} are built once per unfolding
 (UnfoldingData.q, by an integer recurrence that makes no MPoly product)
 and shared by all its projections, P_alpha is Q_{l,n} itself when alpha
-lies on one variable, and neither P_0 = 1 nor h = 1 is multiplied.
+lies on one variable, neither P_0 = 1 nor h = 1 is multiplied, and
+P_alpha and its Q_{l,n} are formed only when a term takes alpha or a
+deeper P needs it.
 
 The constant direction, psi = u on the basis element 1, present in
 every full unfolding and on the P^1 mirror, has the scalar factor
@@ -38,11 +40,13 @@ above it: a cut on the reduced t-powers of each product and, without
 overrides, an exact cut on alpha itself from the grading. Where that
 graded cut does not hold (the Laurent model, overrides) each model's
 per-monomial t-power bound, t_bound, skips the monomials whose
-reductions stay below the floor. A Projector holds this setup and the
-walk record of each keyed product term, so that the order-by-order
-solve of the primitive form runs it once per u-degree and a term that
-recurs from an earlier part replays its reduced sums instead of
-walking and reducing again (see Projector).
+reductions stay below the floor, and on the Laurent model a bound on
+what any alpha != 0 lifts a term to (P1MirrorData.reach) keeps a term
+that it leaves below the floor to alpha = 0. A Projector holds this
+setup and the walk record of each keyed product term, so that the
+order-by-order solve of the primitive form runs it once per u-degree
+and a term that recurs from an earlier part replays its reduced sums
+instead of walking and reducing again (see Projector).
 """
 
 import math
@@ -534,11 +538,14 @@ class Projector:
     (Laurent MPolys in Laurent mode). The work runs in u-monomial order
     (see the module docstring). A walk visits each alpha with no power
     of the constant direction c (unf.constant) once, depth-first over
-    non-decreasing index sequences of the other directions, and takes
-    P_alpha when the search reaches alpha: Q_{l,alpha_l} itself when
-    alpha lies on one variable, otherwise P at alpha without its last
-    variable l times Q_{l,alpha_l}. P_alpha is not kept past its
-    subtree. Each product P_alpha h, formed only when neither factor is
+    non-decreasing index sequences of the other directions. P_alpha is
+    Q_{l,alpha_l} itself when alpha lies on one variable, otherwise P at
+    alpha without its last variable l times Q_{l,alpha_l}. It is formed,
+    and that Q_{l,alpha_l} fetched, the first time it is used: when a
+    term takes alpha, or when a deeper alpha needs it as that P. So an
+    alpha that no term takes and no deeper P reads costs no product and
+    builds no Q. P_alpha is not kept past its subtree. Each product
+    P_alpha h, formed only when neither factor is
     the constant 1, is reduced through the monomial cache of the base
     point (base.mono_cache, read through reduce_monomial) into sums per
     (t^k, phi_j) once, and spread over the u-monomials beta of the
@@ -546,10 +553,11 @@ class Projector:
     u^(alpha+beta) slots of sink[|alpha|], each numerator times that of
     r_beta over D times the denominator of r_beta. So a run leaves out
     the factor e^(u_c/t) of the constant direction; times_constant
-    multiplies a sink by it. A term takes an alpha when
-    |alpha| + least <= N, least its smallest |beta|, top >= cut (below)
-    and sink[|alpha|] is not None: one inline test, in the walk and the
-    replay alike, since it runs for every (alpha, term) pair.
+    multiplies a sink by it. A term takes an alpha when |alpha| <= room,
+    top >= cut (below) and sink[|alpha|] is not None: one inline test,
+    in the walk and the replay alike, since it runs for every (alpha,
+    term) pair. room is N - least, least the term's smallest |beta|, or
+    0 where the Laurent reach bound (below) keeps the term to alpha = 0.
 
     A product term given a key leaves, on its first walk, the walk
     record of that key: (alpha, |alpha|, top, (numerators, D)) for each
@@ -560,7 +568,7 @@ class Projector:
     key stands for the term's t0 and h, and its later terms may ask for
     no alpha that the first walk passed over: their least |beta| is
     larger, so the record leaves out the alphas of the deepest size
-    N - least, and their sink[0] is None, as in the order-by-order solve.
+    room, and their sink[0] is None, as in the order-by-order solve.
 
     With a floor, rows lifts a t-power by at most filtration.lift in
     both modes, so reduced t-powers below floor - lift are skipped, and
@@ -577,10 +585,15 @@ class Projector:
     this graded cut (Laurent mode, or overrides) reads the model's
     per-monomial bound instead, base.t_bound: a term c z^e t^-m of
     P_alpha h is not reduced for t^t0 when t0 - m + t_bound(e) <
-    floor - lift, since its reduction then lies wholly below. No subtree
-    is pruned by this bound. The factor of the constant direction only
-    lowers t-powers, so none of these cuts drops a sum that
-    times_constant would lift to the floor.
+    floor - lift, since its reduction then lies wholly below. The
+    Laurent model has no graded cut on alpha, but it bounds the walk as
+    a whole: P1MirrorData.reach(e, walked) is the largest t-power of
+    [P_alpha z^e] over every alpha != 0. A term whose t0 plus that
+    bound, over the z^e of its h, lies below floor - lift takes alpha = 0
+    alone, and a run all of whose terms are like that walks no deeper.
+    The factor of the constant direction only lowers t-powers, so none
+    of these cuts drops a sum that times_constant would lift to the
+    floor.
     """
 
     def __init__(self, unf, filtration, floor=None):
@@ -597,6 +610,14 @@ class Projector:
         # one more u_l lowers the scaled degree of P_alpha by scaled_u[l]:
         # it rises by at most climb, so no alpha below a pruned one passes
         self.climb = max(0, -min(unf.scaled_u, default=0))
+        # on the Laurent model, the bound on the t-powers that any
+        # alpha != 0 lifts a monomial z^e to, for the walked basis
+        # positions
+        self.reach = None
+        if self.bound is not None and unf.laurent:
+            walked = {j for pos, j in enumerate(unf.indices)
+                      if pos != unf.constant}
+            self.reach = lambda e: unf.base.reach(e, walked)
         self.records = {}     # key -> [(alpha, size, top, (nums, D))]
 
     def product_term(self, t0, h, coeffs, sink, key=None):
@@ -613,12 +634,18 @@ class Projector:
         # numerator and denominator
         spread = sorted((sum(beta), beta, b.numerator, b.denominator)
                         for beta, b in coeffs.items())
+        # the largest |alpha| the term takes: N - least, its smallest
+        # |beta|, or 0 when no alpha != 0 reaches floor - lift
+        room = self.unf.N - spread[0][0]
+        if self.reach is not None and \
+                t0 + max(map(self.reach, h)) < self.skip:
+            room = 0
         # the constant h = 1 stands as unf.one, which _reduce does not
         # multiply by
         one = self.unf.one
         h = one if h == {(0,) * self.unf.base.n: 1} else \
             one._like({e + (0,): c for e, c in h.items()})
-        return (t0, h, spread, spread[0][0], cut, sink, key)
+        return (t0, h, spread, room, cut, sink, key)
 
     def run(self, terms):
         """Add the projections of the product terms to their sinks: the
@@ -638,58 +665,70 @@ class Projector:
                 walk.append(term[:6] + (record,))
         if walk:
             self._walk(walk)
-        N, spread_out = self.unf.N, self._spread
-        for _, _, spread, least, cut, sink, key in replay:
+        spread_out = self._spread
+        for _, _, spread, room, cut, sink, key in replay:
             for alpha, size, top, local in records[key]:
-                if size + least <= N and top >= cut and \
-                        sink[size] is not None:
+                if size <= room and top >= cut and sink[size] is not None:
                     spread_out(local, alpha, size, sink[size], spread)
 
     def _walk(self, terms):
-        """One search over alpha for terms (t0, h, spread, least, cut,
+        """One search over alpha for terms (t0, h, spread, room, cut,
         sink, record), record None or the list that the term's nonempty
         sums are appended to."""
-        unf, N, c0 = self.unf, self.unf.N, self.unf.constant
-        one, graded = unf.one, self.graded
+        unf, c0 = self.unf, self.unf.constant
+        graded, form = self.graded, self._form
         reduce, spread_out = self._reduce, self._spread
-        depth = N - min(term[3] for term in terms)
+        depth = max(term[3] for term in terms)
         lowest = min(term[4] for term in terms)
         # depth first over alpha as non-decreasing index sequences of the
-        # walked directions, last being the last index raised; top is the
-        # scaled degree of P_alpha, and prefix is P at alpha with
-        # alpha_last set to 0
-        stack = [((0,) * unf.nu, 0, 0, 0, one)]
+        # walked directions. Each entry is a cell [P_alpha or None, the
+        # cell of P at alpha with alpha_last set to 0, last, alpha_last,
+        # alpha, |alpha|, top], last being the last index raised and top
+        # the scaled degree of P_alpha; the root's prefix cell holds
+        # P = 1 alone
+        stack = [[unf.one, [unf.one], 0, 0, (0,) * unf.nu, 0, 0]]
         while stack:
-            alpha, size, last, top, prefix = stack.pop()
+            cell = stack.pop()
+            _, prefix, last, _, alpha, size, top = cell
             if graded and top + (depth - size) * self.climb < lowest:
                 continue
-            if size:
-                n, qs = alpha[last], unf.qs[last]
-                q = qs[n] if n < len(qs) else unf.q(last, n)
-                # on one variable P_alpha is Q_{l,alpha_l} itself
-                P = q if prefix is one else prefix * q
-            else:
-                P = one
-            for t0, h, spread, least, cut, sink, record in terms:
-                if size + least > N or top < cut or sink[size] is None:
+            for t0, h, spread, room, cut, sink, record in terms:
+                if size > room or top < cut or sink[size] is None:
                     continue
+                P = cell[0]
+                if P is None:
+                    P = form(cell)
                 local = reduce(P, t0, h)
                 if local:
-                    # a later term of the key has a larger least, so it
+                    # a later term of the key has a smaller room, so it
                     # replays no alpha of the deepest size
-                    if record is not None and size + least < N:
+                    if record is not None and size < room:
                         record.append((alpha, size, top, local))
                     spread_out(local, alpha, size, sink[size], spread)
             if size < depth:
                 for l in range(last, unf.nu):
                     # P at alpha + e_l is P at alpha without its u_l part
-                    # times Q_{l,alpha_l+1}; the constant direction is not
-                    # walked
+                    # times Q_{l,alpha_l+1}, both formed on first use; the
+                    # constant direction is not walked
                     if l != c0:
-                        stack.append((alpha[:l] + (alpha[l] + 1,) +
-                                      alpha[l + 1:], size + 1, l,
-                                      top - unf.scaled_u[l],
-                                      prefix if l == last else P))
+                        n = alpha[l] + 1
+                        stack.append([None, prefix if l == last else cell,
+                                      l, n, alpha[:l] + (n,) + alpha[l + 1:],
+                                      size + 1, top - unf.scaled_u[l]])
+
+    def _form(self, cell):
+        """P_alpha of a walk cell [None, prefix cell, l, n, ...]: the prefix
+        cell's P, formed first if it is not yet, times Q_{l,n}, or
+        Q_{l,n} itself when that P is the constant 1. It is kept in the
+        cell for the terms and descendants that read it later."""
+        prefix = cell[1][0]
+        if prefix is None:
+            prefix = self._form(cell[1])
+        unf, l, n = self.unf, cell[2], cell[3]
+        qs = unf.qs[l]
+        q = qs[n] if n < len(qs) else unf.q(l, n)
+        P = cell[0] = q if prefix is unf.one else prefix * q
+        return P
 
     def _spread(self, local, alpha, size, slots, spread):
         """Add the reduced sums local at alpha, of size |alpha|, over the

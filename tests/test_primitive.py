@@ -314,16 +314,15 @@ def test_socle_solve_multiplies_only_to_build_q(monkeypatch, elliptic, c):
     assert calls == []
 
 
-def test_verify_reuses_the_q_of_the_solve(p1_q2):
+def test_verify_reuses_the_q_of_the_solve(elliptic):
     # the Q_{l,n} belong to the unfolding: a verify after the solve builds
     # no entry of the table, while one on a fresh unfolding builds its own
     def unfold():
-        return build_unfolding(p1_q2, 20, u_names=["u0", "u1"],
-                               overrides={2: lambda u: exp_series(u) - 1})
+        return build_unfolding(elliptic, 20, mask=[8])
 
     unf = unfold()
     pf = primitive_form(unf)
-    assert len(unf.qs[1]) > 1
+    assert len(unf.qs[0]) > 1
     built = []
     for target in (unf, unfold()):
         before = sum(map(len, target.qs))
@@ -334,9 +333,10 @@ def test_verify_reuses_the_q_of_the_solve(p1_q2):
 
 def test_p1_constant_direction_is_a_t_shift(monkeypatch, p1_q2):
     # e^(u0/t) is a scalar: the solve and the verify reduce each P_alpha h
-    # only at alpha with no u0, that is P_alpha = 1 or Q_{2,n} itself, and
-    # spread it shifted over the powers of u0; no Q_{1,n} is built and,
-    # with the Q_{2,n} from the integer recurrence, no MPoly product made
+    # only at alpha with no u0 and spread it shifted over the powers of
+    # u0, so no Q_{1,n} is built and no MPoly product made; zeta_+ = Phi_1
+    # reaches no kept t-power at any alpha != 0 (P1MirrorData.reach), so
+    # they reduce at alpha = 0 alone and build no Q_{2,n} either
     unf = build_unfolding(p1_q2, 20, u_names=["u0", "u1"],
                           overrides={2: lambda u: exp_series(u) - 1})
     reduced = count_reductions(monkeypatch).reduced
@@ -344,9 +344,8 @@ def test_p1_constant_direction_is_a_t_shift(monkeypatch, p1_q2):
     pf = primitive_form(unf)
     assert verify_primitive(unf, pf)
     assert calls == []
-    assert len(unf.qs[0]) == 1
-    allowed = [unf.one] + unf.qs[1]
-    assert reduced and all(any(P is q for q in allowed) for P in reduced)
+    assert len(unf.qs[0]) == len(unf.qs[1]) == 1
+    assert reduced and all(P is unf.one for P in reduced)
 
 
 # (id, an ORACLE_ZOO case or a fixture name, N, c, overrides)
@@ -574,6 +573,38 @@ def test_order_by_order_solve_makes_few_products(monkeypatch, e12):
     calls = count_products(monkeypatch)
     primitive_form(unf)
     assert 0 < len(calls) <= 1000
+
+
+@pytest.mark.parametrize("case", ORACLE_ZOO + ["elliptic"],
+                         ids=[c[0] for c in ORACLE_ZOO] + ["elliptic c81=1"])
+def test_lazy_walk_projects_zeta_as_the_ring_order_oracle(elliptic, case):
+    # the walk forms P_alpha only when a term or a descendant first reads
+    # it: zeta_+ projected as verify_primitive does, at the floors 0 and
+    # -2, is the ring-order projection, read once at -2
+    data, c = (elliptic, {(8, 1): 1}) if case == "elliptic" else \
+        (analyze_oracle_case(case), None)
+    unf = build_unfolding(data, 4)
+    filtration = good_filtration(unf, c)
+    classes = [_as_t_rpolys(unf, primitive_form(unf, c=filtration))]
+    want, = ring_order_projection(unf, classes, filtration, -2)
+    for floor in (0, -2):
+        got, = oscillating_projection(unf, classes, filtration, floor)
+        assert got == ReducedClass(data.mu, {
+            k: row for k, row in want.rows.items() if k >= floor}), floor
+
+
+def test_w12_solve_and_verify_products(monkeypatch):
+    # P_alpha is formed on first use, so an alpha that no term takes and
+    # no descendant reads costs no product: 17495 products in the solve
+    # and 52167 in the verify when every reached P_alpha was formed
+    data = analyze_oracle_case(("x^4 + y^5", ("x", "y"), ["1/4", "1/5"]))
+    unf = build_unfolding(data, 14)
+    calls = count_products(monkeypatch)
+    pf = primitive_form(unf)
+    assert 0 < len(calls) <= 13300
+    calls.clear()
+    assert verify_primitive(unf, pf)
+    assert 0 < len(calls) <= 7100
 
 
 def _corrupt_reductions(monkeypatch, t_power):

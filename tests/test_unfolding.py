@@ -728,40 +728,79 @@ def test_polynomial_t_bound_is_sound(case):
 
 
 def _unbounded(monkeypatch):
-    # a t_bound that never lets a monomial be skipped
+    # a t_bound that never lets a monomial be skipped, and a reach that
+    # never keeps a term from an alpha
     monkeypatch.setattr(P1MirrorData, "t_bound", lambda self, exp: math.inf)
+    monkeypatch.setattr(P1MirrorData, "reach",
+                        lambda self, exp, walked: math.inf)
 
 
 @pytest.mark.parametrize("q", [Fraction(2), Fraction(3, 4)])
 @pytest.mark.parametrize("exponentiated", [False, True])
 def test_laurent_cut_matches_uncut_and_ring_order(monkeypatch, q,
                                                   exponentiated):
-    # the per-monomial bound skips reductions (at the floor 0 with a
-    # trivial c), never a t-power at or above the floor; the Laurent class
-    # pairs positive and negative z-powers with ring coefficients
-    unf = build_unfolding(
-        P1MirrorData(q), 6, u_names=["u0", "u1"],
-        overrides={2: _exp_minus_one} if exponentiated else None)
-    ring = _elem(unf, {(0, 0): 1, (1, 0): 2, (0, 2): -3})
-    z = MPoly(("z",), {(3,): 1, (-2,): Fraction(1, 5), (0,): 2},
-              laurent=True)
-    skipped = 0
-    for c in (None, {(2, 1): Fraction(1)}):
-        filt = OppositeFiltration(unf.base, c)
-        classes = phi_classes(unf, filt) + [[(1, z.terms, ring)]]
-        for floor in (0, -2):
-            with monkeypatch.context() as m:
-                seen = count_reductions(m)
-                cut = oscillating_projection(unf, classes, filt, floor)
-                skipped -= len(seen.monomials)
-            with monkeypatch.context() as m:
-                _unbounded(m)
-                seen = count_reductions(m)
-                assert oscillating_projection(unf, classes, filt,
-                                              floor) == cut
-                skipped += len(seen.monomials)
-            assert cut == ring_order_projection(unf, classes, filt, floor)
-    assert skipped > 0
+    # the per-monomial bound skips reductions and the reach bound whole
+    # alphas (at the floor 0 with a trivial c), never a t-power at or
+    # above the floor; the Laurent class pairs positive and negative
+    # z-powers with ring coefficients, and each t^t0 z^e stands alone so
+    # that the reach of every e is tried, with u0 walked when index 1
+    # has an override
+    skipped = pruned = 0
+    for first in (None, _mixed_override):
+        overrides = {1: first} if first else {}
+        if exponentiated:
+            overrides[2] = _exp_minus_one
+        # a walked u0 multiplies the alphas, so that unfolding stops at 4
+        unf = build_unfolding(P1MirrorData(q), 4 if first else 6,
+                              u_names=["u0", "u1"], overrides=overrides)
+        assert (unf.constant is None) == bool(first)
+        ring = _elem(unf, {(0, 0): 1, (1, 0): 2, (0, 2): -3})
+        z = MPoly(("z",), {(3,): 1, (-2,): Fraction(1, 5), (0,): 2},
+                  laurent=True)
+        monomials = [[(t0, {(e,): Fraction(1)}, unf.ring_one())]
+                     for t0 in range(3) for e in range(-4, 6)]
+        for c in (None, {(2, 1): Fraction(1)}):
+            filt = OppositeFiltration(unf.base, c)
+            classes = phi_classes(unf, filt) + [[(1, z.terms, ring)]] + \
+                monomials
+            for floor in (0, -2):
+                with monkeypatch.context() as m:
+                    seen = count_reductions(m)
+                    cut = oscillating_projection(unf, classes, filt, floor)
+                    skipped -= len(seen.monomials)
+                    pruned -= len(seen.reduced)
+                with monkeypatch.context() as m:
+                    _unbounded(m)
+                    seen = count_reductions(m)
+                    assert oscillating_projection(unf, classes, filt,
+                                                  floor) == cut
+                    skipped += len(seen.monomials)
+                    pruned += len(seen.reduced)
+                assert cut == ring_order_projection(unf, classes, filt,
+                                                    floor)
+    assert skipped > 0 and pruned > 0
+
+
+@pytest.mark.parametrize("first", [None, _exp_minus_one])
+def test_p1_reach_is_sound(p1_q2, first):
+    # every t-power of [P_alpha z^e], alpha != 0, is at most reach(e), and
+    # the bound is met for some alpha at each e; u0 is walked when index
+    # 1 has an override
+    overrides = {2: _mixed_override}
+    if first:
+        overrides[1] = first
+    N = 6
+    unf = build_unfolding(p1_q2, N, u_names=["u0", "u1"],
+                          overrides=overrides)
+    assert (unf.constant is None) == bool(first)
+    walked = {0, 1} if first else {1}
+    ns = range(N + 1) if first else [0]
+    products = [unf.q(0, a) * unf.q(1, b) for a in ns
+                for b in range(N + 1) if 0 < a + b <= N]
+    for e in range(-6, 9):
+        top = max(k - m for P in products for d, m in P.terms
+                  for k in reduce_monomial(p1_q2, (d + e,)).rows)
+        assert top == p1_q2.reach((e,), walked), e
 
 
 def _sink_rows(projector, sink):
