@@ -204,9 +204,15 @@ def _fill_poly(data, exp):
                 "%d steps" % (exp, guard))
         parts = _rule_step(data, e)
         if parts is None:
+            index = data.std_index.get(e)
+            if index is None:
+                # no rule step reaches below a negative exponent
+                raise ValueError(
+                    "cannot reduce the monomial with exponent %r: a "
+                    "polynomial model takes %d nonnegative exponents"
+                    % (exp, data.n))
             stack.pop()
-            cache[e] = ReducedClass(
-                data.mu, {0: dict(data.basis_inv[data.std_index[e]])})
+            cache[e] = ReducedClass(data.mu, {0: dict(data.basis_inv[index])})
             continue
         pending[e] = parts
         for t, _, shift in parts:

@@ -102,9 +102,11 @@ def _parse_c(job, args):
 
 
 def _mask(job, args):
-    if args.mask:
+    if args.mask is not None:
+        # "" is the empty mask, as "mask": [] is
         try:
-            return [int(p) for p in args.mask.split(",")]
+            return [int(p) for p in args.mask.split(",")] if args.mask \
+                else []
         except ValueError:
             raise JobError("--mask expects comma-separated basis indices, "
                            "got %r" % args.mask)
@@ -296,7 +298,8 @@ def _parser():
                         help="override the truncation order N")
     parser.add_argument("--set-c", action="append", metavar="i,j=p/q",
                         help="set an opposite-filtration coordinate")
-    parser.add_argument("--mask", help="comma-separated active basis indices")
+    parser.add_argument("--mask", help="comma-separated active basis "
+                        "indices, \"\" for none")
     return parser
 
 

@@ -170,15 +170,13 @@ def solve_primitive(unf, filtration):
 
     Once the part zeta^(d') is final, one run of the Projector takes it
     through every alpha with 1 <= |alpha| <= N - d' and adds its
-    products to the pending degree d' + |alpha|. The product terms of
-    Phi_1 in the zeroth part, and those of a slot t^k Phi_j that a part
-    repeats from an earlier part, are keyed by their (t-power, Phi_j,
-    term of Phi_j): the first walk of a key leaves its walk record, and
-    the later parts replay it, spreading its reduced sums with no walk
-    and no reduction. The Q_{l,n} that the runs build stay on the
-    unfolding, so a verify_primitive after the solve builds none again.
-    Each term t^k u^gamma Phi_j is checked where it is placed: k <= a
-    and, without overrides, k + d_j + deg(u^gamma) = 0.
+    products to the pending degree d' + |alpha|. Every product term is
+    keyed by its (t-power, Phi_j, term of Phi_j), so it walks once, in
+    the first part that has its slot, and each later part replays its
+    record (see Projector). The Q_{l,n} stay on the unfolding, so a
+    verify_primitive after the solve builds none again. Each term
+    t^k u^gamma Phi_j is checked where it is placed: k <= a and, without
+    overrides, k + d_j + deg(u^gamma) = 0.
 
     The runs leave out the constant direction u_c (see Projector), since
     zeta_+ does not depend on it. With F' = F - u_c and
@@ -208,14 +206,10 @@ def solve_primitive(unf, filtration):
                 if d:
                     poly = {gamma: -c for gamma, c in poly.items()}
                 _check_term(k, j, poly, a, on_grade)
-                # Phi_1 of the zeroth part and a slot that an earlier part
-                # had are keyed; a slot in one part only keeps no record
-                keyed = not d or (k, j) in collected
                 collected.setdefault((k, j), {}).update(poly)
                 for n, (t0, h) in uppers[j]:
                     terms.append(projector.product_term(
-                        k + t0, h, poly, sink,
-                        (k, j, n) if keyed else None))
+                        k + t0, h, poly, sink, (k, j, n)))
         projector.run(terms)
     zero = unf.ring_zero()
     zeta = ReducedClass(mu)
@@ -259,7 +253,10 @@ def _as_t_rpolys(unf, rep):
     format oscillating_projection reads.
 
     Accepts a PrimitiveForm, an MPoly with Fraction coefficients, or a
-    list of (t_power, MPoly, ring_elem) product terms.
+    list of (t_power, MPoly, ring_elem) product terms. A term whose
+    t-power is not an int, whose MPoly is not over the singularity's
+    variables or whose coefficient is not an element of the unfolding
+    ring (its variables and order N) is a ValueError naming it.
     """
     if isinstance(rep, PrimitiveForm):
         upper = rep.filtration.upper
@@ -267,7 +264,29 @@ def _as_t_rpolys(unf, rep):
                 for j, elem in row.items() for t0, h in upper(j)]
     if isinstance(rep, MPoly):
         rep = [(0, rep, unf.ring_one())]
-    return [(t0, poly.terms, elem) for t0, poly, elem in rep]
+    ring = unf.ring_zero()
+    terms = []
+    for n, (t0, poly, elem) in enumerate(rep, 1):
+        if isinstance(t0, bool) or not isinstance(t0, int):
+            problem = "the t-power %r is not an int" % (t0,)
+        elif not isinstance(poly, MPoly):
+            problem = "%r is not an MPoly" % (poly,)
+        elif poly.variables != unf.base.variables:
+            problem = "the polynomial %s is in %s, not in %s" % (
+                poly, ", ".join(poly.variables),
+                ", ".join(unf.base.variables))
+        elif not isinstance(elem, MPoly):
+            problem = "the coefficient %r is not an MPoly" % (elem,)
+        elif elem.variables != ring.variables or elem.order != unf.N:
+            problem = "the coefficient %s, in %s to order %s, is not in " \
+                "the unfolding ring Q[u1..u%d]/m^%d" % (
+                    elem, ", ".join(elem.variables), elem.order, unf.nu,
+                    unf.N + 1)
+        else:
+            terms.append((t0, poly.terms, elem))
+            continue
+        raise ValueError("rep term %d: %s" % (n, problem))
+    return terms
 
 
 def verify_primitive(unf, rep, c=None):

@@ -451,10 +451,6 @@ def _fix_slice_pair(data, lower, upper, new_basis):
 
 def _fix_middle_slice(data, idxs, new_basis):
     k = len(idxs)
-    if k == 1:
-        if not data.pairing(new_basis[idxs[0]], new_basis[idxs[0]]):
-            raise DegeneratePairing("middle slice self-pairing vanishes")
-        return
     gram = [[data.pairing(new_basis[a], new_basis[b]) for b in idxs]
             for a in idxs]
     if all(bool(gram[a][b]) == (a + b == k - 1) for a in range(k)

@@ -35,18 +35,11 @@ depend on it (see primitive.solve_primitive), and oscillating_projection
 multiplies each class by that factor once, at the end, on its integer
 sums (Projector.times_constant).
 
-With a floor on the t-powers two cuts keep the work to what lands at or
-above it: a cut on the reduced t-powers of each product and, without
-overrides, an exact cut on alpha itself from the grading. Where that
-graded cut does not hold (the Laurent model, overrides) each model's
-per-monomial t-power bound, t_bound, skips the monomials whose
-reductions stay below the floor, and on the Laurent model a bound on
-what any alpha != 0 lifts a term to (P1MirrorData.reach) keeps a term
-that it leaves below the floor to alpha = 0. A Projector holds this
-setup and the walk record of each keyed product term, so that the
-order-by-order solve of the primitive form runs it once per u-degree
-and a term that recurs from an earlier part replays its reduced sums
-instead of walking and reducing again (see Projector).
+Every projection has a floor: it keeps the t-powers at or above it,
+and its cuts keep the work to what lands there (see Projector). A
+Projector also keeps the walk record of each keyed product term, so
+that the order-by-order solve of the primitive form walks and reduces
+each of its terms once and replays the record in later u-degrees.
 """
 
 import math
@@ -399,7 +392,7 @@ class OscillatorData:
 
     Only the window -a <= k <= a that the Neumann solve reads is kept,
     in polynomial and Laurent mode alike. The whole family down to
-    k = -N is the oscillating projection of the Phi_i with no floor.
+    k = -N is the oscillating projection of the Phi_i at the floor -N.
     """
 
     def __init__(self, unf, filtration, matrices, a):
@@ -492,14 +485,14 @@ def grading(unf):
     return on_grade
 
 
-def oscillating_projection(unf, classes, filtration, floor=None):
+def oscillating_projection(unf, classes, filtration, floor):
     """Reduced classes of e^((F-f)/t) * h in Phi(c) coordinates, one per
     class h, each given as product terms (t0, {z_exp: Fraction}, r)
     meaning t^t0 * r * sum c z^z_exp, r a ring element (the rep format of
-    verify_primitive). With a floor only the t-powers k >= floor are
-    computed and kept. One Projector runs every product term in one
-    search over alpha, and then multiplies each class by the factor of
-    the constant direction (see Projector)."""
+    verify_primitive), at the t-powers k >= floor alone. A floor of the
+    least t0 minus N keeps every t-power. One Projector walks every
+    product term in one search over alpha, and then multiplies each class
+    by the factor of the constant direction (see Projector)."""
     projector = Projector(unf, filtration, floor)
     acc = [{} for _ in classes]     # one sink per class, read by rows
     projector.run([projector.product_term(t0, h, coeff.terms,
@@ -516,97 +509,72 @@ def oscillating_projection(unf, classes, filtration, floor=None):
 
 class Projector:
     """The oscillating projection of product terms for one unfolding,
-    opposite filtration and floor: the setup its callers share (the cuts
-    and the walk records of keyed product terms) and the one
-    reduce-and-spread kernel. The Q_{l,n} belong to the unfolding (see
-    UnfoldingData.q), so every Projector of one unfolding reads one
-    table. It builds no ring element: rows returns a sink as
+    opposite filtration and floor: the cuts its callers share, the walk
+    records of keyed product terms and the one reduce-and-spread kernel.
+    Every Projector of one unfolding reads one Q_{l,n} table (see
+    UnfoldingData.q). It builds no ring element: rows returns a sink as
     {k: {j: {gamma: Fraction}}}.
 
-    The multiply-adds run on integers. A sink, one per u-degree, is a
-    dict that its caller creates empty and reads only through rows (and
-    times_constant): it maps (k, j), t^k phi_j, to {gamma: [numerator,
-    denominator]}, the u^gamma coefficient as an integer numerator over
-    a running denominator (see _add), and rows builds one normalized
-    Fraction per (slot, gamma). The reduced sums of [t^t0 P_alpha h] are
-    a pair (numerators, D): {(k, j): integer} over one denominator D, the
-    lcm of the sums' denominators, and each coefficient r_beta of a
+    A sink, one per u-degree, is a dict that its caller creates empty
+    and reads only through rows (and times_constant): it maps (k, j),
+    t^k phi_j, to {gamma: [numerator, denominator]}, the u^gamma
+    coefficient as an integer numerator over a running denominator (see
+    _add), so rows builds one Fraction per (slot, gamma). The reduced
+    sums of [t^t0 P_alpha h] are a pair (numerators, D): {(k, j):
+    integer} over D, the lcm of their denominators, and each r_beta of a
     product term is kept as its integer numerator and denominator.
 
-    P_alpha, the Q_{l,n} and the h of each product term are MPolys over
-    the z-variables and 1/t, the last exponent counting powers of 1/t
-    (Laurent MPolys in Laurent mode). The work runs in u-monomial order
-    (see the module docstring). A walk visits each alpha with no power
-    of the constant direction c (unf.constant) once, depth-first over
-    non-decreasing index sequences of the other directions. P_alpha is
-    Q_{l,alpha_l} itself when alpha lies on one variable, otherwise P at
-    alpha without its last variable l times Q_{l,alpha_l}. It is formed,
-    and that Q_{l,alpha_l} fetched, the first time it is used: when a
-    term takes alpha, or when a deeper alpha needs it as that P. So an
-    alpha that no term takes and no deeper P reads costs no product and
-    builds no Q. P_alpha is not kept past its subtree. Each product
-    P_alpha h, formed only when neither factor is
-    the constant 1, is reduced through the monomial cache of the base
-    point (base.mono_cache, read through reduce_monomial) into sums per
-    (t^k, phi_j) once, and spread over the u-monomials beta of the
-    term's coefficient with |alpha| + |beta| <= N into the
-    u^(alpha+beta) slots of sink[|alpha|], each numerator times that of
-    r_beta over D times the denominator of r_beta. So a run leaves out
-    the factor e^(u_c/t) of the constant direction; times_constant
-    multiplies a sink by it. A term takes an alpha when |alpha| <= room,
-    top >= cut (below) and sink[|alpha|] is not None: one inline test,
-    in the walk and the replay alike, since it runs for every (alpha,
-    term) pair. room is N - least, least the term's smallest |beta|, or
-    0 where the Laurent reach bound (below) keeps the term to alpha = 0.
+    P_alpha, the Q_{l,n} and each h are MPolys over the z-variables and
+    1/t, the last exponent counting powers of 1/t. A walk visits each
+    alpha with no power of the constant direction (unf.constant) once,
+    depth first over non-decreasing index sequences of the other
+    directions. P_alpha is Q_{l,alpha_l} itself when alpha lies on one
+    variable, otherwise P at alpha without its last variable l times
+    Q_{l,alpha_l}. It is formed when a term takes alpha or a deeper alpha
+    needs it, and not kept past its subtree. Each P_alpha h, with no
+    product by the constant 1, is reduced once through base.mono_cache
+    and spread over the u-monomials beta of the term's coefficient with
+    |alpha| + |beta| <= N into the u^(alpha+beta) slots of sink[|alpha|].
+    A run leaves out the factor e^(u_c/t) of the constant direction;
+    times_constant multiplies a sink by it. A term takes alpha when
+    |alpha| <= room, top >= cut (below) and sink[|alpha|] is not None.
+    room is N minus the term's least |beta|, or 0 where the Laurent
+    reach bound keeps the term to alpha = 0.
 
-    A product term given a key leaves, on its first walk, the walk
-    record of that key: (alpha, |alpha|, top, (numerators, D)) for each
-    alpha whose reduced sums are nonempty, in walk order, kept for the
-    Projector's lifetime. A later term with that key does not walk: it
-    replays the record, a flat loop that spreads the kept sums of each
-    entry that the term takes, with no P_alpha and no reduction. So a
-    key stands for the term's t0 and h, and its later terms may ask for
-    no alpha that the first walk passed over: their least |beta| is
-    larger, so the record leaves out the alphas of the deepest size
-    room, and their sink[0] is None, as in the order-by-order solve.
+    A keyed term leaves, on its first walk, the record of its key:
+    (alpha, |alpha|, sums) for each alpha of size below its room with
+    nonempty sums. A key stands for its term's t0 and h, so its cut and
+    reach are those of that walk. A later term of the key does not walk:
+    it replays the record, spreading each entry of size <= room whose
+    sink is not None, with no P_alpha and no reduction. Its room must be
+    smaller, as in the order-by-order solve.
 
-    With a floor, rows lifts a t-power by at most filtration.lift in
-    both modes, so reduced t-powers below floor - lift are skipped, and
-    what still lands below floor is dropped. In polynomial mode without
-    overrides P_alpha is homogeneous of degree deg(e) - m = -wdeg(alpha),
-    wdeg(alpha) = sum alpha_l (1 - d_l) (den times it from
-    unf.scaled_u), and reducing z^e gives t-powers of at most deg(e),
-    since basis degrees are >= 0. So P_alpha is skipped against a
-    product term (t0, h, r) when top(h) + t0 - wdeg(alpha) < floor, top
-    being the largest degree in h, and a subtree is pruned when even
-    -wdeg(alpha) - (depth - |alpha|) min(0, min deg u) leaves every
-    product term of the run below the floor, depth - |alpha| being how
-    many more u the run's terms allow. A run with a floor but without
-    this graded cut (Laurent mode, or overrides) reads the model's
-    per-monomial bound instead, base.t_bound: a term c z^e t^-m of
-    P_alpha h is not reduced for t^t0 when t0 - m + t_bound(e) <
-    floor - lift, since its reduction then lies wholly below. The
-    Laurent model has no graded cut on alpha, but it bounds the walk as
-    a whole: P1MirrorData.reach(e, walked) is the largest t-power of
-    [P_alpha z^e] over every alpha != 0. A term whose t0 plus that
-    bound, over the z^e of its h, lies below floor - lift takes alpha = 0
-    alone, and a run all of whose terms are like that walks no deeper.
-    The factor of the constant direction only lowers t-powers, so none
-    of these cuts drops a sum that times_constant would lift to the
-    floor.
+    The cuts: rows lifts a t-power by at most filtration.lift, so
+    reduced t-powers below floor - lift are skipped, and rows drops what
+    still lands below the floor. In polynomial mode without overrides
+    (graded) P_alpha is homogeneous of scaled degree
+    top = -sum alpha_l scaled_u[l], and reducing z^e gives t-powers of
+    at most deg(e), since basis degrees are >= 0. So a term takes alpha
+    only when top + den (t0 + deg(h)) >= den floor, deg(h) the largest
+    degree in h, and a subtree is pruned when even its deepest alpha
+    leaves every term of the run below. Otherwise a term c z^e t^-m of
+    P_alpha h is not reduced for t^t0 when t0 - m + base.t_bound(e) <
+    floor - lift. On the Laurent model P1MirrorData.reach(e, walked)
+    bounds the t-powers of [P_alpha z^e] over every alpha != 0, so a
+    term whose t0 plus that bound lies below floor - lift over the z^e of
+    its h takes alpha = 0 alone, and a run of such terms walks no deeper.
+    times_constant only lowers t-powers, so no cut drops a sum that it
+    would lift to the floor.
     """
 
-    def __init__(self, unf, filtration, floor=None):
+    def __init__(self, unf, filtration, floor):
         self.unf = unf
         self.filtration = filtration
         self.floor = floor
-        self.graded = floor is not None and not unf.laurent and \
-            not unf.override
-        self.skip = -math.inf if floor is None else floor - filtration.lift
-        # the per-monomial t-power bound, on runs with a floor and no
-        # graded cut
-        self.bound = None if floor is None or self.graded else \
-            unf.base.t_bound
+        self.graded = not unf.laurent and not unf.override
+        self.skip = floor - filtration.lift
+        # the per-monomial t-power bound where there is no graded cut
+        self.bound = None if self.graded else unf.base.t_bound
         # one more u_l lowers the scaled degree of P_alpha by scaled_u[l]:
         # it rises by at most climb, so no alpha below a pruned one passes
         self.climb = max(0, -min(unf.scaled_u, default=0))
@@ -614,11 +582,11 @@ class Projector:
         # alpha != 0 lifts a monomial z^e to, for the walked basis
         # positions
         self.reach = None
-        if self.bound is not None and unf.laurent:
+        if unf.laurent:
             walked = {j for pos, j in enumerate(unf.indices)
                       if pos != unf.constant}
             self.reach = lambda e: unf.base.reach(e, walked)
-        self.records = {}     # key -> [(alpha, size, top, (nums, D))]
+        self.records = {}     # key -> [(alpha, size, (nums, D))]
 
     def product_term(self, t0, h, coeffs, sink, key=None):
         """The product term t^t0 * (sum_beta r_beta u^beta) * h, h and
@@ -666,9 +634,9 @@ class Projector:
         if walk:
             self._walk(walk)
         spread_out = self._spread
-        for _, _, spread, room, cut, sink, key in replay:
-            for alpha, size, top, local in records[key]:
-                if size <= room and top >= cut and sink[size] is not None:
+        for _, _, spread, room, _, sink, key in replay:
+            for alpha, size, local in records[key]:
+                if size <= room and sink[size] is not None:
                     spread_out(local, alpha, size, sink[size], spread)
 
     def _walk(self, terms):
@@ -703,7 +671,7 @@ class Projector:
                     # a later term of the key has a smaller room, so it
                     # replays no alpha of the deepest size
                     if record is not None and size < room:
-                        record.append((alpha, size, top, local))
+                        record.append((alpha, size, local))
                     spread_out(local, alpha, size, sink[size], spread)
             if size < depth:
                 for l in range(last, unf.nu):
@@ -823,7 +791,7 @@ class Projector:
             slots = upper
         rows = {}
         for (k, j), poly in slots.items():
-            if self.floor is None or k >= self.floor:
+            if k >= self.floor:
                 poly = {g: Fraction(n, d) for g, (n, d) in poly.items() if n}
                 if poly:
                     rows.setdefault(k, {})[j] = poly

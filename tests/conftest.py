@@ -250,6 +250,15 @@ def count_reductions(monkeypatch):
 
 # --- the oscillating projection in ring order -------------------------
 
+def full_floor(unf, classes):
+    """t_min - N, t_min the least t-power of the classes' product terms:
+    the floor at which oscillating_projection keeps every t-power. P_alpha
+    lowers t by at most |alpha|, the factor of the constant direction by
+    at most N - |gamma| <= N - |alpha|, and the reduction and the inverse
+    basis change only raise it."""
+    return min(t0 for terms in classes for t0, _, _ in terms) - unf.N
+
+
 def ring_order_projection(unf, classes, filtration, floor=None):
     """oscillating_projection computed the other way round, as an oracle:
     each product term (t0, h, r) of a class is first multiplied out to
@@ -307,10 +316,12 @@ def phi_classes(unf, filtration):
 
 def full_oscillator_family(unf, c=None):
     """The whole A^(k) family down to k = -N: row i of A^(k) is the t^k
-    part of the oscillating projection of Phi_i with no floor."""
+    part of the oscillating projection of Phi_i at the floor -N."""
     filt = OppositeFiltration(unf.base, c)
     mu = unf.base.mu
-    rows = oscillating_projection(unf, phi_classes(unf, filt), filt)
+    classes = phi_classes(unf, filt)
+    rows = oscillating_projection(unf, classes, filt,
+                                  full_floor(unf, classes))
     matrices = {}
     for i, row in enumerate(rows):
         for k, vec in row.coeffs.items():

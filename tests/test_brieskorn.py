@@ -6,7 +6,7 @@ import pytest
 from saitoforms.brieskorn import (ReducedClass, ReductionGuardError,
                                   reduce_class, reduce_monomial)
 from saitoforms.mpoly import MPoly
-from saitoforms.singularity import P1MirrorData, orthogonalize_basis
+from saitoforms.singularity import K, P1MirrorData, orthogonalize_basis
 
 from conftest import (ORACLE_ZOO, analyze_oracle_case, make_a,
                       monomials_up_to, reference_reduction)
@@ -99,6 +99,20 @@ def test_laurent_negative_recurrence(p1_q2):
                        scale=Fraction(-(m - 1)) / q, t_shift=1)
         rhs.compress()
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("exp", [(-1, 0), (2, -3)])
+def test_negative_exponent_on_a_polynomial_model_is_named(e12, exp):
+    # x^-1 on E12 is reached by no rule step and is not standard
+    h = MPoly(e12.variables, {exp: 1, (1, 0): 2}, laurent=True)
+    message = "cannot reduce the monomial with exponent %r: a polynomial " \
+        "model takes 2 nonnegative exponents" % (exp,)
+    for call in (lambda: reduce_class(e12, h),
+                 lambda: K(e12, [(h, MPoly.constant(e12.variables, 1))], 2)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    assert exp not in e12.mono_cache
 
 
 def test_reduced_class_arithmetic():

@@ -2,9 +2,11 @@ import argparse
 import io
 import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,31 @@ def run_cli(capsys, tmp_path, job, extra=()):
     code = main(["--job", str(path)] + list(extra))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+@pytest.mark.parametrize("job, status", [
+    ({"schema": SCHEMA, "command": "analyze",
+      "singularity": {"variables": ["x", "y"], "f": "x^3 + y^4",
+                      "weights": ["1/3", "1/4"]}}, 0),
+    ({"schema": SCHEMA, "command": "analyze", "singularity": 3}, 2)])
+def test_module_entry_point_exit_status(tmp_path, job, status):
+    # python -m saitoforms runs __main__.py, which exits with main's
+    # status and prints its document
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "saitoforms", "--job",
+                           str(path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == status, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["ok"] is (status == 0)
+    if status:
+        assert doc["error"]["type"] == "JobError"
+    else:
+        assert doc["result"]["mu"] == 6
 
 
 def test_analyze_cusp(capsys, tmp_path):
@@ -314,6 +341,20 @@ def test_mask_flag_matches_the_job_mask(capsys, tmp_path):
     code1, doc1 = run_cli(capsys, tmp_path, job, extra=["--mask", "8"])
     assert code0 == code1 == 0
     assert doc1["result"]["records"] == doc0["result"]["records"]
+
+
+def test_empty_mask_flag_is_the_empty_mask(capsys, tmp_path):
+    # --mask "" reads as "mask": [], an unfolding with no parameter, and
+    # overrides the job's own mask
+    job = {"schema": SCHEMA, "command": "primitive-form",
+           "singularity": {"variables": ["x", "y"], "f": "x^3 + y^7",
+                           "weights": ["1/3", "1/7"]}, "N": 2}
+    code0, doc0 = run_cli(capsys, tmp_path, dict(job, mask=[]))
+    code1, doc1 = run_cli(capsys, tmp_path, dict(job, mask=[8]),
+                          extra=["--mask", ""])
+    assert code0 == code1 == 0
+    assert doc1["result"] == doc0["result"]
+    assert doc1["result"]["u_names"] == []
 
 
 @pytest.mark.parametrize("extra, message", [

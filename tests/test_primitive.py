@@ -18,7 +18,7 @@ from saitoforms.unfolding import (
 
 from conftest import (
     ORACLE_ZOO, analyze_oracle_case, count_products, count_reductions,
-    elliptic_g, elliptic_h, make_a, ring_order_projection,
+    elliptic_g, elliptic_h, full_floor, make_a, ring_order_projection,
     series_reciprocal, series_sub,
 )
 
@@ -118,6 +118,42 @@ def test_verify_class_equal_per_u_monomial(e6_cusp):
     assert not verify_class_equal(unf, [(0, x3, u1)], [(0, x3, u2)])
 
 
+@pytest.mark.parametrize("term, message", [
+    (lambda unf, x: MPoly(("y", "x"), {(1, 0): 1}),
+     "the polynomial y is in y, x, not in x, y"),
+    (lambda unf, x: [(0, MPoly(("x", "y", "z"), {(1, 0, 0): 1}),
+                      unf.ring_one())],
+     "the polynomial x is in x, y, z, not in x, y"),
+    (lambda unf, x: [(0, x, UnfoldRingElem(3, 3, {(1, 0, 0): 1}))],
+     "the coefficient u1, in u1, u2, u3 to order 3, is not in the "
+     "unfolding ring Q[u1..u12]/m^4"),
+    (lambda unf, x: [(0, x, UnfoldRingElem(unf.nu, 2, {}))],
+     "the coefficient 0, in %s to order 2, is not in the unfolding ring "
+     "Q[u1..u12]/m^4" % ", ".join("u%d" % i for i in range(1, 13))),
+    (lambda unf, x: [(0, x, unf.ring_one()), (Fraction(1), x,
+                                              unf.ring_one())],
+     "rep term 2: the t-power Fraction(1, 1) is not an int"),
+    (lambda unf, x: [(True, x, unf.ring_one())],
+     "the t-power True is not an int"),
+    (lambda unf, x: [(0, {(1, 0): 1}, unf.ring_one())],
+     "{(1, 0): 1} is not an MPoly"),
+])
+def test_malformed_rep_term_is_named(e12, term, message):
+    # a rep term outside the singularity's variables or the unfolding
+    # ring would be read as if it were in them: y over (y, x) as x
+    unf = build_unfolding(e12, 3)
+    x = MPoly.monomial(e12.variables, (1, 0), 1)
+    rep = term(unf, x)
+    if "rep term" not in message:
+        message = "rep term 1: " + message
+    for check in (lambda: verify_primitive(unf, rep),
+                  lambda: verify_class_equal(unf, x, rep),
+                  lambda: verify_class_equal(unf, rep, x)):
+        with pytest.raises(ValueError) as err:
+            check()
+        assert str(err.value) == message
+
+
 def test_quartic_pair_with_splitting_parameter(quartic_pair):
     unf = build_unfolding(quartic_pair, 4, mask=[9])
     for c in (None, {(9, 1): Fraction(2)}):
@@ -153,7 +189,8 @@ def test_projection_floor_is_full_projection_restricted(e12, elliptic, case):
         rep = _e12_rep(unf, late_first=True)
     filt = OppositeFiltration(unf.base, c)
     classes = [_as_t_rpolys(unf, rep)]
-    full, = oscillating_projection(unf, classes, filt)
+    full, = oscillating_projection(unf, classes, filt,
+                                   full_floor(unf, classes))
     kept, = oscillating_projection(unf, classes, filt, floor=0)
     assert min(full.coeffs) < 0
     assert kept.coeffs == {k: v for k, v in full.coeffs.items() if k >= 0}
@@ -253,7 +290,7 @@ def test_projection_of_representatives_matches_ring_order_oracle(
     filt = OppositeFiltration(unf.base, c)
     classes = [_as_t_rpolys(unf, rep)]
     a = positive_bound(unf.base, unf.N)
-    for floor in (None, -a, 0):
+    for floor in (full_floor(unf, classes), -a, 0):
         assert oscillating_projection(unf, classes, filt, floor) == \
             ring_order_projection(unf, classes, filt, floor), floor
     assert bool(verify_primitive(unf, rep, c=c)) == (case == "pf")
@@ -596,15 +633,54 @@ def test_lazy_walk_projects_zeta_as_the_ring_order_oracle(elliptic, case):
 def test_w12_solve_and_verify_products(monkeypatch):
     # P_alpha is formed on first use, so an alpha that no term takes and
     # no descendant reads costs no product: 17495 products in the solve
-    # and 52167 in the verify when every reached P_alpha was formed
+    # and 52167 in the verify when every reached P_alpha was formed, and
+    # 13270 in the solve when a slot seen in one part only walked twice
     data = analyze_oracle_case(("x^4 + y^5", ("x", "y"), ["1/4", "1/5"]))
     unf = build_unfolding(data, 14)
     calls = count_products(monkeypatch)
     pf = primitive_form(unf)
-    assert 0 < len(calls) <= 13300
+    assert 0 < len(calls) <= 10900
     calls.clear()
     assert verify_primitive(unf, pf)
     assert 0 < len(calls) <= 7100
+
+
+def test_e12_solve_and_verify_products(monkeypatch, e12):
+    # each solve term walks once: 18226 products in the solve when a slot
+    # seen in one part only walked there and again in its next part
+    unf = build_unfolding(e12, 24)
+    calls = count_products(monkeypatch)
+    pf = primitive_form(unf)
+    assert 0 < len(calls) <= 14700
+    calls.clear()
+    assert verify_primitive(unf, pf)
+    assert 0 < len(calls) <= 9100
+
+
+@pytest.mark.parametrize("case, N", [
+    (("x^3 + y^7", ("x", "y"), ["1/3", "1/7"]), 12),
+    (("x^4 + y^5", ("x", "y"), ["1/4", "1/5"]), 14)])
+def test_each_solve_term_walks_once(monkeypatch, case, N):
+    # every product term of the solve is keyed: it walks in the first
+    # part that has its slot and replays its record in the later ones
+    unf = build_unfolding(analyze_oracle_case(case), N)
+    keys, walked = set(), []
+    product_term, walk = unfolding.Projector.product_term, \
+        unfolding.Projector._walk
+
+    def keying(self, t0, h, coeffs, sink, key=None):
+        keys.add(key)
+        return product_term(self, t0, h, coeffs, sink, key)
+
+    def walking(self, terms):
+        walked.extend(terms)
+        return walk(self, terms)
+
+    monkeypatch.setattr(unfolding.Projector, "product_term", keying)
+    monkeypatch.setattr(unfolding.Projector, "_walk", walking)
+    primitive_form(unf)
+    assert None not in keys and len(keys) > 1
+    assert len(walked) == len(keys)
 
 
 def _corrupt_reductions(monkeypatch, t_power):

@@ -14,9 +14,10 @@ from saitoforms.unfolding import (OppositeFiltration, UnfoldRingElem,
                                   build_unfolding, oscillating_projection,
                                   oscillator_matrices)
 
-from conftest import (coords, full_oscillator_family, in_row_space, make_a,
-                      normal_form, pairing_univariate_Am,
-                      pairing_univariate_p1, ring_order_projection, u_degree)
+from conftest import (coords, full_floor, full_oscillator_family,
+                      in_row_space, make_a, normal_form,
+                      pairing_univariate_Am, pairing_univariate_p1,
+                      ring_order_projection, u_degree)
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -268,7 +269,7 @@ def test_projection_with_mixed_denominators(mixed_cases):
     def check(data):
         unf, filt = data.draw(st.sampled_from(mixed_cases))
         classes = [_mixed_class(data.draw, unf)]
-        for floor in (None, -2, 0):
+        for floor in (full_floor(unf, classes), -2, 0):
             assert oscillating_projection(unf, classes, filt, floor) == \
                 ring_order_projection(unf, classes, filt, floor), floor
 

@@ -20,8 +20,8 @@ from saitoforms.unfolding import (
 
 from conftest import (
     ORACLE_ZOO, QUARTIC_FOURFOLD, analyze_oracle_case, count_products,
-    count_reductions, full_oscillator_family, make_a, monomials_up_to,
-    phi_classes, ring_order_projection, u_degree,
+    count_reductions, full_floor, full_oscillator_family, make_a,
+    monomials_up_to, phi_classes, ring_order_projection, u_degree,
 )
 
 
@@ -196,7 +196,7 @@ def test_upper_basis_reduces_to_unit_vectors(elliptic):
     filt = OppositeFiltration(elliptic, {(8, 1): Fraction(3)})
     mu = elliptic.mu
     unf = build_unfolding(elliptic, 0)
-    rows = oscillating_projection(unf, phi_classes(unf, filt), filt)
+    rows = oscillating_projection(unf, phi_classes(unf, filt), filt, 0)
     for i, row in enumerate(rows):
         assert row == ReducedClass(mu, {0: {i: Fraction(1)}})
 
@@ -436,9 +436,31 @@ def test_projection_matches_ring_order_oracle(request, name, N, mask, c):
     classes = phi_classes(unf, filt)
     a = positive_bound(unf.base, N)
     # -2 is the floor that reads the flat coordinates and the potential
-    for floor in (None, -a, -2, 0):
+    for floor in (full_floor(unf, classes), -a, -2, 0):
         assert oscillating_projection(unf, classes, filt, floor) == \
             ring_order_projection(unf, classes, filt, floor), floor
+
+
+@pytest.mark.parametrize("case", ORACLE_ZOO + ["p1", "e6-override"],
+                         ids=lambda case: case if isinstance(case, str)
+                         else case[0])
+def test_full_floor_keeps_the_whole_family(e6_cusp, p1_q2, case):
+    # at the floor t_min - N the projection keeps every t-power: it is
+    # the ring-order projection with no floor, on the Phi_i and on a
+    # class whose top basis element stands at t^-1, so that t_min = -1
+    if case == "p1":
+        unf = build_unfolding(p1_q2, 3, u_names=["u0", "u1"],
+                              overrides={2: _exp_minus_one})
+    elif case == "e6-override":
+        unf = build_unfolding(e6_cusp, 3, overrides={2: _exp_minus_one})
+    else:
+        unf = build_unfolding(analyze_oracle_case(case), 2)
+    filt = OppositeFiltration(unf.base)
+    top = unf.base.basis[-1].terms
+    for classes in (phi_classes(unf, filt), [[(-1, top, unf.ring_one())]]):
+        floor = full_floor(unf, classes)
+        assert oscillating_projection(unf, classes, filt, floor) == \
+            ring_order_projection(unf, classes, filt), floor
 
 
 def test_constant_direction_is_read_off_the_unfolding(e6_cusp, p1_q2):
@@ -456,7 +478,7 @@ def test_constant_direction_is_read_off_the_unfolding(e6_cusp, p1_q2):
     assert unf.constant is None
     filt = OppositeFiltration(unf.base)
     classes = phi_classes(unf, filt)
-    for floor in (None, -2, 0):
+    for floor in (full_floor(unf, classes), -2, 0):
         assert oscillating_projection(unf, classes, filt, floor) == \
             ring_order_projection(unf, classes, filt, floor), floor
 
@@ -814,13 +836,13 @@ def _u(unf, *positions):
     return tuple(positions.count(i) for i in range(unf.nu))
 
 
-@pytest.mark.parametrize("floor", [None, -2])
+@pytest.mark.parametrize("floor", [-4, -2])
 def test_replay_spreads_the_constant_direction_shifts(monkeypatch, e12,
                                                       floor):
     # a keyed term's second run replays its walk record, with sink[0]
     # None; a run leaves out the factor e^(u1/t) of the constant
     # direction, so its sinks hold the projection of the unfolding
-    # without u1
+    # without u1. The floor -4 = t0 - N keeps every t-power
     unf = build_unfolding(e12, 4)
     assert unf.constant == 0
     filt = OppositeFiltration(e12)
