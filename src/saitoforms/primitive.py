@@ -26,7 +26,8 @@ from .brieskorn import ReducedClass, reduce_monomial
 from .mpoly import MPoly
 from .singularity import eta_rows, pair_classes
 from .unfolding import (GradingViolation, OppositeFiltration, Projector,
-                        grading, oscillating_projection, positive_bound)
+                        coefficient_list, grading, oscillating_projection,
+                        positive_bound)
 
 
 def assemble_psi(osc):
@@ -104,10 +105,13 @@ def _entries(cls):
 
 def good_filtration(unf, c):
     """The opposite filtration of c, an OppositeFiltration or its slots
-    {(i, j): value}, rejected with a ValueError unless it is good:
-    K(Phi_i, Phi_j) has no positive t-power. A trivial c is good."""
+    {(i, j): value}, rejected with a ValueError unless it is of the
+    unfolding's singularity and good: K(Phi_i, Phi_j) has no positive
+    t-power. A trivial c is good."""
     filtration = c if isinstance(c, OppositeFiltration) else \
         OppositeFiltration(unf.base, c)
+    if filtration.base is not unf.base:
+        raise ValueError("the opposite filtration is of another singularity")
     if not filtration.is_trivial():
         defects = positive_pairing(filtration)
         if defects:
@@ -154,68 +158,85 @@ def primitive_form(unf, c=None, osc=None):
     """zeta_+ for the opposite filtration c, solved order by order in u
     (see solve_primitive). Given oscillator matrices osc, it is read from
     them instead, by the solve of g (Id + Psi) = e; c is then ignored,
-    since osc carries its own filtration."""
+    since osc carries its own filtration. Either filtration is rejected
+    unless it is good (see good_filtration)."""
+    filtration = good_filtration(unf, c if osc is None else osc.filtration)
     if osc is None:
-        return solve_primitive(unf, good_filtration(unf, c))
+        return solve_primitive(unf, filtration)
     mu = unf.base.mu
     g = neumann_solve(assemble_psi(osc), unf)
     zeta = ReducedClass(mu, {q: dict(enumerate(g[q * mu:(q + 1) * mu]))
                              for q in range(osc.a + 1)})
-    return PrimitiveForm(unf, osc.filtration, osc.a, zeta)
+    return PrimitiveForm(unf, filtration, osc.a, zeta)
 
 
 def solve_primitive(unf, filtration):
     """zeta_+ by the recursion zeta^(0) = Phi_1 and, for d = 1..N,
     zeta^(d) = -[proj_{t>=0} e^((F-f)/t) zeta^(<d)]_{u-degree d}.
 
-    Once the part zeta^(d') is final, one run of the Projector takes it
-    through every alpha with 1 <= |alpha| <= N - d' and adds its
-    products to the pending degree d' + |alpha|. Every product term is
-    keyed by its (t-power, Phi_j, term of Phi_j), so it walks once, in
-    the first part that has its slot, and each later part replays its
-    record (see Projector). The Q_{l,n} stay on the unfolding, so a
-    verify_primitive after the solve builds none again. Each term
-    t^k u^gamma Phi_j is checked where it is placed: k <= a and, without
-    overrides, k + d_j + deg(u^gamma) = 0.
+    Once the part zeta^(d) is final, its products with every alpha of
+    1 <= |alpha| <= N - d are added to the pending degree d + |alpha|.
+    A product term is keyed by its (t-power, Phi_j, term of Phi_j), and
+    the key stands for the term's t0 and h, so its cuts do not change
+    between parts. A new key walks (see Projector.walk) and keeps as its
+    record the (alpha, |alpha|, sums) that the walk yields of size below
+    its room N - d. A later part of the key has a smaller room, so it
+    replays the record's entries of size <= N - d in place of a walk,
+    with no product term, P_alpha or reduction. Each slot's coefficient
+    is made into one list, shared by the terms of its Phi_j. The
+    Q_{l,n} stay on the unfolding, so a verify_primitive after the solve
+    builds none again. Each term t^k u^gamma Phi_j is checked where it
+    is placed: k <= a and, without overrides, k + d_j + deg(u^gamma) = 0.
 
-    The runs leave out the constant direction u_c (see Projector), since
-    zeta_+ does not depend on it. With F' = F - u_c and
+    The walks leave out the constant direction u_c (see Projector),
+    since zeta_+ does not depend on it. With F' = F - u_c and
     T(Y) = [e^(u_c/t) Y]_{t>=0}, [e^((F-f)/t) zeta]_{t>=0} =
     T([e^((F'-f)/t) zeta]_{t>=0}), as e^(u_c/t) only lowers t-powers. T is
     invertible on classes with t >= 0, with inverse
     [e^(-u_c/t) .]_{t>=0}, and T(Phi_1) = Phi_1, so the projection for F
     is Phi_1 exactly when the one for F' is.
     """
-    base, N = unf.base, unf.N
-    mu = base.mu
-    a = positive_bound(base, N)
+    N, mu = unf.N, unf.base.mu
+    a = positive_bound(unf.base, N)
     projector = Projector(unf, filtration, floor=0)
     uppers = [list(enumerate(filtration.upper(j))) for j in range(mu)]
     on_grade = grading(unf)
-    pending = [{} for _ in range(N + 1)]   # phi coordinates, per u-degree
-    collected = {}  # (k, j) -> the u-terms of t^k Phi_j over all parts
+    pending = {d: {} for d in range(1, N + 1)}  # phi coordinates, per u-degree
+    records = {}    # (k, j, n) -> [(alpha, |alpha|, sums)]
+    collected = {}  # {k: {j: the u-terms of t^k Phi_j over all parts}}
     part = {0: {0: {(0,) * unf.nu: Fraction(1)}}}
     for d in range(N + 1):
         if d:
-            part = projector.rows(pending[d])
-            pending[d] = None
-        sink = [None] + pending[d + 1:]
-        terms = []
+            part = projector.rows(pending.pop(d))
+        terms, walked, replays = [], [], []
         for k, row in part.items():
             for j, poly in sorted(row.items()):
                 if d:
                     poly = {gamma: -c for gamma, c in poly.items()}
                 _check_term(k, j, poly, a, on_grade)
-                collected.setdefault((k, j), {}).update(poly)
+                collected.setdefault(k, {}).setdefault(j, {}).update(poly)
+                coeffs = coefficient_list(poly)
                 for n, (t0, h) in uppers[j]:
-                    terms.append(projector.product_term(
-                        k + t0, h, poly, sink, (k, j, n)))
-        projector.run(terms)
+                    key = (k, j, n)
+                    if key in records:
+                        replays.append((records[key], coeffs))
+                    else:
+                        terms.append(projector.term(k + t0, h, d, 1))
+                        walked.append((records.setdefault(key, []), coeffs))
+        for i, alpha, size, sums in projector.walk(terms):
+            record, coeffs = walked[i]
+            projector.spread(sums, alpha, size, pending[d + size], coeffs)
+            if size < N - d:
+                record.append((alpha, size, sums))
+        for record, coeffs in replays:
+            for alpha, size, sums in record:
+                if size <= N - d:
+                    projector.spread(sums, alpha, size, pending[d + size],
+                                     coeffs)
     zero = unf.ring_zero()
-    zeta = ReducedClass(mu)
-    for (k, j), terms in collected.items():
-        zeta.rows.setdefault(k, {})[j] = zero._like(terms)
-    return PrimitiveForm(unf, filtration, a, zeta)
+    return PrimitiveForm(unf, filtration, a, ReducedClass(mu, {
+        k: {j: zero._like(terms) for j, terms in row.items()}
+        for k, row in collected.items()}))
 
 
 def _check_term(k, j, poly, a, on_grade):
@@ -253,12 +274,18 @@ def _as_t_rpolys(unf, rep):
     format oscillating_projection reads.
 
     Accepts a PrimitiveForm, an MPoly with Fraction coefficients, or a
-    list of (t_power, MPoly, ring_elem) product terms. A term whose
-    t-power is not an int, whose MPoly is not over the singularity's
-    variables or whose coefficient is not an element of the unfolding
-    ring (its variables and order N) is a ValueError naming it.
+    list of (t_power, MPoly, ring_elem) product terms. A PrimitiveForm
+    of an unfolding with another singularity, order N, directions or
+    series, or a term whose t-power is not an int, whose MPoly is not
+    over the singularity's variables or whose coefficient is not an
+    element of the unfolding ring (its variables and order N), is a
+    ValueError naming it.
     """
     if isinstance(rep, PrimitiveForm):
+        if (rep.unf.base, rep.unf.N, rep.unf.indices, rep.unf.series) != \
+                (unf.base, unf.N, unf.indices, unf.series):
+            raise ValueError("the PrimitiveForm rep is of another unfolding "
+                             "(singularity, N, directions or series)")
         upper = rep.filtration.upper
         return [(q + t0, h, elem) for q, row in rep.zeta.rows.items()
                 for j, elem in row.items() for t0, h in upper(j)]

@@ -36,10 +36,11 @@ multiplies each class by that factor once, at the end, on its integer
 sums (Projector.times_constant).
 
 Every projection has a floor: it keeps the t-powers at or above it,
-and its cuts keep the work to what lands there (see Projector). A
-Projector also keeps the walk record of each keyed product term, so
-that the order-by-order solve of the primitive form walks and reduces
-each of its terms once and replays the record in later u-degrees.
+and its cuts keep the work to what lands there (see Projector). The
+Projector's walk yields the reduced sums of its terms and keeps
+nothing: each caller spreads them into its own sinks, and the
+order-by-order solve of the primitive form keeps them as walk records
+to replay in later u-degrees (see primitive.solve_primitive).
 """
 
 import math
@@ -491,14 +492,20 @@ def oscillating_projection(unf, classes, filtration, floor):
     meaning t^t0 * r * sum c z^z_exp, r a ring element (the rep format of
     verify_primitive), at the t-powers k >= floor alone. A floor of the
     least t0 minus N keeps every t-power. One Projector walks every
-    product term in one search over alpha, and then multiplies each class
-    by the factor of the constant direction (see Projector)."""
+    product term in one search over alpha, from alpha = 0; each sum it
+    yields is spread over the coefficient of its term into the sink of
+    its class. Then each class is multiplied by the factor of the
+    constant direction (see Projector)."""
     projector = Projector(unf, filtration, floor)
     acc = [{} for _ in classes]     # one sink per class, read by rows
-    projector.run([projector.product_term(t0, h, coeff.terms,
-                                          [slots] * (unf.N + 1))
-                   for terms, slots in zip(classes, acc)
-                   for t0, h, coeff in terms if h and coeff])
+    # per product term: t0, h, its class's sink and its coefficient list
+    targets = [(t0, h, slots, coefficient_list(coeff.terms))
+               for terms, slots in zip(classes, acc)
+               for t0, h, coeff in terms if h and coeff]
+    walk = projector.walk([projector.term(t0, h, coeffs[0][0], 0)
+                           for t0, h, _, coeffs in targets])
+    for i, alpha, size, sums in walk:
+        projector.spread(sums, alpha, size, *targets[i][2:])
     # gamma has |gamma| <= N and every coefficient is a Fraction
     zero = unf.ring_zero()
     return [ReducedClass(unf.base.mu, {
@@ -507,22 +514,31 @@ def oscillating_projection(unf, classes, filtration, floor):
         for slots in acc]
 
 
+def coefficient_list(coeffs):
+    """The ring coefficient sum_beta r_beta u^beta of a product term,
+    given as {beta: Fraction}, as the list that Projector.spread reads:
+    (|beta|, beta, numerator, denominator) by size."""
+    return sorted((sum(beta), beta, b.numerator, b.denominator)
+                  for beta, b in coeffs.items())
+
+
 class Projector:
     """The oscillating projection of product terms for one unfolding,
     opposite filtration and floor: the cuts its callers share, the walk
-    records of keyed product terms and the one reduce-and-spread kernel.
-    Every Projector of one unfolding reads one Q_{l,n} table (see
-    UnfoldingData.q). It builds no ring element: rows returns a sink as
-    {k: {j: {gamma: Fraction}}}.
+    and the one reduce-and-spread kernel. Every Projector of one
+    unfolding reads one Q_{l,n} table (see UnfoldingData.q). It keeps no
+    state between walks and builds no ring element: rows returns a sink
+    as {k: {j: {gamma: Fraction}}}.
 
-    A sink, one per u-degree, is a dict that its caller creates empty
-    and reads only through rows (and times_constant): it maps (k, j),
-    t^k phi_j, to {gamma: [numerator, denominator]}, the u^gamma
+    A sink is a dict that its caller creates empty and fills through
+    spread, and reads only through rows (and times_constant): it maps
+    (k, j), t^k phi_j, to {gamma: [numerator, denominator]}, the u^gamma
     coefficient as an integer numerator over a running denominator (see
     _add), so rows builds one Fraction per (slot, gamma). The reduced
     sums of [t^t0 P_alpha h] are a pair (numerators, D): {(k, j):
     integer} over D, the lcm of their denominators, and each r_beta of a
-    product term is kept as its integer numerator and denominator.
+    term's coefficient is kept as its integer numerator and denominator
+    (see coefficient_list).
 
     P_alpha, the Q_{l,n} and each h are MPolys over the z-variables and
     1/t, the last exponent counting powers of 1/t. A walk visits each
@@ -531,23 +547,14 @@ class Projector:
     directions. P_alpha is Q_{l,alpha_l} itself when alpha lies on one
     variable, otherwise P at alpha without its last variable l times
     Q_{l,alpha_l}. It is formed when a term takes alpha or a deeper alpha
-    needs it, and not kept past its subtree. Each P_alpha h, with no
-    product by the constant 1, is reduced once through base.mono_cache
-    and spread over the u-monomials beta of the term's coefficient with
-    |alpha| + |beta| <= N into the u^(alpha+beta) slots of sink[|alpha|].
-    A run leaves out the factor e^(u_c/t) of the constant direction;
-    times_constant multiplies a sink by it. A term takes alpha when
-    |alpha| <= room, top >= cut (below) and sink[|alpha|] is not None.
-    room is N minus the term's least |beta|, or 0 where the Laurent
-    reach bound keeps the term to alpha = 0.
-
-    A keyed term leaves, on its first walk, the record of its key:
-    (alpha, |alpha|, sums) for each alpha of size below its room with
-    nonempty sums. A key stands for its term's t0 and h, so its cut and
-    reach are those of that walk. A later term of the key does not walk:
-    it replays the record, spreading each entry of size <= room whose
-    sink is not None, with no P_alpha and no reduction. Its room must be
-    smaller, as in the order-by-order solve.
+    needs it, and not kept past its subtree. Each P_alpha h that a term
+    takes, with no product by the constant 1, is reduced once through
+    base.mono_cache, and the walk yields its sums. A walk leaves out the
+    factor e^(u_c/t) of the constant direction; times_constant
+    multiplies a sink by it. A walk term (t0, h, low, room, cut) takes
+    alpha when low <= |alpha| <= room and top >= cut (below). room is N
+    minus the least |beta| of the term's coefficient, or 0 where the
+    Laurent reach bound keeps the term to alpha = 0.
 
     The cuts: rows lifts a t-power by at most filtration.lift, so
     reduced t-powers below floor - lift are skipped, and rows drops what
@@ -557,12 +564,12 @@ class Projector:
     at most deg(e), since basis degrees are >= 0. So a term takes alpha
     only when top + den (t0 + deg(h)) >= den floor, deg(h) the largest
     degree in h, and a subtree is pruned when even its deepest alpha
-    leaves every term of the run below. Otherwise a term c z^e t^-m of
+    leaves every term of the walk below. Otherwise a term c z^e t^-m of
     P_alpha h is not reduced for t^t0 when t0 - m + base.t_bound(e) <
     floor - lift. On the Laurent model P1MirrorData.reach(e, walked)
     bounds the t-powers of [P_alpha z^e] over every alpha != 0, so a
     term whose t0 plus that bound lies below floor - lift over the z^e of
-    its h takes alpha = 0 alone, and a run of such terms walks no deeper.
+    its h takes alpha = 0 alone, and a walk of such terms goes no deeper.
     times_constant only lowers t-powers, so no cut drops a sum that it
     would lift to the floor.
     """
@@ -581,73 +588,48 @@ class Projector:
         # on the Laurent model, the bound on the t-powers that any
         # alpha != 0 lifts a monomial z^e to, for the walked basis
         # positions
-        self.reach = None
-        if unf.laurent:
-            walked = {j for pos, j in enumerate(unf.indices)
-                      if pos != unf.constant}
-            self.reach = lambda e: unf.base.reach(e, walked)
-        self.records = {}     # key -> [(alpha, size, (nums, D))]
+        walked = {j for pos, j in enumerate(unf.indices)
+                  if pos != unf.constant}
+        self.reach = (lambda e: unf.base.reach(e, walked)) \
+            if unf.laurent else None
 
-    def product_term(self, t0, h, coeffs, sink, key=None):
-        """The product term t^t0 * (sum_beta r_beta u^beta) * h, h and
-        coeffs given as {exponent: Fraction}. Its u^(alpha+beta) parts go
-        to sink[|alpha|], a sink in phi coordinates (see Projector), or
-        nowhere where that is None. A key names its walk record."""
+    def term(self, t0, h, least, low):
+        """The walk term of t^t0 * h, h given as {exponent: Fraction},
+        for a coefficient whose least |beta| is least: it takes the
+        alphas with low <= |alpha| <= N - least (see Projector)."""
         # the smallest scaled deg(e) - m of a P_alpha term to keep
         base = self.unf.base
         cut = (self.floor - t0) * base.den - \
             max(map(base.weights.scaled_degree, h)) \
             if self.graded else -math.inf
-        # the u-monomials of coeffs by size, each r_beta as its integer
-        # numerator and denominator
-        spread = sorted((sum(beta), beta, b.numerator, b.denominator)
-                        for beta, b in coeffs.items())
-        # the largest |alpha| the term takes: N - least, its smallest
-        # |beta|, or 0 when no alpha != 0 reaches floor - lift
-        room = self.unf.N - spread[0][0]
+        # the largest |alpha| the term takes, or 0 when no alpha != 0
+        # reaches floor - lift
+        room = self.unf.N - least
         if self.reach is not None and \
                 t0 + max(map(self.reach, h)) < self.skip:
             room = 0
         # the constant h = 1 stands as unf.one, which _reduce does not
         # multiply by
-        one = self.unf.one
-        h = one if h == {(0,) * self.unf.base.n: 1} else \
-            one._like({e + (0,): c for e, c in h.items()})
-        return (t0, h, spread, room, cut, sink, key)
+        h = self.unf.one if h == {(0,) * base.n: 1} else \
+            self.unf.one._like({e + (0,): c for e, c in h.items()})
+        return (t0, h, low, room, cut)
 
-    def run(self, terms):
-        """Add the projections of the product terms to their sinks: the
-        terms with no key or no walk record yet walk together, a keyed
-        one leaving its record, and then each term whose key has a record
-        replays it."""
-        records = self.records
-        walk, replay = [], []
-        for term in terms:
-            key = term[6]
-            if key is None:
-                walk.append(term)
-            elif key in records:
-                replay.append(term)
-            else:
-                records[key] = record = []
-                walk.append(term[:6] + (record,))
-        if walk:
-            self._walk(walk)
-        spread_out = self._spread
-        for _, _, spread, room, _, sink, key in replay:
-            for alpha, size, local in records[key]:
-                if size <= room and sink[size] is not None:
-                    spread_out(local, alpha, size, sink[size], spread)
-
-    def _walk(self, terms):
-        """One search over alpha for terms (t0, h, spread, room, cut,
-        sink, record), record None or the list that the term's nonempty
-        sums are appended to."""
+    def walk(self, terms):
+        """One search over alpha for the walk terms: yields
+        (i, alpha, |alpha|, sums) for each alpha that terms[i] takes with
+        nonempty reduced sums, in alpha order and then term order. The
+        terms are grouped once by the sizes |alpha| they take, so an alpha
+        tests only the cuts of the terms of its size."""
+        if not terms:
+            return
         unf, c0 = self.unf, self.unf.constant
-        graded, form = self.graded, self._form
-        reduce, spread_out = self._reduce, self._spread
         depth = max(term[3] for term in terms)
         lowest = min(term[4] for term in terms)
+        # per |alpha|, the terms that take it by size, as (i, t0, h, cut)
+        by_size = [[] for _ in range(depth + 1)]
+        for i, (t0, h, low, room, cut) in enumerate(terms):
+            for size in range(low, room + 1):
+                by_size[size].append((i, t0, h, cut))
         # depth first over alpha as non-decreasing index sequences of the
         # walked directions. Each entry is a cell [P_alpha or None, the
         # cell of P at alpha with alpha_last set to 0, last, alpha_last,
@@ -658,21 +640,15 @@ class Projector:
         while stack:
             cell = stack.pop()
             _, prefix, last, _, alpha, size, top = cell
-            if graded and top + (depth - size) * self.climb < lowest:
+            if self.graded and top + (depth - size) * self.climb < lowest:
                 continue
-            for t0, h, spread, room, cut, sink, record in terms:
-                if size > room or top < cut or sink[size] is None:
+            for i, t0, h, cut in by_size[size]:
+                if top < cut:
                     continue
-                P = cell[0]
-                if P is None:
-                    P = form(cell)
-                local = reduce(P, t0, h)
-                if local:
-                    # a later term of the key has a smaller room, so it
-                    # replays no alpha of the deepest size
-                    if record is not None and size < room:
-                        record.append((alpha, size, local))
-                    spread_out(local, alpha, size, sink[size], spread)
+                P = self._form(cell) if cell[0] is None else cell[0]
+                sums = self._reduce(P, t0, h)
+                if sums:
+                    yield i, alpha, size, sums
             if size < depth:
                 for l in range(last, unf.nu):
                     # P at alpha + e_l is P at alpha without its u_l part
@@ -692,21 +668,20 @@ class Projector:
         prefix = cell[1][0]
         if prefix is None:
             prefix = self._form(cell[1])
-        unf, l, n = self.unf, cell[2], cell[3]
-        qs = unf.qs[l]
-        q = qs[n] if n < len(qs) else unf.q(l, n)
+        unf = self.unf
+        q = unf.q(cell[2], cell[3])
         P = cell[0] = q if prefix is unf.one else prefix * q
         return P
 
-    def _spread(self, local, alpha, size, slots, spread):
-        """Add the reduced sums local at alpha, of size |alpha|, over the
-        u-monomials beta of spread with |alpha| + |beta| <= N to slots.
-        local is (numerators, D) and each product n r_beta lands in its
-        slot, an integer numerator over a running common denominator (see
-        _add)."""
-        nums, D = local
+    def spread(self, sums, alpha, size, slots, coeffs):
+        """Add the reduced sums at alpha, of size |alpha|, times each
+        u-monomial beta of coeffs (a coefficient_list) with
+        |alpha| + |beta| <= N to the sink slots. sums is
+        (numerators, D) and each product n r_beta lands in its slot, an
+        integer numerator over a running common denominator (see _add)."""
+        nums, D = sums
         limit = self.unf.N - size
-        for bsize, beta, bnum, bden in spread:
+        for bsize, beta, bnum, bden in coeffs:
             if bsize > limit:
                 break
             gamma = tuple(map(add, alpha, beta))

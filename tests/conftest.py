@@ -11,8 +11,8 @@ from saitoforms.mpoly import MPoly
 from saitoforms.parsing import parse_poly
 from saitoforms.singularity import P1MirrorData, analyze
 from saitoforms.unfolding import (
-    OppositeFiltration, OscillatorData, oscillating_projection,
-    positive_bound, z_product,
+    OppositeFiltration, OscillatorData, UnfoldRingElem,
+    oscillating_projection, positive_bound, z_product,
 )
 
 
@@ -328,6 +328,28 @@ def full_oscillator_family(unf, c=None):
             matrices.setdefault(k, [[unf.ring_zero()] * mu
                                     for _ in range(mu)])[i] = list(vec)
     return OscillatorData(unf, filt, matrices, positive_bound(unf.base, unf.N))
+
+
+def recursive_solve(unf, filtration):
+    """zeta_+ as [(t-power, 1-based j, {u-exponent: Fraction})], by the
+    recursion of primitive.solve_primitive with each part read from
+    oscillating_projection: zeta^(d) is minus the u-degree-d part of the
+    projection of the whole of zeta^(<d) at the floor 0. Each projection
+    walks every term from alpha = 0, applies the factor of the constant
+    direction and keeps nothing, so this is an oracle for the solve's
+    walk records and replays."""
+    zeta = {(0, 0): {(0,) * unf.nu: Fraction(1)}}
+    for d in range(1, unf.N + 1):
+        terms = [(q + t0, h, UnfoldRingElem(unf.nu, unf.N, poly))
+                 for (q, j), poly in zeta.items()
+                 for t0, h in filtration.upper(j)]
+        projected, = oscillating_projection(unf, [terms], filtration, 0)
+        for k, row in projected.rows.items():
+            for j, elem in row.items():
+                part = {g: -c for g, c in elem.terms.items() if sum(g) == d}
+                if part:
+                    zeta.setdefault((k, j), {}).update(part)
+    return sorted((q, j + 1, poly) for (q, j), poly in zeta.items())
 
 
 # --- closed-form higher residue pairings of the univariate models -----

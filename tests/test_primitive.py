@@ -18,8 +18,8 @@ from saitoforms.unfolding import (
 
 from conftest import (
     ORACLE_ZOO, analyze_oracle_case, count_products, count_reductions,
-    elliptic_g, elliptic_h, full_floor, make_a, ring_order_projection,
-    series_reciprocal, series_sub,
+    elliptic_g, elliptic_h, full_floor, make_a, recursive_solve,
+    ring_order_projection, series_reciprocal, series_sub,
 )
 
 # mu = 16, degrees (a + b)/5 for x^a y^b; phi_15 and phi_16 have degrees
@@ -532,42 +532,26 @@ def test_p1_solve_and_verify_reduce_one_monomial(monkeypatch):
     assert len(data.mono_cache) == 2
 
 
-class _Forgetful(dict):
-    """A walk-record store that keeps nothing, so every keyed term walks."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
-def _walk_only(monkeypatch):
-    init = unfolding.Projector.__init__
-
-    def forgetting(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self.records = _Forgetful()
-
-    monkeypatch.setattr(unfolding.Projector, "__init__", forgetting)
-
-
-def _replay_against_walk(monkeypatch, unf, c):
-    """The records of the solve with replays, and with every walk record
-    discarded, with the number of reductions of each."""
+def _solve_against_oracle(monkeypatch, unf, c):
+    """The records of the solve, which replays walk records, and of
+    recursive_solve, which keeps none, with the number of reductions of
+    each."""
+    filtration = good_filtration(unf, c)
     runs = []
-    for forget in (False, True):
+    for solve in (primitive_form, recursive_solve):
         with monkeypatch.context() as m:
-            if forget:
-                _walk_only(m)
             seen = count_reductions(m)
-            records = primitive_form(unf, c=c).records()
-        runs.append(([(q, j, dict(e.terms)) for q, j, e in records],
-                     len(seen.reduced)))
+            records = solve(unf, filtration)
+        if solve is primitive_form:
+            records = [(q, j, dict(e.terms)) for q, j, e in records.records()]
+        runs.append((records, len(seen.reduced)))
     return runs
 
 
 @pytest.mark.parametrize("case", ORACLE_ZOO, ids=[c[0] for c in ORACLE_ZOO])
 def test_replay_matches_walk_on_full_unfoldings(monkeypatch, case):
     unf = build_unfolding(analyze_oracle_case(case), 4)
-    (replayed, fewer), (walked, more) = _replay_against_walk(
+    (replayed, fewer), (walked, more) = _solve_against_oracle(
         monkeypatch, unf, None)
     assert replayed == walked
     assert fewer <= more
@@ -576,7 +560,7 @@ def test_replay_matches_walk_on_full_unfoldings(monkeypatch, case):
 @pytest.mark.parametrize("case, N, mask, c", TWO_SOLVE_CASES)
 def test_replay_matches_walk(monkeypatch, case, N, mask, c):
     unf = _two_solve_unfolding(case, N, mask)
-    (replayed, fewer), (walked, more) = _replay_against_walk(
+    (replayed, fewer), (walked, more) = _solve_against_oracle(
         monkeypatch, unf, c)
     assert replayed == walked
     assert fewer <= more
@@ -584,6 +568,18 @@ def test_replay_matches_walk(monkeypatch, case, N, mask, c):
         # on the socle direction Phi_1 recurs in every part, and the E12
         # solves with an override replay some records
         assert fewer < more
+
+
+@pytest.mark.parametrize("name, N, mask", [("e12", 6, None),
+                                           ("elliptic", 10, [8])])
+def test_solve_reduces_no_alpha_zero(request, monkeypatch, name, N, mask):
+    # the products of a part with alpha = 0 are the part itself, which is
+    # no longer pending: the solve's terms take |alpha| >= 1 alone
+    unf = build_unfolding(request.getfixturevalue(name), N, mask=mask)
+    seen = count_reductions(monkeypatch)
+    primitive_form(unf)
+    assert seen.reduced
+    assert not any(P is unf.one for P in seen.reduced)
 
 
 def test_order_by_order_solve_builds_no_oscillator_matrices(
@@ -662,25 +658,21 @@ def test_e12_solve_and_verify_products(monkeypatch, e12):
     (("x^4 + y^5", ("x", "y"), ["1/4", "1/5"]), 14)])
 def test_each_solve_term_walks_once(monkeypatch, case, N):
     # every product term of the solve is keyed: it walks in the first
-    # part that has its slot and replays its record in the later ones
+    # part that has its slot and replays its record in the later ones, so
+    # no (t0, h) is walked twice in one solve
     unf = build_unfolding(analyze_oracle_case(case), N)
-    keys, walked = set(), []
-    product_term, walk = unfolding.Projector.product_term, \
-        unfolding.Projector._walk
-
-    def keying(self, t0, h, coeffs, sink, key=None):
-        keys.add(key)
-        return product_term(self, t0, h, coeffs, sink, key)
+    walked = []
+    walk = unfolding.Projector.walk
 
     def walking(self, terms):
-        walked.extend(terms)
+        walked.extend((t0, frozenset(h.terms.items()))
+                      for t0, h, _, _, _ in terms)
         return walk(self, terms)
 
-    monkeypatch.setattr(unfolding.Projector, "product_term", keying)
-    monkeypatch.setattr(unfolding.Projector, "_walk", walking)
+    monkeypatch.setattr(unfolding.Projector, "walk", walking)
     primitive_form(unf)
-    assert None not in keys and len(keys) > 1
-    assert len(walked) == len(keys)
+    assert len(walked) > 1
+    assert len(set(walked)) == len(walked)
 
 
 def _corrupt_reductions(monkeypatch, t_power):
@@ -756,6 +748,58 @@ def test_non_good_c_is_rejected(quintic_pair):
     assert positive_pairing(OppositeFiltration(quintic_pair, good)) == \
         _pairing_oracle(OppositeFiltration(quintic_pair, good)) == {}
     assert verify_primitive(unf, primitive_form(unf, c=good), c=good)
+
+
+def test_non_good_c_is_rejected_on_the_osc_path(quintic_pair):
+    # c(14,1) alone is not good; oscillator_matrices does not check it,
+    # and primitive_form(osc=...) returned 4 records for it
+    c = {(14, 1): Fraction(1)}
+    unf = build_unfolding(quintic_pair, 3)
+    osc = oscillator_matrices(unf, c)
+    message = r"not good: at \(i, j, r\) = \(14, 16, 1\)"
+    for kwargs in ({"c": c}, {"osc": osc}):
+        with pytest.raises(ValueError, match=message):
+            primitive_form(unf, **kwargs)
+
+
+@pytest.mark.parametrize("case, other", [
+    (("x^4 + y^5", ("x", "y"), ["1/4", "1/5"]), "e12"),
+    (("x^7", ("x",), ["1/7"]), "e6_cusp")])
+def test_filtration_of_another_singularity_is_rejected(request, case,
+                                                       other):
+    # on W12 an E12 filtration gave a form that failed its verify, and on
+    # x^7 an E6 one gave a form whose verify could not reduce the
+    # monomial with exponent (0, 0)
+    unf = build_unfolding(analyze_oracle_case(case), 4)
+    filtration = OppositeFiltration(request.getfixturevalue(other))
+    message = "the opposite filtration is of another singularity"
+    with pytest.raises(ValueError, match=message):
+        primitive_form(unf, c=filtration)
+    with pytest.raises(ValueError, match=message):
+        verify_primitive(unf, primitive_form(unf), c=filtration)
+
+
+def test_primitive_form_of_another_unfolding_is_rejected(elliptic):
+    # the walk zipped the 8 directions of the full unfolding with the one
+    # of the socle direction: verify_primitive(full, pf_masked) reported a
+    # defect in u1^3 and verify_class_equal compared such sums
+    full = build_unfolding(elliptic, 4)
+    pf_full = primitive_form(full)
+    message = "the PrimitiveForm rep is of another unfolding"
+    others = [build_unfolding(elliptic, 4, mask=[8]),
+              build_unfolding(elliptic, 3),
+              build_unfolding(elliptic, 4, overrides={8: _u_plus_half_square})]
+    for other in others:
+        pf_other = primitive_form(other)
+        for unf, rep in ((full, pf_other), (other, pf_full)):
+            with pytest.raises(ValueError, match=message):
+                verify_primitive(unf, rep)
+            with pytest.raises(ValueError, match=message):
+                verify_class_equal(unf, rep, rep)
+    # the same unfolding built again is accepted
+    again = build_unfolding(elliptic, 4)
+    assert verify_primitive(again, pf_full)
+    assert verify_class_equal(again, pf_full, primitive_form(again))
 
 
 def test_goodness_at_t_squared(quartic_fourfold):

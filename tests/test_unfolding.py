@@ -14,8 +14,8 @@ from saitoforms.primitive import primitive_form, verify_primitive
 from saitoforms.cli import main
 from saitoforms.unfolding import (
     GradingViolation, InvalidOverride, OppositeFiltration, build_unfolding,
-    exp_series, grading, oscillating_projection, oscillator_matrices,
-    positive_bound,
+    coefficient_list, exp_series, grading, oscillating_projection,
+    oscillator_matrices, positive_bound,
 )
 
 from conftest import (
@@ -825,9 +825,9 @@ def test_p1_reach_is_sound(p1_q2, first):
         assert top == p1_q2.reach((e,), walked), e
 
 
-def _sink_rows(projector, sink):
-    """Every level of a sink read through rows, as {(k, j, gamma): c}."""
-    return {(k, j, gamma): c for slots in sink if slots is not None
+def _sink_rows(projector, sinks):
+    """Every sink read through rows, as {(k, j, gamma): c}."""
+    return {(k, j, gamma): c for slots in sinks
             for k, row in projector.rows(slots).items()
             for j, poly in row.items() for gamma, c in poly.items()}
 
@@ -839,35 +839,40 @@ def _u(unf, *positions):
 @pytest.mark.parametrize("floor", [-4, -2])
 def test_replay_spreads_the_constant_direction_shifts(monkeypatch, e12,
                                                       floor):
-    # a keyed term's second run replays its walk record, with sink[0]
-    # None; a run leaves out the factor e^(u1/t) of the constant
-    # direction, so its sinks hold the projection of the unfolding
+    # the sums that a walk yields below its room, kept as the solve keeps
+    # a record at u-degree 1, and replayed at the smaller room of a
+    # coefficient of u-degree 2, spread as a fresh walk does, with no
+    # reduction. A walk leaves out the factor e^(u1/t) of the constant
+    # direction, so the sinks hold the projection of the unfolding
     # without u1. The floor -4 = t0 - N keeps every t-power
     unf = build_unfolding(e12, 4)
     assert unf.constant == 0
     filt = OppositeFiltration(e12)
     (t0, h), = filt.upper(5)                    # x*y
-    first = _elem(unf, {_u(unf, 1): 1, _u(unf, 3): Fraction(1, 7)})
     second = {_u(unf, 1, 2): Fraction(3, 11), _u(unf, 1, 1): Fraction(-5, 13),
               _u(unf, 2, 5): Fraction(2, 9)}
+    coeffs = coefficient_list(second)
     N = unf.N
     projector = unfolding.Projector(unf, filt, floor)
-    projector.run([projector.product_term(
-        t0, h, first.terms, [{} for _ in range(N + 1)], "x*y")])
-    replayed = [None] + [{} for _ in range(N)]
+    record = [(alpha, size, sums) for _, alpha, size, sums
+              in projector.walk([projector.term(t0, h, 1, 1)])
+              if size < N - 1]
+    replayed = {size: {} for size in range(1, N + 1)}
     with monkeypatch.context() as m:
         seen = count_reductions(m)
-        projector.run([projector.product_term(t0, h, second, replayed,
-                                              "x*y")])
+        for alpha, size, sums in record:
+            if size <= N - 2:
+                projector.spread(sums, alpha, size, replayed[size], coeffs)
     assert seen.reduced == []
-    fresh = unfolding.Projector(unf, filt, floor)
-    walked = [None] + [{} for _ in range(N)]
-    fresh.run([fresh.product_term(t0, h, second, walked)])
-    assert [projector.rows(s) for s in replayed[1:]] == \
-        [fresh.rows(s) for s in walked[1:]]
-    got = _sink_rows(projector, replayed)
+    walked = {size: {} for size in range(1, N + 1)}
+    for _, alpha, size, sums in projector.walk(
+            [projector.term(t0, h, 2, 1)]):
+        projector.spread(sums, alpha, size, walked[size], coeffs)
+    assert {size: projector.rows(s) for size, s in replayed.items()} == \
+        {size: projector.rows(s) for size, s in walked.items()}
+    got = _sink_rows(projector, replayed.values())
     assert got and all(gamma[0] == 0 for _, _, gamma in got)
-    # sink[0] holds u-degree 2, the degree of the coefficient, alone
+    # |alpha| >= 1 leaves out the u-degree 2 of the coefficient alone
     rest = build_unfolding(e12, N, mask=range(2, 13))
     coeff = _elem(rest, {beta[1:]: b for beta, b in second.items()})
     want, = ring_order_projection(rest, [[(t0, h, coeff)]], filt, floor)
